@@ -1,31 +1,32 @@
-// Ablation: SeeDB-style shared scans vs MuVE pruning, plus the
-// base-histogram prefix-sum cache.
+// Ablation: base-histogram sharing vs MuVE pruning.
 //
-// Section II-A cites shared computation among views as an orthogonal
-// optimization class.  This bench pits the two against each other on
-// both datasets: sharing collapses the |M| x |F| same-dimension queries
-// of exhaustive search into one scan per (dimension, bin count), while
-// MuVE avoids executing most candidates at all.  They are NOT composable
-// (sharing eagerly computes what pruning would skip), so the interesting
-// question is which regime favors which — more measures favor sharing,
-// usability-heavy weights favor pruning.
+// Section II-A cites shared computation among views as an optimization
+// class orthogonal to pruning.  Base histograms are that sharing: one
+// fused pass per (A, M) side builds a finest-granularity histogram, and
+// every (view, b) probe is derived by prefix-sum coarsening.  The first
+// half pits exhaustive Linear-Linear (which probes every candidate off
+// the shared bases) against MuVE-MuVE (which skips most candidates) on
+// both datasets — usability-heavy weights favor pruning, more measures
+// favor sharing.
 //
-// The second half ablates the base-histogram cache (the sharing form
-// that IS composable with pruning: one finest-granularity scan per
-// (A, M) side, every bin count derived by prefix-sum coarsening).  It
-// runs horizontal Linear with the cache on vs off and emits a JSON block
-// with the row-scan counters; with b_max >= 64 the cache-on run scans
-// >= 5x fewer rows while recommending the identical top-k.
+// The second half measures what the sharing saves.  The "off" arm is a
+// bench-side direct Linear-Linear (tests/direct_oracle.h): every
+// (view, b) probe runs its own BinnedAggregate over D_Q and D_B, and
+// each view one raw GroupByAggregate.  It emits a JSON block with the
+// row-scan counters; with b_max >= 64 the base path scans >= 5x fewer
+// rows while recommending the identical top-k.
 
 #include <cmath>
 #include <iostream>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/recommender.h"
 #include "data/diab.h"
 #include "data/nba.h"
+#include "direct_oracle.h"
 #include "harness.h"
 
 namespace {
@@ -39,13 +40,10 @@ void RunDataset(const muve::data::Dataset& dataset,
   MUVE_CHECK(recommender.ok()) << recommender.status().ToString();
 
   auto linear = muve::bench::LinearLinear();
-  auto shared = muve::bench::LinearLinear();
-  shared.shared_scans = true;
   auto muve = muve::bench::MuveMuve();
-  linear.weights = shared.weights = muve.weights = weights;
+  linear.weights = muve.weights = weights;
 
   const auto r_linear = RunScheme(*recommender, linear);
-  const auto r_shared = RunScheme(*recommender, shared);
   const auto r_muve = RunScheme(*recommender, muve);
 
   muve::bench::TablePrinter table(
@@ -53,9 +51,6 @@ void RunDataset(const muve::data::Dataset& dataset,
   table.AddRow({"Linear-Linear", Ms(r_linear.cost_ms),
                 std::to_string(r_linear.stats.target_queries),
                 std::to_string(r_linear.stats.comparison_queries)});
-  table.AddRow({"Linear-Linear(Sh)", Ms(r_shared.cost_ms),
-                std::to_string(r_shared.stats.target_queries),
-                std::to_string(r_shared.stats.comparison_queries)});
   table.AddRow({"MuVE-MuVE", Ms(r_muve.cost_ms),
                 std::to_string(r_muve.stats.target_queries),
                 std::to_string(r_muve.stats.comparison_queries)});
@@ -64,10 +59,11 @@ void RunDataset(const muve::data::Dataset& dataset,
               std::to_string(muve::bench::Repetitions()) + " runs");
 }
 
-// Base-histogram cache ablation: horizontal Linear with the prefix-sum
-// cache on vs off.  Emits a machine-readable JSON block so the row-scan
-// saving (and top-k identity) can be tracked across commits.
-void RunCacheAblation(const muve::data::Dataset& dataset) {
+// Sharing ablation: the Recommender's Linear-Linear (base histograms)
+// vs the direct per-(view, b) scan loop.  Emits a machine-readable JSON
+// block so the row-scan saving (and top-k identity) can be tracked
+// across commits.
+void RunSharingAblation(const muve::data::Dataset& dataset) {
   using muve::bench::Ms;
   using muve::bench::RunScheme;
 
@@ -75,23 +71,26 @@ void RunCacheAblation(const muve::data::Dataset& dataset) {
   MUVE_CHECK(recommender.ok()) << recommender.status().ToString();
   const int b_max = recommender->space().max_bins_overall();
 
-  auto on = muve::bench::LinearLinear();
-  on.base_histogram_cache = true;
-  auto off = muve::bench::LinearLinear();
-  off.base_histogram_cache = false;
+  const auto options = muve::bench::LinearLinear();
+  const auto r_on = RunScheme(*recommender, options);
+  double off_ms = 0.0;
+  muve::testutil::DirectTopK r_off;
+  for (int rep = 0; rep < muve::bench::Repetitions(); ++rep) {
+    muve::common::Stopwatch timer;
+    r_off = muve::testutil::DirectLinearLinear(dataset, recommender->space(),
+                                               options);
+    off_ms += timer.ElapsedMillis();
+  }
+  off_ms /= muve::bench::Repetitions();
 
-  const auto r_on = RunScheme(*recommender, on);
-  const auto r_off = RunScheme(*recommender, off);
-
-  // Identical top-k is part of the cache's contract (pinned harder by
-  // tests/core/rebin_differential_test); verify it here too so the bench
-  // never reports a speedup bought with a wrong answer.
-  bool identical = r_on.recommendation.views.size() ==
-                   r_off.recommendation.views.size();
+  // Identical top-k is part of the base path's contract (pinned harder
+  // by tests/core/rebin_differential_test); verify it here too so the
+  // bench never reports a saving bought with a wrong answer.
+  bool identical = r_on.recommendation.views.size() == r_off.views.size();
   if (identical) {
-    for (size_t i = 0; i < r_on.recommendation.views.size(); ++i) {
+    for (size_t i = 0; i < r_off.views.size(); ++i) {
       const auto& a = r_on.recommendation.views[i];
-      const auto& b = r_off.recommendation.views[i];
+      const auto& b = r_off.views[i];
       if (a.view.Key() != b.view.Key() || a.bins != b.bins ||
           std::abs(a.utility - b.utility) > 1e-9) {
         identical = false;
@@ -99,21 +98,19 @@ void RunCacheAblation(const muve::data::Dataset& dataset) {
       }
     }
   }
-  MUVE_CHECK(identical) << "cache-on top-k diverged from cache-off";
+  MUVE_CHECK(identical) << "base-path top-k diverged from the direct scans";
 
   const double ratio =
       r_on.stats.rows_scanned > 0
-          ? static_cast<double>(r_off.stats.rows_scanned) /
+          ? static_cast<double>(r_off.rows_scanned) /
                 static_cast<double>(r_on.stats.rows_scanned)
           : 0.0;
 
-  muve::bench::TablePrinter table({"base cache", "cost(ms)", "rows scanned",
+  muve::bench::TablePrinter table({"probe path", "ms", "rows scanned",
                                    "base builds", "cache hits"});
-  table.AddRow({"off", Ms(r_off.cost_ms),
-                std::to_string(r_off.stats.rows_scanned),
-                std::to_string(r_off.stats.base_builds),
-                std::to_string(r_off.stats.base_cache_hits)});
-  table.AddRow({"on", Ms(r_on.cost_ms),
+  table.AddRow({"direct scans", Ms(off_ms), std::to_string(r_off.rows_scanned),
+                "0", "0"});
+  table.AddRow({"base histograms", Ms(r_on.cost_ms),
                 std::to_string(r_on.stats.rows_scanned),
                 std::to_string(r_on.stats.base_builds),
                 std::to_string(r_on.stats.base_cache_hits)});
@@ -125,12 +122,9 @@ void RunCacheAblation(const muve::data::Dataset& dataset) {
   json << "{\"dataset\": \"" << dataset.name << "\""
        << ", \"scheme\": \"Linear-Linear\""
        << ", \"b_max\": " << b_max
-       << ", \"cache_off\": {\"rows_scanned\": " << r_off.stats.rows_scanned
-       << ", \"build_rows_scanned\": " << r_off.stats.build_rows_scanned
-       << ", \"probe_rows_scanned\": " << r_off.stats.probe_rows_scanned
-       << ", \"base_builds\": " << r_off.stats.base_builds
-       << ", \"cost_ms\": " << r_off.cost_ms << "}"
-       << ", \"cache_on\": {\"rows_scanned\": " << r_on.stats.rows_scanned
+       << ", \"direct\": {\"rows_scanned\": " << r_off.rows_scanned
+       << ", \"elapsed_ms\": " << off_ms << "}"
+       << ", \"base\": {\"rows_scanned\": " << r_on.stats.rows_scanned
        << ", \"build_rows_scanned\": " << r_on.stats.build_rows_scanned
        << ", \"probe_rows_scanned\": " << r_on.stats.probe_rows_scanned
        << ", \"base_builds\": " << r_on.stats.base_builds
@@ -147,7 +141,7 @@ void RunCacheAblation(const muve::data::Dataset& dataset) {
 
 int main(int argc, char** argv) {
   muve::bench::InitBench(&argc, argv);
-  std::cout << "=== Ablation: shared scans (SeeDB) vs pruning (MuVE) ===\n";
+  std::cout << "=== Ablation: base-histogram sharing vs pruning (MuVE) ===\n";
   const auto diab =
       muve::data::WithWorkloadSize(muve::data::MakeDiabDataset(), 3, 3, 3);
   const auto nba_wide =
@@ -157,9 +151,9 @@ int main(int argc, char** argv) {
   RunDataset(nba_wide, muve::core::Weights{0.6, 0.2, 0.2},
              "deviation-heavy, 13 measures");
 
-  std::cout << "\n=== Ablation: base-histogram prefix-sum cache ===\n";
-  RunCacheAblation(diab);
-  RunCacheAblation(
+  std::cout << "\n=== Ablation: base histograms vs direct scans ===\n";
+  RunSharingAblation(diab);
+  RunSharingAblation(
       muve::data::WithWorkloadSize(muve::data::MakeNbaDataset(), 2, 3, 3));
   return 0;
 }

@@ -31,6 +31,8 @@ muve_add_bench(ablate_probe_order)
 muve_add_bench(ablate_pruning)
 muve_add_bench(ablate_distance)
 muve_add_bench(ablate_sharing)
+# The no-sharing arm is the tests' direct-scan oracle (tests/direct_oracle.h).
+target_include_directories(ablate_sharing PRIVATE ${PROJECT_SOURCE_DIR}/tests)
 muve_add_bench(ablate_histogram)
 muve_add_bench(parallel_scaling)
 muve_add_bench(ablate_sampling)

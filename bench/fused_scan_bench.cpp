@@ -1,21 +1,19 @@
 // Extension bench: the fused morsel-parallel scan engine.
 //
-// Two questions, both on horizontal Linear (the scheme that executes
-// every candidate, so build costs dominate and the engine's effect is
-// cleanest):
+// Two questions:
 //
-//   1. Row-scan savings.  With the base-histogram cache on but the fused
-//      prewarm OFF, every (dimension, measure) pair still pays its own
-//      full-row-set build pass on first touch — |A| x |M| traversals per
-//      side.  With the prewarm ON, a single fused pass per side builds
-//      all of them in one traversal.  The bench runs both on NBA and
-//      DIAB, checks the recommended top-k is identical view-for-view,
-//      and reports the rows_scanned ratio (the build/probe split makes
-//      the attribution explicit: the savings are entirely on the build
-//      side).
+//   1. Row-scan savings, at storage level.  Building every eligible
+//      (dimension, measure) base histogram of a side one pair at a time
+//      (BuildBaseHistogram per pair) costs |A| x |M| traversals of the
+//      row set; one FusedBuildBaseHistograms call builds all of them in
+//      a single traversal — the pass the Recommender's prewarm runs.
+//      The bench times both on NBA and DIAB for the target and
+//      comparison sides, checks the histograms agree pair for pair, and
+//      reports the rows_scanned ratio.
 //
 //   2. Thread scaling.  The fused pass splits its row set into morsels
 //      dispatched on the shared pool.  The bench sweeps 1/2/4/8 threads
+//      of horizontal Linear (the scheme that executes every candidate)
 //      with a deliberately small morsel size (so even the bundled
 //      datasets split into multiple morsels) and verifies the top-k is
 //      bit-stable across thread counts — the determinism contract: the
@@ -31,6 +29,7 @@
 // A machine-readable JSON block follows the tables for tracking across
 // commits.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
@@ -43,6 +42,8 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/recommender.h"
+#include "storage/base_histogram_cache.h"
+#include "storage/fused_scan.h"
 #include "data/diab.h"
 #include "data/nba.h"
 #include "data/toy.h"
@@ -64,48 +65,102 @@ bool SameTopK(const muve::core::Recommendation& a,
   return true;
 }
 
-// One dataset: per-pair builds (prewarm off) vs one fused pass per side
-// (prewarm on), then the thread sweep.  Appends this dataset's JSON
-// object to `json`.
+// Same fine bins and counts; sums equal within FP tolerance (a fused
+// pass of several morsels re-associates them).
+bool SameHistogram(const muve::storage::BaseHistogram& a,
+                   const muve::storage::BaseHistogram& b) {
+  if (a.values != b.values || a.prefix_counts != b.prefix_counts) {
+    return false;
+  }
+  for (size_t j = 0; j < a.sums.size(); ++j) {
+    if (std::abs(a.sums[j] - b.sums[j]) > 1e-9 * (1.0 + std::abs(b.sums[j]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// One dataset: per-pair builds vs one fused pass per side, then the
+// thread sweep.  Appends this dataset's JSON object to `json`.
 void RunDataset(const muve::data::Dataset& dataset, bool smoke,
                 const std::vector<int>& thread_counts, std::ostream& json) {
   using muve::bench::Ms;
-  using muve::bench::RunScheme;
 
   auto recommender = muve::core::Recommender::Create(dataset);
   MUVE_CHECK(recommender.ok()) << recommender.status().ToString();
+  const muve::storage::Table& table = *dataset.table;
 
-  // per-pair: the pre-fused-engine behavior — every (A, M) pair pays its
-  // own full build pass on first touch.  dim-batched: prewarm off but a
-  // miss fuses every missing pair sharing its dimension (|A| passes per
-  // side).  fused: one prewarm pass per side.
-  auto per_pair = muve::bench::LinearLinear();
-  per_pair.base_histogram_cache = true;
-  per_pair.fused_prewarm = false;
-  per_pair.fused_miss_batching = false;
-  auto dim_batched = muve::bench::LinearLinear();
-  dim_batched.base_histogram_cache = true;
-  dim_batched.fused_prewarm = false;
-  dim_batched.fused_miss_batching = true;
-  auto fused = muve::bench::LinearLinear();
-  fused.base_histogram_cache = true;
-  fused.fused_prewarm = true;
+  // Every (A, M) pair a base histogram serves: numeric dimension,
+  // numeric measure.
+  std::vector<muve::storage::FusedScanPair> pairs;
+  for (const std::string& dim : dataset.dimensions) {
+    for (const std::string& measure : dataset.measures) {
+      auto column = table.ColumnByName(measure);
+      MUVE_CHECK(column.ok()) << column.status().ToString();
+      if ((*column)->type() == muve::storage::ValueType::kString) continue;
+      pairs.push_back({dim, measure});
+    }
+  }
+  MUVE_CHECK(!pairs.empty()) << dataset.name << ": no base-servable pairs";
 
-  const auto r_pair = RunScheme(*recommender, per_pair);
-  const auto r_dim = RunScheme(*recommender, dim_batched);
-  const auto r_fused = RunScheme(*recommender, fused);
-  MUVE_CHECK(SameTopK(r_pair.recommendation, r_dim.recommendation))
-      << dataset.name << ": dim-batched top-k diverged from per-pair";
+  muve::bench::TablePrinter table_out({"side", "build mode", "ms",
+                                       "rows scanned", "passes"});
+  json << "\n    {\"dataset\": \"" << dataset.name << "\""
+       << ", \"pairs\": " << pairs.size() << ", \"sides\": [";
+  const int reps = muve::bench::Repetitions();
+  int64_t per_pair_rows = 0;
+  int64_t fused_rows = 0;
+  for (const bool target : {true, false}) {
+    const muve::storage::RowSet& rows =
+        target ? dataset.target_rows : dataset.all_rows;
+    const char* side = target ? "target" : "comparison";
 
-  // The fused pass must never buy its savings with a different answer.
-  MUVE_CHECK(SameTopK(r_pair.recommendation, r_fused.recommendation))
-      << dataset.name << ": fused prewarm top-k diverged from per-pair";
+    std::vector<muve::storage::BaseHistogram> per_pair;
+    muve::common::Stopwatch pair_timer;
+    for (int rep = 0; rep < reps; ++rep) {
+      per_pair.clear();
+      for (const auto& pair : pairs) {
+        auto built = muve::storage::BuildBaseHistogram(
+            table, rows, pair.dimension, pair.measure);
+        MUVE_CHECK(built.ok()) << built.status().ToString();
+        per_pair.push_back(std::move(built).value());
+      }
+    }
+    const double pair_ms = pair_timer.ElapsedMillis() / reps;
 
-  const double ratio =
-      r_fused.stats.rows_scanned > 0
-          ? static_cast<double>(r_pair.stats.rows_scanned) /
-                static_cast<double>(r_fused.stats.rows_scanned)
-          : 0.0;
+    std::vector<muve::storage::BaseHistogram> fused;
+    muve::common::Stopwatch fused_timer;
+    for (int rep = 0; rep < reps; ++rep) {
+      auto built = muve::storage::FusedBuildBaseHistograms(table, rows, pairs);
+      MUVE_CHECK(built.ok()) << built.status().ToString();
+      fused = std::move(built).value();
+    }
+    const double fused_ms = fused_timer.ElapsedMillis() / reps;
+
+    // The fused pass must never buy its savings with a different answer.
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      MUVE_CHECK(SameHistogram(per_pair[i], fused[i]))
+          << dataset.name << ": fused " << pairs[i].dimension << "/"
+          << pairs[i].measure << " diverged from its per-pair build";
+    }
+    const int64_t pair_side_rows =
+        static_cast<int64_t>(pairs.size() * rows.size());
+    const int64_t fused_side_rows = static_cast<int64_t>(rows.size());
+    per_pair_rows += pair_side_rows;
+    fused_rows += fused_side_rows;
+    table_out.AddRow({side, "per-pair", Ms(pair_ms),
+                      std::to_string(pair_side_rows),
+                      std::to_string(pairs.size())});
+    table_out.AddRow({side, "fused", Ms(fused_ms),
+                      std::to_string(fused_side_rows), "1"});
+    json << (target ? "" : ", ") << "{\"side\": \"" << side << "\""
+         << ", \"per_pair\": {\"rows_scanned\": " << pair_side_rows
+         << ", \"ms\": " << pair_ms << "}"
+         << ", \"fused\": {\"rows_scanned\": " << fused_side_rows
+         << ", \"ms\": " << fused_ms << "}}";
+  }
+  const double ratio = static_cast<double>(per_pair_rows) /
+                       static_cast<double>(std::max<int64_t>(fused_rows, 1));
   // Acceptance floor on the bundled datasets (toy is too small a
   // workload to clear it, so the smoke run only reports).
   if (!smoke) {
@@ -113,60 +168,14 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
         << dataset.name << ": expected >= 5x fewer rows scanned, got "
         << ratio << "x";
   }
+  table_out.Print(dataset.name + ", " + std::to_string(pairs.size()) +
+                  " (A, M) pairs per side, identical histograms, " +
+                  muve::common::FormatDouble(ratio, 1) +
+                  "x fewer rows scanned");
+  json << "],\n     \"rows_scanned_ratio\": " << ratio
+       << ", \"identical_histograms\": true";
 
-  muve::bench::TablePrinter table({"build mode", "cost(ms)", "rows scanned",
-                                   "build rows", "probe rows", "build passes",
-                                   "fused passes", "morsels"});
-  table.AddRow({"per-pair", Ms(r_pair.cost_ms),
-                std::to_string(r_pair.stats.rows_scanned),
-                std::to_string(r_pair.stats.build_rows_scanned),
-                std::to_string(r_pair.stats.probe_rows_scanned),
-                std::to_string(r_pair.stats.base_builds),
-                std::to_string(r_pair.stats.fused_builds),
-                std::to_string(r_pair.stats.morsels_dispatched)});
-  table.AddRow({"dim-batched", Ms(r_dim.cost_ms),
-                std::to_string(r_dim.stats.rows_scanned),
-                std::to_string(r_dim.stats.build_rows_scanned),
-                std::to_string(r_dim.stats.probe_rows_scanned),
-                std::to_string(r_dim.stats.base_builds),
-                std::to_string(r_dim.stats.fused_builds),
-                std::to_string(r_dim.stats.morsels_dispatched)});
-  table.AddRow({"fused", Ms(r_fused.cost_ms),
-                std::to_string(r_fused.stats.rows_scanned),
-                std::to_string(r_fused.stats.build_rows_scanned),
-                std::to_string(r_fused.stats.probe_rows_scanned),
-                std::to_string(r_fused.stats.base_builds),
-                std::to_string(r_fused.stats.fused_builds),
-                std::to_string(r_fused.stats.morsels_dispatched)});
-  table.Print(dataset.name + ", Linear-Linear, identical top-k, " +
-              muve::common::FormatDouble(ratio, 1) + "x fewer rows scanned");
-
-  json << "\n    {\"dataset\": \"" << dataset.name << "\""
-       << ", \"scheme\": \"Linear-Linear\""
-       << ", \"per_pair\": {\"rows_scanned\": " << r_pair.stats.rows_scanned
-       << ", \"build_rows_scanned\": " << r_pair.stats.build_rows_scanned
-       << ", \"probe_rows_scanned\": " << r_pair.stats.probe_rows_scanned
-       << ", \"base_builds\": " << r_pair.stats.base_builds
-       << ", \"cost_ms\": " << r_pair.cost_ms << "}"
-       << ",\n     \"dim_batched\": {\"rows_scanned\": "
-       << r_dim.stats.rows_scanned
-       << ", \"build_rows_scanned\": " << r_dim.stats.build_rows_scanned
-       << ", \"probe_rows_scanned\": " << r_dim.stats.probe_rows_scanned
-       << ", \"base_builds\": " << r_dim.stats.base_builds
-       << ", \"fused_builds\": " << r_dim.stats.fused_builds
-       << ", \"morsels\": " << r_dim.stats.morsels_dispatched
-       << ", \"cost_ms\": " << r_dim.cost_ms << "}"
-       << ",\n     \"fused\": {\"rows_scanned\": " << r_fused.stats.rows_scanned
-       << ", \"build_rows_scanned\": " << r_fused.stats.build_rows_scanned
-       << ", \"probe_rows_scanned\": " << r_fused.stats.probe_rows_scanned
-       << ", \"base_builds\": " << r_fused.stats.base_builds
-       << ", \"fused_builds\": " << r_fused.stats.fused_builds
-       << ", \"morsels\": " << r_fused.stats.morsels_dispatched
-       << ", \"cost_ms\": " << r_fused.cost_ms << "}"
-       << ",\n     \"rows_scanned_ratio\": " << ratio
-       << ", \"identical_top_k\": true";
-
-  // Thread sweep: fused prewarm with a small morsel size so the bundled
+  // Thread sweep: Linear-Linear with a small morsel size so the bundled
   // row sets actually split, verifying thread-count invariance end to
   // end (latency speedup requires real cores).
   muve::bench::TablePrinter sweep({"threads", "elapsed(ms)", "speedup",
@@ -176,7 +185,7 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
   double elapsed_1 = 0.0;
   for (size_t t = 0; t < thread_counts.size(); ++t) {
     const int threads = thread_counts[t];
-    muve::core::SearchOptions options = fused;
+    muve::core::SearchOptions options = muve::bench::LinearLinear();
     options.num_threads = threads;
     options.fused_morsel_size = 128;  // force multi-morsel fused passes
     MUVE_CHECK(recommender->Recommend(options).ok());  // warmup

@@ -2,7 +2,7 @@
 //
 // All vertical strategies run on the shared work-stealing pool, so this
 // bench sweeps threads x schemes: the three vertical-Linear combinations,
-// MuVE-MuVE, shared scans, view refinement, and view skipping.  The
+// MuVE-MuVE, view refinement, and view skipping.  The
 // paper's cost metric (Eq. 7) sums *work*, so it stays roughly flat with
 // thread count (pruning schemes can inflate slightly: a lagging threshold
 // snapshot prunes less); the latency (elapsed wall-clock) is what drops.
@@ -39,9 +39,6 @@ std::vector<SchemeSpec> Schemes() {
   specs.push_back({"MuVE-Linear", muve::bench::MuveLinear()});
   specs.push_back({"MuVE-MuVE", muve::bench::MuveMuve()});
   {
-    auto shared = muve::bench::LinearLinear();
-    shared.shared_scans = true;
-    specs.push_back({"Linear-Linear(Sh)", shared});
     auto refine = muve::bench::LinearLinear();
     refine.approximation = VerticalApproximation::kRefinement;
     specs.push_back({"Linear-Linear(R)", refine});

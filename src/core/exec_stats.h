@@ -54,7 +54,7 @@ struct ExecStats {
   int64_t rows_scanned = 0;
   // The build/probe split (attribution for the sharing ablations): rows
   // traversed building base histograms vs rows traversed by direct probe
-  // scans (cache-ineligible probes, cache-off runs, categorical views).
+  // scans (MIN/MAX, categorical views, COUNT over a string measure).
   int64_t build_rows_scanned = 0;
   int64_t probe_rows_scanned = 0;
 
@@ -62,8 +62,8 @@ struct ExecStats {
   // build PASSES executed (each is one row-set traversal, charged into
   // rows_scanned; a fused pass builds every missing (A, M) of its side
   // at once) vs probes served from an already-built histogram without
-  // touching rows.  Both stay 0 when the cache is off, so rows_scanned
-  // remains directly comparable across the ablation.
+  // touching rows.  Both stay 0 on a workload no base can serve (only
+  // MIN/MAX or categorical views).
   int64_t base_builds = 0;
   int64_t base_cache_hits = 0;
 
@@ -75,7 +75,7 @@ struct ExecStats {
   // Cross-request sharing: fused passes this run did NOT scan because an
   // identical pass was already in flight on the shared cache — the
   // single-flight scheduler parked this side and it woke to cache hits
-  // (SearchOptions::fused_coalescing).  0 on a run that shares nothing.
+  // (SearchOptions::shared_base_cache).  0 on a run that shares nothing.
   int64_t fused_coalesced = 0;
 
   // Chunked-storage accounting: column chunks the predicate layer never

@@ -1,9 +1,5 @@
 #include "core/exploration_session.h"
 
-#include <algorithm>
-#include <limits>
-
-#include "core/partitioner.h"
 #include "core/top_k_tracker.h"
 #include "core/view_evaluator.h"
 
@@ -20,48 +16,23 @@ common::Status ExplorationSession::Materialize(DistanceKind distance) {
 
   ViewEvaluator::Options options;
   options.distance = distance;
-  // Materialization probes every (view, b) pair — the base-histogram
-  // cache's best case (one scan per (A, M) side, O(b) per candidate).
-  options.use_base_histogram_cache = true;
   ViewEvaluator evaluator(dataset_, space_, options);
+  // Materialization probes every (view, b) pair: the base histograms'
+  // best case (one fused pass per side, then O(d) per candidate).
+  evaluator.PrewarmBaseHistograms();
   std::vector<CandidateScores> all;
-
-  // Group same-dimension views so the numeric ones ride shared scans.
   const std::vector<View>& views = space_.views();
-  std::map<std::string, std::vector<size_t>> groups;
   for (size_t i = 0; i < views.size(); ++i) {
-    groups[views[i].dimension].push_back(i);
-  }
-
-  for (const auto& [dim_name, group] : groups) {
-    const DimensionInfo& dim = space_.dimension_info(dim_name);
-    if (dim.categorical) {
-      for (size_t idx : group) {
-        CandidateScores cs;
-        cs.view_index = idx;
-        cs.bins = 1;
-        cs.deviation = evaluator.EvaluateDeviation(views[idx], 1);
-        cs.accuracy = evaluator.EvaluateAccuracy(views[idx], 1);
-        cs.usability = evaluator.CandidateUsability(views[idx], 1);
-        all.push_back(cs);
-      }
-      continue;
-    }
-    std::vector<View> batch;
-    batch.reserve(group.size());
-    for (size_t idx : group) batch.push_back(views[idx]);
-    for (int bins = 1; bins <= dim.max_bins; ++bins) {
-      const ViewEvaluator::BatchScores batch_scores =
-          evaluator.EvaluateSharedBatch(batch, bins);
-      for (size_t g = 0; g < group.size(); ++g) {
-        CandidateScores cs;
-        cs.view_index = group[g];
-        cs.bins = bins;
-        cs.deviation = batch_scores.deviations[g];
-        cs.accuracy = batch_scores.accuracies[g];
-        cs.usability = Usability(bins);
-        all.push_back(cs);
-      }
+    // A categorical dimension's single candidate has max_bins == 1.
+    const int max_bins = space_.dimension_info(views[i].dimension).max_bins;
+    for (int bins = 1; bins <= max_bins; ++bins) {
+      CandidateScores cs;
+      cs.view_index = i;
+      cs.bins = bins;
+      cs.deviation = evaluator.EvaluateDeviation(views[i], bins);
+      cs.accuracy = evaluator.EvaluateAccuracy(views[i], bins);
+      cs.usability = evaluator.CandidateUsability(views[i], bins);
+      all.push_back(cs);
     }
   }
 

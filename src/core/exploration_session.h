@@ -6,8 +6,8 @@
 // user-defined-weights workflow of Section III-B) therefore should not
 // pay query-execution costs per adjustment.  ExplorationSession
 // materializes the full (view, bins) -> (D, A) score table once per
-// distance function (one exhaustive pass, shared scans) and answers any
-// subsequent (weights, k) recommendation by pure re-ranking.
+// distance function (one exhaustive pass over base histograms) and
+// answers any subsequent (weights, k) recommendation by pure re-ranking.
 //
 // Recommendations equal the exhaustive Linear-Linear scheme's for every
 // weight setting; the session trades MuVE's per-query pruning for

@@ -24,8 +24,6 @@ namespace muve::core {
 
 namespace {
 
-constexpr double kNoThreshold = -std::numeric_limits<double>::infinity();
-
 // Bin-count value of the r-th position of a partitioned domain; every
 // dimension's domain is a truncated prefix of this common sequence, which
 // is what lets MuVE-MuVE's round-robin share one S value per round.
@@ -209,90 +207,6 @@ std::vector<ScoredView> VerticalMuve(WorkerSet& workers,
     workers.main().stats().completeness.views_fully_searched +=
         static_cast<int64_t>(views.size());
   }
-  return tracker.TopK();
-}
-
-// Shared-scan exhaustive search (SeeDB's shared-computation optimization):
-// per dimension and bin count, one batch evaluates every (M, F) view.
-// Identical recommendations to Linear-Linear.  Dimensions are independent
-// batches, so they fan out across workers; no pruning is involved, which
-// keeps parallel runs bitwise-identical to serial ones.  Categorical-
-// dimension views fall back to per-view evaluation (their group-by is one
-// scan already).
-std::vector<ScoredView> VerticalSharedLinear(WorkerSet& workers,
-                                             const ViewSpace& space,
-                                             const SearchOptions& options) {
-  const std::vector<View>& views = space.views();
-  SharedTopKTracker tracker(options.k, views.size());
-
-  std::unordered_map<std::string, std::vector<size_t>> groups;
-  std::vector<std::string> dimension_order;
-  for (size_t i = 0; i < views.size(); ++i) {
-    auto [it, inserted] = groups.try_emplace(views[i].dimension);
-    if (inserted) dimension_order.push_back(views[i].dimension);
-    it->second.push_back(i);
-    ++workers.main().stats().views_searched;
-  }
-
-  workers.pool().ParallelFor(
-      dimension_order.size(), [&](size_t worker, size_t d) {
-        ViewEvaluator& evaluator = workers.evaluator(worker);
-        ExecCompleteness& comp = evaluator.stats().completeness;
-        const std::vector<size_t>& group = groups[dimension_order[d]];
-        const DimensionInfo& dim = space.dimension_info(dimension_order[d]);
-        if (dim.categorical) {
-          for (size_t g = 0; g < group.size(); ++g) {
-            // Boundary poll per categorical view (each is one group-by).
-            if (common::Expired(evaluator.exec())) {
-              comp.degraded = true;
-              comp.bins_pruned_by_deadline +=
-                  static_cast<int64_t>(group.size() - g);
-              return;
-            }
-            const size_t idx = group[g];
-            const CandidateResult cand = EvaluateCandidate(
-                evaluator, views[idx], 1, options, kNoThreshold,
-                /*allow_pruning=*/false);
-            tracker.Update(idx, cand.scored);
-            ++comp.views_fully_searched;
-          }
-          return;
-        }
-        std::vector<View> batch;
-        batch.reserve(group.size());
-        for (size_t idx : group) batch.push_back(views[idx]);
-        const std::vector<int> domain =
-            BinDomain(options.partition, dim.max_bins);
-        for (size_t b = 0; b < domain.size(); ++b) {
-          const int bins = domain[b];
-          // Boundary poll per shared bin count: skipping one bin skips it
-          // for the whole batch.
-          if (common::Expired(evaluator.exec())) {
-            comp.degraded = true;
-            comp.bins_pruned_by_deadline +=
-                static_cast<int64_t>((domain.size() - b) * group.size());
-            return;
-          }
-          const ViewEvaluator::BatchScores scores =
-              evaluator.EvaluateSharedBatch(batch, bins);
-          evaluator.stats().candidates_considered +=
-              static_cast<int64_t>(group.size());
-          evaluator.stats().fully_probed += static_cast<int64_t>(group.size());
-          const double s = Usability(bins);
-          for (size_t g = 0; g < group.size(); ++g) {
-            ScoredView scored;
-            scored.view = views[group[g]];
-            scored.bins = bins;
-            scored.deviation = scores.deviations[g];
-            scored.accuracy = scores.accuracies[g];
-            scored.usability = s;
-            scored.utility = Utility(options.weights, scored.deviation,
-                                     scored.accuracy, s);
-            tracker.Update(group[g], scored);
-          }
-        }
-        comp.views_fully_searched += static_cast<int64_t>(group.size());
-      });
   return tracker.TopK();
 }
 
@@ -485,30 +399,25 @@ common::Result<Recommendation> Recommender::Recommend(
   eval_options.distance = options.distance;
   eval_options.sample_fraction = options.sample_fraction;
   eval_options.sample_seed = options.sample_seed;
-  eval_options.use_base_histogram_cache = options.base_histogram_cache;
   eval_options.fused_morsel_size = options.fused_morsel_size;
-  eval_options.fused_miss_batching = options.fused_miss_batching;
-  eval_options.fused_coalescing = options.fused_coalescing;
   eval_options.exec = &ctx;
-  if (options.base_histogram_cache) {
-    if (options.shared_base_cache != nullptr &&
-        options.sample_fraction >= 1.0) {
-      // Cross-request sharing: the caller's store outlives this run, so
-      // a warm run's prewarm is all hits.  Valid only when every run on
-      // the store probes identical row sets — sampling draws a run-local
-      // subset, so sampled runs fall through to a private store.
-      eval_options.base_cache = options.shared_base_cache;
-    } else {
-      // ONE store per run, shared by every worker evaluator: all workers
-      // probe identical row sets (same dataset + sampling draw), so a
-      // histogram built by any lane serves them all.
-      storage::BaseHistogramCache::Options cache_options;
-      if (options.max_cache_bytes > 0) {
-        cache_options.max_bytes = options.max_cache_bytes;
-      }
-      eval_options.base_cache =
-          std::make_shared<storage::BaseHistogramCache>(cache_options);
+  if (options.shared_base_cache != nullptr &&
+      options.sample_fraction >= 1.0) {
+    // Cross-request sharing: the caller's store outlives this run, so a
+    // warm run's prewarm is all hits.  Valid only when every run on the
+    // store probes identical row sets — sampling draws a run-local
+    // subset, so sampled runs fall through to a private store.
+    eval_options.base_cache = options.shared_base_cache;
+  } else {
+    // ONE store per run, shared by every worker evaluator: all workers
+    // probe identical row sets (same dataset + sampling draw), so a
+    // histogram built by any lane serves them all.
+    storage::BaseHistogramCache::Options cache_options;
+    if (options.max_cache_bytes > 0) {
+      cache_options.max_bytes = options.max_cache_bytes;
     }
+    eval_options.base_cache =
+        std::make_shared<storage::BaseHistogramCache>(cache_options);
   }
 
   // More workers than views can never help; everything degrades to the
@@ -527,14 +436,12 @@ common::Result<Recommendation> Recommender::Recommend(
   // never leaks an exception OR terminates the process.  The prewarm
   // fan-out runs the same pool, so it sits inside the same guard.
   try {
-    if (options.base_histogram_cache && options.fused_prewarm) {
-      // Fused prewarm: ONE morsel-parallel pass per side fills the shared
-      // cache with every eligible (A, M) base histogram before any
-      // strategy probes.  Must run here — before the strategy fan-out —
-      // because ParallelFor is not reentrant, so builds triggered inside
-      // worker lanes cannot themselves use the pool.
-      workers.main().PrewarmBaseHistograms(&workers.pool());
-    }
+    // Fused prewarm: ONE morsel-parallel pass per side fills the shared
+    // cache with every eligible (A, M) base histogram before any strategy
+    // probes.  Must run here — before the strategy fan-out — because
+    // ParallelFor is not reentrant, so builds triggered inside worker
+    // lanes cannot themselves use the pool.
+    workers.main().PrewarmBaseHistograms(&workers.pool());
     switch (options.approximation) {
       case VerticalApproximation::kRefinement:
         rec.views = VerticalRefinement(workers, space_, options, rng);
@@ -543,9 +450,7 @@ common::Result<Recommendation> Recommender::Recommend(
         rec.views = VerticalSkipping(workers, space_, options);
         break;
       case VerticalApproximation::kNone:
-        if (options.shared_scans) {
-          rec.views = VerticalSharedLinear(workers, space_, options);
-        } else if (options.vertical == VerticalStrategy::kMuve) {
+        if (options.vertical == VerticalStrategy::kMuve) {
           rec.views = VerticalMuve(workers, space_, options);
         } else {
           rec.views = VerticalLinear(workers, space_, options);

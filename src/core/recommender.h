@@ -51,7 +51,7 @@ struct Recommendation {
 //     snapshot may lag, so parallel runs can prune *less* than serial
 //     ones — never unsoundly more — and the top-k utilities are exactly
 //     the serial ones.
-//   * shared scans and view skipping: one per-dimension batch per task.
+//   * view skipping: one per-dimension batch per task.
 //   * view refinement: the first (def-bin) pass fans out per view; the
 //     k-view refinement pass stays serial.
 // Reported time components sum *work* across workers — the paper's

@@ -47,14 +47,6 @@ common::Status SearchOptions::Validate() const {
     return common::Status::InvalidArgument(
         "max_rows_scanned must be >= 0 (0 = unbounded)");
   }
-  if (shared_scans &&
-      (horizontal != HorizontalStrategy::kLinear ||
-       vertical != VerticalStrategy::kLinear ||
-       approximation != VerticalApproximation::kNone)) {
-    return common::Status::InvalidArgument(
-        "shared scans require plain Linear-Linear (sharing computes every "
-        "view of a batch; pruning-based schemes would discard most of it)");
-  }
   if (vertical == VerticalStrategy::kMuve &&
       horizontal != HorizontalStrategy::kMuve) {
     return common::Status::InvalidArgument(
@@ -73,7 +65,6 @@ std::string SearchOptions::SchemeName() const {
   name += VerticalStrategyName(vertical);
   if (approximation == VerticalApproximation::kRefinement) name += "(R)";
   if (approximation == VerticalApproximation::kSkipping) name += "(S)";
-  if (shared_scans) name += "(Sh)";
   if (sample_fraction < 1.0) name += "(Smp)";
   return name;
 }

@@ -68,48 +68,26 @@ struct SearchOptions {
   uint64_t sample_seed = 0x5A3D1E;
 
   // Worker threads for the shared work-stealing pool; every scheme
-  // (vertical Linear, MuVE-MuVE, shared scans, refinement, skipping)
-  // accepts > 1.  1 = serial.  For exact schemes the parallel top-k
-  // matches the serial one (bitwise for non-pruning schemes; identical
-  // utilities for MuVE's pruned searches, whose threshold snapshots may
-  // lag under concurrency and prune less, never unsoundly more).  The
-  // cost metric still sums per-worker work (Eq. 7 measures total
-  // processing, not latency); see Recommender's threading-model comment.
+  // (vertical Linear, MuVE-MuVE, refinement, skipping) accepts > 1.
+  // 1 = serial.  For exact schemes the parallel top-k matches the serial
+  // one (bitwise for non-pruning schemes; identical utilities for MuVE's
+  // pruned searches, whose threshold snapshots may lag under concurrency
+  // and prune less, never unsoundly more).  The cost metric still sums
+  // per-worker work (Eq. 7 measures total processing, not latency); see
+  // Recommender's threading-model comment.
   int num_threads = 1;
 
-  // Base-histogram prefix-sum cache (sharing optimization, Section II-A):
-  // horizontal search probes one view at many bin counts, so each (A, M)
-  // side is scanned ONCE into a finest-granularity histogram and every
-  // (view, b) probe afterwards is derived by prefix-sum coarsening
-  // without touching rows.  One store is shared across all strategies
-  // and pool workers of a Recommend() call.  Exact for COUNT (and SUM
-  // over integer measures) and FP-tolerant otherwise — top-k output is
-  // identical in practice (pinned by tests/core/rebin_differential_test);
-  // turn off to measure the savings (bench/ablate_sharing) or to force
-  // the direct scan path.  MIN/MAX and categorical probes always scan
-  // directly.
-  bool base_histogram_cache = true;
-
-  // Fused prewarm (the fused morsel-parallel scan engine): before any
-  // strategy runs, ONE fused pass per side (D_Q, D_B) builds the base
-  // histograms of EVERY cache-eligible (A, M) pair at once — |A| x |M|
-  // per-pair build scans collapse into two row-set traversals, and the
-  // pass splits into ~64K-row morsels across the worker pool.  Strictly
-  // an execution-plan change: the histograms (and hence the top-k) are
-  // identical to on-demand per-pair builds.  No effect when
-  // base_histogram_cache is off.  Turn off to measure the savings
-  // (bench/fused_scan_bench).
-  bool fused_prewarm = true;
-
-  // When a probe misses the base-histogram cache (prewarm off, or a pair
-  // the prewarm could not see), batch the build: one fused pass builds
-  // every still-missing (A, M) pair that shares the probe's dimension on
-  // that side, instead of just the pair that missed.  Off = strict
-  // per-pair on-demand builds (the pre-fused-engine behavior; the
-  // bench/fused_scan_bench baseline).  No effect when
-  // base_histogram_cache is off.
-  bool fused_miss_batching = true;
-
+  // Every probe a base histogram can serve — numeric dimension, SUM /
+  // COUNT / AVG / STD / VAR over a numeric measure — is served from one
+  // (the sharing optimization of Section II-A, storage/
+  // base_histogram_cache.h).  Before any strategy runs, ONE fused pass
+  // per side (D_Q, D_B) builds the base histogram of every such (A, M)
+  // pair, split into ~64K-row morsels across the worker pool; each
+  // (view, b) probe afterwards is a prefix-sum coarsening that touches no
+  // rows.  MIN/MAX, categorical dimensions and COUNT over a string
+  // measure scan directly.  The split follows from the view, not from an
+  // option.
+  //
   // Rows per morsel for fused builds; 0 = engine default (64K).  The
   // morsel partitioning fixes the floating-point association of fused
   // sums, so changing it can shift AVG/STD/VAR results within FP
@@ -126,24 +104,11 @@ struct SearchOptions {
   // before) when sample_fraction < 1.0.  The histograms a run reads back
   // are identical to the ones it would have built (pinned by
   // tests/storage/cross_query_cache_test.cc), so the top-k does not
-  // change; only the stats blocks' build/hit split does.  nullptr
+  // change; only the stats blocks' build/hit split does.  Concurrent
+  // identical fused passes on the store coalesce into one single-flight
+  // scan (ExecStats::fused_coalesced counts the parked sides).  nullptr
   // (default) = no sharing.
   std::shared_ptr<storage::BaseHistogramCache> shared_base_cache;
-
-  // Coalesce concurrent identical fused passes on the (shared) cache
-  // into one single-flight scan with waiting consumers: N requests
-  // racing the same cold (dataset, predicate) run ONE build pass
-  // (ExecStats::fused_coalesced counts the parked sides).  Semantically
-  // invisible — waiters wake to cache hits over the same histograms —
-  // and a no-op without concurrency, so it defaults on.
-  bool fused_coalescing = true;
-
-  // SeeDB-style shared scans (Section II-A's orthogonal optimization):
-  // evaluate all same-dimension views of each bin count with one target
-  // and one comparison scan.  Linear-Linear without approximations only
-  // (pruning and sharing pull in opposite directions; the ablate_sharing
-  // bench quantifies the trade).
-  bool shared_scans = false;
 
   // --- Execution control (common/exec_context.h) ---
   //

@@ -9,7 +9,6 @@
 #include "core/distribution.h"
 #include "core/objectives.h"
 #include "storage/group_by.h"
-#include "storage/multi_aggregate.h"
 
 namespace muve::core {
 
@@ -56,11 +55,9 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
   MUVE_CHECK(options_.sample_fraction > 0.0 &&
              options_.sample_fraction <= 1.0)
       << "sample_fraction must lie in (0, 1]";
-  if (options_.use_base_histogram_cache) {
-    base_cache_ = options_.base_cache != nullptr
-                      ? options_.base_cache
-                      : std::make_shared<storage::BaseHistogramCache>();
-  }
+  base_cache_ = options_.base_cache != nullptr
+                    ? options_.base_cache
+                    : std::make_shared<storage::BaseHistogramCache>();
   if (options_.sample_fraction < 1.0) {
     all_rows_ = SampleSubset(dataset.all_rows, options_.sample_fraction,
                              options_.sample_seed);
@@ -86,7 +83,6 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
 }
 
 bool ViewEvaluator::CacheEligible(const View& view) const {
-  if (base_cache_ == nullptr) return false;
   if (space_.dimension_info(view.dimension).categorical) return false;
   if (!storage::BaseServableFunction(view.function)) return false;
   // String measures only pair with COUNT on the direct path; the base
@@ -100,7 +96,6 @@ std::vector<storage::BaseHistogramCache::FusedPairRequest>
 ViewEvaluator::MissingPairs(const std::string* dimension,
                             bool target_side) const {
   std::vector<storage::BaseHistogramCache::FusedPairRequest> pairs;
-  if (base_cache_ == nullptr) return pairs;
   const int64_t expected_rows = static_cast<int64_t>(
       (target_side ? target_rows_ : all_rows_).size());
   std::unordered_set<std::string> seen;
@@ -132,7 +127,7 @@ void ViewEvaluator::RunFusedBuild(
     storage::BaseHistogramCache::FusedHistogramBuildRequest request) {
   if (request.pairs.empty()) return;
   request.exec = options_.exec;
-  request.coalesce = options_.fused_coalescing;
+  request.coalesce = true;
   storage::BaseHistogramCache::FusedBuildOutcome outcome;
   const common::Status status = base_cache_->FusedBuild(
       *dataset_.table, request, &outcome, &fused_scratch_);
@@ -154,7 +149,6 @@ void ViewEvaluator::RunFusedBuild(
 }
 
 void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
-  if (base_cache_ == nullptr) return;
   for (const bool target_side : {true, false}) {
     // A bounded run that is already out of time skips prewarm entirely:
     // demand-path probes (if any still run) build exactly what they need.
@@ -199,11 +193,7 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
     storage::BaseHistogramCache::FusedHistogramBuildRequest request;
     request.rows = &rows;
     request.morsel_size = options_.fused_morsel_size;
-    if (options_.fused_miss_batching) {
-      request.pairs = MissingPairs(&view.dimension, target_side);
-    } else {
-      request.pairs.push_back({key, view.dimension, view.measure});
-    }
+    request.pairs = MissingPairs(&view.dimension, target_side);
     RunFusedBuild(std::move(request));
   }
   bool built = false;
@@ -239,8 +229,7 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
 
 storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
                                                          int bins) {
-  if (options_.reuse_target_within_candidate &&
-      cached_target_.has_value() && cached_target_bins_ == bins &&
+  if (cached_target_.has_value() && cached_target_bins_ == bins &&
       cached_target_key_ == view.Key()) {
     return *cached_target_;
   }
@@ -265,11 +254,9 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
   stats_.target_time_ms += ms;
   ++stats_.target_queries;
   cost_model_.Observe(CostKind::kTargetQuery, ms);
-  if (options_.reuse_target_within_candidate) {
-    cached_target_key_ = view.Key();
-    cached_target_bins_ = bins;
-    cached_target_ = result.value();
-  }
+  cached_target_key_ = view.Key();
+  cached_target_bins_ = bins;
+  cached_target_ = result.value();
   return std::move(result).value();
 }
 
@@ -448,147 +435,6 @@ double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
   return accuracy;
 }
 
-ViewEvaluator::BatchScores ViewEvaluator::EvaluateSharedBatch(
-    const std::vector<View>& views, int bins) {
-  MUVE_CHECK(!views.empty());
-  const DimensionInfo& dim = space_.dimension_info(views[0].dimension);
-  MUVE_CHECK(!dim.categorical)
-      << "shared scans apply to numeric dimensions only";
-
-  // Cache-eligible views derive their binned results per view from the
-  // shared base histograms (zero rows after first touch); the rest ride
-  // the legacy multi-aggregate shared scans.  Counter compatibility: one
-  // batch still charges exactly ONE target and ONE comparison query —
-  // the batch remains "one shared scan's worth" of querying regardless
-  // of which engine serves it.
-  std::vector<size_t> ineligible;
-  std::vector<storage::AggregateSpec> specs;
-  for (size_t i = 0; i < views.size(); ++i) {
-    MUVE_DCHECK(views[i].dimension == views[0].dimension)
-        << "batch must share one dimension";
-    if (!CacheEligible(views[i])) {
-      ineligible.push_back(i);
-      specs.push_back({views[i].measure, views[i].function});
-    }
-  }
-
-  std::vector<storage::BinnedResult> targets(views.size());
-  std::vector<storage::BinnedResult> comparisons(views.size());
-
-  common::Stopwatch target_timer;
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (CacheEligible(views[i])) {
-      targets[i] = CoarsenBaseHistogram(
-          *BaseFor(views[i], /*target_side=*/true), views[i].function,
-          bins, dim.lo, dim.hi);
-    }
-  }
-  if (!ineligible.empty()) {
-    auto multi = storage::MultiBinnedAggregate(
-        *dataset_.table, target_rows_, views[0].dimension, specs, bins,
-        dim.lo, dim.hi);
-    MUVE_CHECK(multi.ok()) << multi.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
-    for (size_t j = 0; j < ineligible.size(); ++j) {
-      targets[ineligible[j]] = std::move((*multi)[j]);
-    }
-  }
-  const double target_ms = target_timer.ElapsedMillis();
-  stats_.target_time_ms += target_ms;
-  ++stats_.target_queries;
-  cost_model_.Observe(CostKind::kTargetQuery, target_ms);
-
-  common::Stopwatch comparison_timer;
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (CacheEligible(views[i])) {
-      comparisons[i] = CoarsenBaseHistogram(
-          *BaseFor(views[i], /*target_side=*/false), views[i].function,
-          bins, dim.lo, dim.hi);
-    }
-  }
-  if (!ineligible.empty()) {
-    auto multi = storage::MultiBinnedAggregate(
-        *dataset_.table, all_rows_, views[0].dimension, specs, bins,
-        dim.lo, dim.hi);
-    MUVE_CHECK(multi.ok()) << multi.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(all_rows_.size()));
-    for (size_t j = 0; j < ineligible.size(); ++j) {
-      comparisons[ineligible[j]] = std::move((*multi)[j]);
-    }
-  }
-  const double comparison_ms = comparison_timer.ElapsedMillis();
-  stats_.comparison_time_ms += comparison_ms;
-  ++stats_.comparison_queries;
-  cost_model_.Observe(CostKind::kComparisonQuery, comparison_ms);
-
-  // Raw series for any view whose accuracy input is not cached yet:
-  // eligible views finish theirs from the base histogram, the rest share
-  // one multi group-by scan.
-  common::Stopwatch raw_timer;
-  bool raw_work = false;
-  std::vector<size_t> missing;
-  std::vector<storage::AggregateSpec> missing_specs;
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (raw_cache_.contains(views[i].Key())) continue;
-    if (CacheEligible(views[i])) {
-      RawSeries series;
-      BaseRawSeries(*BaseFor(views[i], /*target_side=*/true),
-                    views[i].function, &series.keys, &series.aggregates);
-      raw_cache_.emplace(views[i].Key(), std::move(series));
-      raw_work = true;
-    } else {
-      missing.push_back(i);
-      missing_specs.push_back({views[i].measure, views[i].function});
-    }
-  }
-  if (!missing.empty()) {
-    auto raw = storage::MultiGroupByAggregate(
-        *dataset_.table, target_rows_, views[0].dimension, missing_specs);
-    MUVE_CHECK(raw.ok()) << raw.status().ToString();
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
-    for (size_t m = 0; m < missing.size(); ++m) {
-      RawSeries series;
-      series.aggregates = (*raw)[m].aggregates;
-      series.keys.reserve((*raw)[m].num_groups());
-      for (const storage::Value& v : (*raw)[m].keys) {
-        auto d = v.ToDouble();
-        MUVE_CHECK(d.ok()) << d.status().ToString();
-        series.keys.push_back(*d);
-      }
-      raw_cache_.emplace(views[missing[m]].Key(), std::move(series));
-    }
-    raw_work = true;
-  }
-  if (raw_work) {
-    const double raw_ms = raw_timer.ElapsedMillis();
-    stats_.accuracy_time_ms += raw_ms;
-    cost_model_.Observe(CostKind::kAccuracy, raw_ms);
-  }
-
-  BatchScores scores;
-  scores.deviations.resize(views.size());
-  scores.accuracies.resize(views.size());
-  for (size_t i = 0; i < views.size(); ++i) {
-    common::Stopwatch distance_timer;
-    scores.deviations[i] = NormalizedSeriesDistance(
-        targets[i].aggregates, comparisons[i].aggregates);
-    const double distance_ms = distance_timer.ElapsedMillis();
-    stats_.deviation_time_ms += distance_ms;
-    ++stats_.deviation_evals;
-    cost_model_.Observe(CostKind::kDeviation, distance_ms);
-
-    common::Stopwatch accuracy_timer;
-    const RawSeries& raw = raw_cache_.at(views[i].Key());
-    scores.accuracies[i] =
-        AccuracyFromSeries(raw.keys, raw.aggregates, targets[i]);
-    const double accuracy_ms = accuracy_timer.ElapsedMillis();
-    stats_.accuracy_time_ms += accuracy_ms;
-    ++stats_.accuracy_evals;
-    cost_model_.Observe(CostKind::kAccuracy, accuracy_ms);
-  }
-  return scores;
-}
-
 double ViewEvaluator::CandidateUsability(const View& view, int bins) const {
   const DimensionInfo& info = space_.dimension_info(view.dimension);
   if (info.categorical) {
@@ -627,7 +473,7 @@ void ViewEvaluator::ResetAll() {
   // Note: clears the SHARED store when Options::base_cache was handed
   // in — ResetAll means "cold-cache run", and a shared cache that kept
   // entries would silently serve them to this evaluator again.
-  if (base_cache_ != nullptr) base_cache_->Clear();
+  base_cache_->Clear();
 }
 
 }  // namespace muve::core

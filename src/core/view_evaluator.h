@@ -10,14 +10,25 @@
 //     always yields the same deviation/accuracy, which is what makes the
 //     exact schemes (Linear, MuVE) provably return identical top-k sets.
 //
+// How a probe is served follows from the view alone, never from an
+// option:
+//   * A numeric dimension with a moment-servable F (SUM/COUNT/AVG/STD/
+//     VAR) over a numeric measure reads the (A, M) side's base histogram
+//     (storage/base_histogram_cache.h) and coarsens it to b bins without
+//     touching rows.  The histogram is built once per side by a fused
+//     pass: the prewarm, or on a miss one pass over every still-missing
+//     measure of the probe's dimension.
+//   * Everything else — MIN/MAX, categorical dimensions, COUNT over a
+//     string measure — scans the rows directly (BinnedAggregate /
+//     GroupByAggregate).
+//
 // Caching policy (documented deviations from re-executing every query):
 //   * The raw (non-binned) target series needed by the accuracy objective
 //     is computed once per view and cached; its computation time is
 //     charged to C_a on first use.
 //   * Within one candidate (view, bins), the binned target result is
-//     reused between the deviation and accuracy probes when
-//     `reuse_target_within_candidate` is set (default on).  This is a
-//     strict optimization that cannot change any objective value.
+//     reused between the deviation and accuracy probes.  This is a strict
+//     optimization that cannot change any objective value.
 
 #ifndef MUVE_CORE_VIEW_EVALUATOR_H_
 #define MUVE_CORE_VIEW_EVALUATOR_H_
@@ -48,7 +59,6 @@ namespace muve::core {
 
 struct ViewEvaluatorOptions {
   DistanceKind distance = DistanceKind::kEuclidean;
-  bool reuse_target_within_candidate = true;
 
   // Sampling-based approximation (the third optimization family cited in
   // Section II-A alongside sharing and pruning): when < 1, every probe
@@ -59,45 +69,19 @@ struct ViewEvaluatorOptions {
   double sample_fraction = 1.0;
   uint64_t sample_seed = 0x5A3D1E;
 
-  // Base-histogram prefix-sum cache (the sharing optimization of Section
-  // II-A, realized in storage/base_histogram_cache): when on, every
-  // numeric-dimension probe whose aggregate is servable from moments
-  // (SUM/COUNT/AVG/STD/VAR over a non-string measure) builds ONE
-  // finest-granularity histogram per (row set, A, M) side and derives
-  // each b-bin view by prefix-sum coarsening — O(d) fine bins instead of a
-  // full row scan.  COUNT/SUM over integer measures are bit-identical to
-  // the direct scan; AVG/STD/VAR agree to FP tolerance (see
-  // tests/core/rebin_differential_test.cc, which pins this contract).
-  //
-  // Off by default at the evaluator level: unit tests of the direct path
-  // assert exact query/row counters.  SearchOptions turns it on for
-  // recommendation runs (`base_histogram_cache`, default true).
-  bool use_base_histogram_cache = false;
-  // The shared store.  The Recommender creates one per Recommend() call
-  // and hands it to every pool worker's evaluator — safe because all
-  // those evaluators probe identical row sets (same dataset, same
-  // sampling draw).  When null and use_base_histogram_cache is set, the
-  // evaluator creates a private cache of default size.
+  // The base-histogram store.  The Recommender creates one per
+  // Recommend() call (or hands in the caller's cross-request store) and
+  // gives it to every pool worker's evaluator — safe because all those
+  // evaluators probe identical row sets (same dataset, same sampling
+  // draw).  When null the evaluator creates a private cache of default
+  // size.  Concurrent identical fused passes on the store coalesce into
+  // one single-flight scan, charged as ExecStats::fused_coalesced.
   std::shared_ptr<storage::BaseHistogramCache> base_cache;
-
-  // Fused miss batching (the fused scan engine on the demand path): when
-  // a probe misses the base cache, build the histograms of EVERY still-
-  // missing eligible measure of that (dimension, side) in one fused
-  // traversal instead of one scan per (A, M).  Identical histograms —
-  // only the build schedule changes.  Off = per-pair builds (the PR 2
-  // behavior), kept for differential tests.
-  bool fused_miss_batching = true;
 
   // Rows per morsel for fused builds through this evaluator; 0 = engine
   // default.  Miss-batch builds run inline (no pool — they fire inside
   // worker lanes); PrewarmBaseHistograms takes the pool explicitly.
   size_t fused_morsel_size = 0;
-
-  // Coalesce identical concurrent fused passes on the cache into one
-  // single-flight scan (matters when `base_cache` is shared across
-  // requests; see SearchOptions::fused_coalescing).  A parked pass is
-  // charged as ExecStats::fused_coalesced instead of a build.
-  bool fused_coalescing = true;
 
   // Execution control (deadline / cancellation / row budget), or nullptr
   // for an unbounded run.  The evaluator never aborts a probe mid-flight
@@ -136,18 +120,6 @@ class ViewEvaluator {
   // (Eq. 3), 1/(distinct groups) for categorical ones.
   double CandidateUsability(const View& view, int bins) const;
 
-  // Shared-scan batch evaluation (SeeDB's shared-computation
-  // optimization): scores deviation and accuracy for every view of a
-  // same-dimension batch at bin count `bins` using ONE target scan, ONE
-  // comparison scan, and (first time per view) one shared raw scan.
-  // Values are identical to the per-view probes.  Numeric dimensions
-  // only; all views must share one dimension.
-  struct BatchScores {
-    std::vector<double> deviations;
-    std::vector<double> accuracies;
-  };
-  BatchScores EvaluateSharedBatch(const std::vector<View>& views, int bins);
-
   // MuVE's probe-order priority rule (Section IV-A3): true when
   //   alpha_A / (C_t + C_a)  >  alpha_D / (C_t + C_c + C_d)
   // under the current cost estimates.  With no observations yet the rule
@@ -173,8 +145,7 @@ class ViewEvaluator {
   // fan-out).  Wall-clock is charged to C_t / C_c respectively and rows
   // to build_rows_scanned, but no per-probe cost-model observation is
   // recorded (a fused pass is not a representative probe) and no query
-  // counters move — probe accounting stays comparable cache on/off.
-  // No-op when the cache is off.
+  // counters move.
   void PrewarmBaseHistograms(common::ThreadPool* pool = nullptr);
 
   // Clears stats and cost observations (caches are kept: they hold pure
@@ -207,9 +178,9 @@ class ViewEvaluator {
                                   const std::vector<double>& comparison_aggs);
 
   // Whether (view, any b) probes can be served by prefix-sum coarsening:
-  // cache on, numeric dimension, moment-servable function, numeric
-  // measure.  Ineligible probes (MIN/MAX, categorical, string measures)
-  // keep using the direct scans.
+  // numeric dimension, moment-servable function, numeric measure.
+  // Ineligible probes (MIN/MAX, categorical, string measures) scan
+  // directly.
   bool CacheEligible(const View& view) const;
   // The base histogram of `view`'s (A, M) pair over the target or
   // comparison row set, built through the shared cache.  Charges the
@@ -220,7 +191,7 @@ class ViewEvaluator {
                                                         bool target_side);
   // The cache-eligible (A, M) pairs of one side that are NOT cached yet,
   // as fused build requests.  `dimension` restricts to one dimension
-  // (miss batching); nullptr covers the whole view space (prewarm).
+  // (a miss); nullptr covers the whole view space (prewarm).
   std::vector<storage::BaseHistogramCache::FusedPairRequest> MissingPairs(
       const std::string* dimension, bool target_side) const;
   // Runs one fused build over `request` and charges its accounting
@@ -246,7 +217,7 @@ class ViewEvaluator {
   // Per-view raw target series cache (accuracy objective input).
   std::unordered_map<std::string, RawSeries> raw_cache_;
   // Base-histogram store (shared across workers when handed in via
-  // Options::base_cache; private otherwise).  Null when the cache is off.
+  // Options::base_cache; private otherwise).  Never null.
   std::shared_ptr<storage::BaseHistogramCache> base_cache_;
   // Reusable fused-scan arena (dictionaries, key arrays, morsel
   // partials): builds through this evaluator stop allocating per build.

@@ -169,6 +169,7 @@ BaseHistogram MergeBaseHistograms(const BaseHistogram& a,
   out.prefix_sums.push_back(0.0);
   out.prefix_sum_sqs.push_back(0.0);
   out.source_rows = a.source_rows + delta.source_rows;
+  out.table_rows = delta.table_rows;
 
   auto push = [&out](double value, int64_t count, double sum,
                      double sum_sq) {
@@ -252,19 +253,25 @@ void BaseHistogramCache::InsertLocked(
   shard.entries.emplace(key, std::move(entry));
   shard.bytes += bytes;
   ++shard.builds;
+  // The entry just inserted (LRU front) is never evicted, so an
+  // oversized histogram still serves the probes that triggered its build.
+  EvictLocked(shard);
+}
 
-  // Per-shard LRU eviction under the byte budget.  The entry just
-  // inserted (LRU front) is never evicted, so an oversized histogram
-  // still serves the probes that triggered its build.
+void BaseHistogramCache::EvictLocked(Shard& shard) {
   while (shard.bytes > per_shard_budget_ && shard.entries.size() > 1) {
-    const std::string& victim_key = shard.lru.back();
-    const auto victim = shard.entries.find(victim_key);
+    const auto victim = shard.entries.find(shard.lru.back());
     MUVE_CHECK(victim != shard.entries.end());
-    shard.bytes -= victim->second.bytes;
-    shard.entries.erase(victim);
-    shard.lru.pop_back();
+    EraseLocked(shard, victim);
     ++shard.evictions;
   }
+}
+
+void BaseHistogramCache::EraseLocked(
+    Shard& shard, std::unordered_map<std::string, Shard::Entry>::iterator it) {
+  shard.bytes -= it->second.bytes;
+  shard.lru.erase(it->second.lru_it);
+  shard.entries.erase(it);
 }
 
 common::Result<std::shared_ptr<const BaseHistogram>>
@@ -286,9 +293,7 @@ BaseHistogramCache::GetOrBuild(const std::string& key, const Builder& builder,
     }
     // Stale: the entry covers a different row count than this caller's
     // (append-only) row set.  Drop it and rebuild as a miss.
-    shard.bytes -= it->second.bytes;
-    shard.lru.erase(it->second.lru_it);
-    shard.entries.erase(it);
+    EraseLocked(shard, it);
   }
   ++shard.misses;
 
@@ -426,9 +431,7 @@ common::Status BaseHistogramCache::FusedBuild(
         }
         // A stale entry (different row count) raced in; replace it with
         // the histogram just built over the current row set.
-        shard.bytes -= it->second.bytes;
-        shard.lru.erase(it->second.lru_it);
-        shard.entries.erase(it);
+        EraseLocked(shard, it);
       }
       InsertLocked(shard, key,
                    std::make_shared<const BaseHistogram>(std::move(built[j])));
@@ -439,11 +442,20 @@ common::Status BaseHistogramCache::FusedBuild(
 }
 
 bool BaseHistogramCache::MergeDelta(const std::string& key,
-                                    const BaseHistogram& delta) {
+                                    const BaseHistogram& delta,
+                                    int64_t table_rows_before) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.entries.find(key);
   if (it == shard.entries.end()) return false;
+  const int64_t stamp = it->second.histogram->table_rows;
+  if (stamp != table_rows_before) {
+    // A post-append reader already rebuilt this entry over the appended
+    // table: patching it would count the delta twice.  An entry of any
+    // other version is wrong for the post-append table either way.
+    if (stamp != delta.table_rows) EraseLocked(shard, it);
+    return false;
+  }
   auto merged = std::make_shared<const BaseHistogram>(
       MergeBaseHistograms(*it->second.histogram, delta));
   const size_t new_bytes = merged->ApproxBytes();
@@ -453,17 +465,9 @@ bool BaseHistogramCache::MergeDelta(const std::string& key,
   it->second.histogram = std::move(merged);
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   ++shard.delta_merges;
-  // A patched entry can push the shard over budget; evict from the cold
-  // end, never the entry just refreshed (it is LRU front).
-  while (shard.bytes > per_shard_budget_ && shard.entries.size() > 1) {
-    const std::string& victim_key = shard.lru.back();
-    const auto victim = shard.entries.find(victim_key);
-    MUVE_CHECK(victim != shard.entries.end());
-    shard.bytes -= victim->second.bytes;
-    shard.entries.erase(victim);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  // A patched entry can push the shard over budget; the entry just
+  // refreshed is LRU front, so it survives.
+  EvictLocked(shard);
   return true;
 }
 

@@ -87,6 +87,9 @@ struct BaseHistogram {
   std::vector<double> prefix_sum_sqs;
   // Rows scanned by the build (the cost the cache amortizes).
   int64_t source_rows = 0;
+  // Table::num_rows() of the table version the histogram describes: the
+  // version stamp MergeDelta checks before patching an entry.
+  int64_t table_rows = 0;
 
   size_t num_fine_bins() const { return values.size(); }
   int64_t CountOf(size_t fine_bin) const {
@@ -140,6 +143,7 @@ void BaseRawSeries(const BaseHistogram& base, AggregateFunction function,
 // O(new rows): `a` over the pre-append rows, `delta` over only the
 // appended rows.  Fine-bin dictionaries union (sorted merge); counts,
 // sums, and sums-of-squares add per shared value; prefix arrays rebuild.
+// The result carries `delta`'s table_rows (the post-append version).
 // Exactness: COUNT is bit-identical to a full rebuild.  SUM moments
 // re-associate at the merge boundary (old-total + new-total instead of
 // one row-order chain), so SUM/AVG/STD/VAR are bit-identical whenever
@@ -278,13 +282,19 @@ class BaseHistogramCache {
 
   // Incremental ingest: replaces the entry at `key` with
   // MergeBaseHistograms(entry, delta), where `delta` covers ONLY the
-  // newly appended rows of the same row-set definition.  Returns true
-  // when an entry existed and was patched (moved to LRU front, byte
-  // accounting updated); false when absent — the next probe then builds
-  // from the full row set, which is correct, just not incremental.
-  // Outstanding shared_ptrs to the old histogram stay valid (readers
-  // pinned to the pre-append snapshot keep consistent bases).
-  bool MergeDelta(const std::string& key, const BaseHistogram& delta);
+  // rows an append added to a table of `table_rows_before` rows, built
+  // against the post-append table.  Only an entry stamped
+  // `table_rows_before` is patched (moved to LRU front, byte accounting
+  // updated) and the call returns true.  An entry already stamped with
+  // delta.table_rows was rebuilt by a post-append reader and is current,
+  // so it is left alone; any other entry describes neither version and
+  // is dropped.  Those cases, and an absent entry, return false — the
+  // next probe then builds from the full row set, which is correct, just
+  // not incremental.  Outstanding shared_ptrs to the old histogram stay
+  // valid (readers pinned to the pre-append snapshot keep consistent
+  // bases).
+  bool MergeDelta(const std::string& key, const BaseHistogram& delta,
+                  int64_t table_rows_before);
 
   // Drops every entry (a fresh cold-cache run).  Outstanding shared_ptrs
   // stay valid.
@@ -321,6 +331,13 @@ class BaseHistogramCache {
   // accounting, build counter, budget eviction.
   void InsertLocked(Shard& shard, const std::string& key,
                     std::shared_ptr<const BaseHistogram> histogram);
+  // Drops the LRU tail until the shard fits its budget, never evicting
+  // the front entry (caller holds the lock).
+  void EvictLocked(Shard& shard);
+  // Removes `it` from `shard` (caller holds the lock).
+  static void EraseLocked(
+      Shard& shard,
+      std::unordered_map<std::string, Shard::Entry>::iterator it);
 
   Options options_;
   size_t per_shard_budget_;

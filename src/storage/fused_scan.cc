@@ -304,6 +304,7 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
     const size_t off = pair_offset[i];
     BaseHistogram& base = out[i];
     base.source_rows = static_cast<int64_t>(n);
+    base.table_rows = static_cast<int64_t>(table.num_rows());
     base.prefix_counts.push_back(0);
     base.prefix_sums.push_back(0.0);
     base.prefix_sum_sqs.push_back(0.0);

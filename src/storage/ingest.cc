@@ -44,7 +44,9 @@ common::Status PatchSide(const IngestDeltaRequest& request,
                          const std::vector<FusedScanPair>& pairs,
                          const std::vector<std::string>& keys,
                          IngestDeltaStats* stats) {
-  if (pairs.empty() || delta_rows.empty()) return common::Status::OK();
+  // An empty delta still merges: it restamps the entries with the
+  // post-append version, so the next append patches them again.
+  if (pairs.empty()) return common::Status::OK();
   FusedScanScratch scratch;
   auto built = FusedBuildBaseHistograms(
       *request.table, delta_rows, pairs, request.pool, request.morsel_size,
@@ -54,10 +56,12 @@ common::Status PatchSide(const IngestDeltaRequest& request,
     stats->rows_scanned += static_cast<int64_t>(delta_rows.size());
   }
   for (size_t i = 0; i < keys.size(); ++i) {
-    // A false return means the entry was evicted between the Contains
-    // probe and now — nothing to patch, and nothing stale either: the
-    // next demand build runs over the full appended table.
-    if (request.cache->MergeDelta(keys[i], (*built)[i]) &&
+    // A false return means the entry was evicted since the Contains
+    // probe, was already rebuilt over the appended table, or described
+    // another version and was dropped — in every case the next probe
+    // reads a current entry or builds one over the full appended table.
+    if (request.cache->MergeDelta(keys[i], (*built)[i],
+                                  static_cast<int64_t>(request.rows_before)) &&
         stats != nullptr) {
       ++stats->delta_merges;
     }

@@ -106,7 +106,6 @@ struct SchemeSpec {
   HorizontalStrategy horizontal;
   VerticalStrategy vertical;
   VerticalApproximation approximation = VerticalApproximation::kNone;
-  bool shared = false;
 };
 
 constexpr SchemeSpec kSchemes[] = {
@@ -115,8 +114,6 @@ constexpr SchemeSpec kSchemes[] = {
      VerticalStrategy::kLinear},
     {"muve-linear", HorizontalStrategy::kMuve, VerticalStrategy::kLinear},
     {"muve-muve", HorizontalStrategy::kMuve, VerticalStrategy::kMuve},
-    {"linear-linear/shared", HorizontalStrategy::kLinear,
-     VerticalStrategy::kLinear, VerticalApproximation::kNone, true},
     {"linear-linear/refine", HorizontalStrategy::kLinear,
      VerticalStrategy::kLinear, VerticalApproximation::kRefinement},
     {"linear-linear/skip", HorizontalStrategy::kLinear,
@@ -128,7 +125,6 @@ SearchOptions OptionsFor(const SchemeSpec& scheme, int k, int threads) {
   options.horizontal = scheme.horizontal;
   options.vertical = scheme.vertical;
   options.approximation = scheme.approximation;
-  options.shared_scans = scheme.shared;
   options.k = k;
   options.num_threads = threads;
   return options;

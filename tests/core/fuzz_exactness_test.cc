@@ -260,11 +260,6 @@ TEST_P(ParallelFuzzTest, EverySchemeIsThreadCountInvariant) {
     muve_muve.horizontal = HorizontalStrategy::kMuve;
     muve_muve.vertical = VerticalStrategy::kMuve;
     schemes.push_back(muve_muve);
-    SearchOptions shared = base;
-    shared.horizontal = HorizontalStrategy::kLinear;
-    shared.vertical = VerticalStrategy::kLinear;
-    shared.shared_scans = true;
-    schemes.push_back(shared);
     SearchOptions refine = base;
     refine.horizontal = HorizontalStrategy::kLinear;
     refine.vertical = VerticalStrategy::kLinear;

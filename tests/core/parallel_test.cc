@@ -116,26 +116,6 @@ TEST(ParallelMuveMuveTest, UtilitiesMatchSerial) {
   // invariant.
 }
 
-TEST(ParallelSharedScansTest, MatchesSerialExactly) {
-  auto recommender = Recommender::Create(testutil::MakeToyDataset());
-  ASSERT_TRUE(recommender.ok());
-  SearchOptions serial;
-  serial.horizontal = HorizontalStrategy::kLinear;
-  serial.vertical = VerticalStrategy::kLinear;
-  serial.shared_scans = true;
-  SearchOptions parallel = serial;
-  parallel.num_threads = 3;
-
-  const auto r_serial = MustRecommend(*recommender, serial);
-  const auto r_parallel = MustRecommend(*recommender, parallel);
-  ExpectSameViews(r_serial, r_parallel);
-  // Batches are dealt whole per dimension; no threshold sharing, so the
-  // scan counters match too.
-  EXPECT_EQ(r_serial.stats.target_queries, r_parallel.stats.target_queries);
-  EXPECT_EQ(r_serial.stats.comparison_queries,
-            r_parallel.stats.comparison_queries);
-}
-
 class ParallelApproximationTest
     : public ::testing::TestWithParam<VerticalApproximation> {};
 
@@ -194,11 +174,6 @@ TEST(ParallelValidationTest, EverySchemeAcceptsThreads) {
     SearchOptions skip = refine;
     skip.approximation = VerticalApproximation::kSkipping;
     schemes.push_back(skip);
-    SearchOptions shared;
-    shared.horizontal = HorizontalStrategy::kLinear;
-    shared.vertical = VerticalStrategy::kLinear;
-    shared.shared_scans = true;
-    schemes.push_back(shared);
     SearchOptions sampled;
     sampled.horizontal = HorizontalStrategy::kMuve;
     sampled.vertical = VerticalStrategy::kLinear;
@@ -291,9 +266,6 @@ TEST_P(RealDatasetParallelTest, ExactSchemesMatchSerial) {
     linear_linear.horizontal = HorizontalStrategy::kLinear;
     linear_linear.vertical = VerticalStrategy::kLinear;
     exact_schemes.push_back(linear_linear);
-    SearchOptions shared = linear_linear;
-    shared.shared_scans = true;
-    exact_schemes.push_back(shared);
     SearchOptions muve_linear;
     muve_linear.horizontal = HorizontalStrategy::kMuve;
     muve_linear.vertical = VerticalStrategy::kLinear;

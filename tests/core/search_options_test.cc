@@ -37,12 +37,6 @@ TEST(SearchOptionsTest, SchemeNamesMatchPaperNotation) {
 
   options.approximation = VerticalApproximation::kSkipping;
   EXPECT_EQ(options.SchemeName(), "MuVE-MuVE(S)");
-
-  SearchOptions shared;
-  shared.horizontal = HorizontalStrategy::kLinear;
-  shared.vertical = VerticalStrategy::kLinear;
-  shared.shared_scans = true;
-  EXPECT_EQ(shared.SchemeName(), "Linear-Linear(Sh)");
 }
 
 TEST(SearchOptionsTest, ValidationCatchesBadConfigs) {
@@ -71,10 +65,6 @@ TEST(SearchOptionsTest, ValidationCatchesBadConfigs) {
   hc_muve.horizontal = HorizontalStrategy::kHillClimbing;
   hc_muve.vertical = VerticalStrategy::kMuve;
   EXPECT_FALSE(hc_muve.Validate().ok());
-
-  SearchOptions shared_muve;
-  shared_muve.shared_scans = true;  // default scheme is MuVE-MuVE
-  EXPECT_FALSE(shared_muve.Validate().ok());
 }
 
 TEST(SearchOptionsTest, StrategyNames) {

@@ -3,9 +3,9 @@
 //
 // For fuzzed (predicate, scheme, alphas, k) configurations the SAME
 // recommendation request runs three ways —
-//   1. isolated:  per-request cache, no coalescing (the pre-sharing path);
+//   1. isolated:  per-request cache (the pre-sharing path);
 //   2. shared:    one cross-request BaseHistogramCache reused warm across
-//                 every request on the entry, coalescing on;
+//                 every request on the entry;
 //   3. shared x8: eight concurrent requests racing the same cold shared
 //                 store —
 // and the returned top-k must be BIT-identical across all of them (exact
@@ -141,14 +141,13 @@ TEST(CrossQueryCacheTest, FuzzSharedCachesAreSemanticallyInvisible) {
                                    sizeof(kPredicates[0]))];
     const SearchOptions base = DrawOptions(seed);
 
-    // 1. Isolated: the pre-sharing execution path.
+    // 1. Isolated: a private per-run store.
     SearchOptions isolated = base;
     isolated.shared_base_cache = nullptr;
-    isolated.fused_coalescing = false;
     auto want = entry.recommender->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
-    // 2. Shared store (possibly warm from an earlier case), coalescing on.
+    // 2. Shared store (possibly warm from an earlier case).
     SearchOptions shared = base;
     shared.shared_base_cache = entry.store;
     auto got = entry.recommender->Recommend(shared);
@@ -175,7 +174,6 @@ TEST(CrossQueryCacheTest, FuzzConcurrentRequestsOnOneColdStoreAgree) {
 
     SearchOptions isolated = base;
     isolated.shared_base_cache = nullptr;
-    isolated.fused_coalescing = false;
     auto want = rec->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 

@@ -38,11 +38,17 @@ std::vector<Value> RowAt(size_t i) {
           Value(tags[i % 3])};
 }
 
-std::shared_ptr<Table> MakeTable(size_t rows) {
-  auto t = std::make_shared<Table>(IngestSchema(), kChunkRows);
-  for (size_t i = 0; i < rows; ++i) {
+// Appends rows [begin, end) — the table then describes the post-append
+// version, so bases built earlier carry the pre-append stamp.
+void AppendRows(Table* t, size_t begin, size_t end) {
+  for (size_t i = begin; i < end; ++i) {
     EXPECT_TRUE(t->AppendRow(RowAt(i)).ok());
   }
+}
+
+std::shared_ptr<Table> MakeTable(size_t rows) {
+  auto t = std::make_shared<Table>(IngestSchema(), kChunkRows);
+  AppendRows(t.get(), 0, rows);
   return t;
 }
 
@@ -110,9 +116,10 @@ class ApplyAppendDeltasTest : public ::testing::Test {
   // Warms `cache` exactly as a pre-append recommendation would: bases
   // over the target rows (predicate-filtered) and the comparison rows
   // (everything), keyed "t|a|m" / "c|a|m", built from the first
-  // `rows_before` rows.
+  // `rows_before` rows of a table that holds exactly that many.
   void WarmCache(const Table& table, size_t rows_before, Predicate* pred,
                  BaseHistogramCache* cache) {
+    ASSERT_EQ(table.num_rows(), rows_before);
     RowSet target;
     pred->FilterInto(table, Range(0, rows_before), &target, nullptr);
     for (const char* side : {"t|", "c|"}) {
@@ -132,7 +139,7 @@ class ApplyAppendDeltasTest : public ::testing::Test {
 TEST_F(ApplyAppendDeltasTest, PatchedCacheMatchesColdRebuild) {
   constexpr size_t kBefore = 60;
   constexpr size_t kTotal = 100;
-  auto table = MakeTable(kTotal);
+  auto table = MakeTable(kBefore);
 
   PredicatePtr pred =
       MakeComparison("a", CompareOp::kGe, Value(int64_t{7}));
@@ -140,6 +147,7 @@ TEST_F(ApplyAppendDeltasTest, PatchedCacheMatchesColdRebuild) {
 
   BaseHistogramCache cache;
   WarmCache(*table, kBefore, pred.get(), &cache);
+  AppendRows(table.get(), kBefore, kTotal);
 
   IngestDeltaRequest request;
   request.table = table.get();
@@ -190,19 +198,20 @@ TEST_F(ApplyAppendDeltasTest, FuzzedAppendSchedules) {
   common::Rng rng(0x16E57);
   for (int iter = 0; iter < 25; ++iter) {
     const size_t total = static_cast<size_t>(rng.UniformInt(20, 200));
-    auto table = MakeTable(total);
+    size_t published = static_cast<size_t>(
+        rng.UniformInt(1, static_cast<int64_t>(total) - 1));
+    auto table = MakeTable(published);
     PredicatePtr pred = MakeComparison(
         "a", CompareOp::kGe, Value(rng.UniformInt(0, 12)));
     ASSERT_TRUE(pred->Bind(table->schema()).ok());
 
-    size_t published = static_cast<size_t>(
-        rng.UniformInt(1, static_cast<int64_t>(total) - 1));
     BaseHistogramCache cache;
     WarmCache(*table, published, pred.get(), &cache);
 
     while (published < total) {
       const size_t step = static_cast<size_t>(
           rng.UniformInt(1, static_cast<int64_t>(total - published)));
+      AppendRows(table.get(), published, published + step);
       IngestDeltaRequest request;
       request.table = table.get();
       request.rows_before = published;
@@ -236,6 +245,105 @@ TEST_F(ApplyAppendDeltasTest, FuzzedAppendSchedules) {
       ExpectSameHistogram(**patched, *cold);
     }
   }
+}
+
+// A reader of the post-append table can rebuild a base before the
+// append's delta patch reaches it.  The patch must leave that entry
+// alone: adding the delta again would count the appended rows twice.
+TEST_F(ApplyAppendDeltasTest, EntryRebuiltAfterAppendIsNotPatchedTwice) {
+  constexpr size_t kBefore = 60;
+  constexpr size_t kTotal = 100;
+  auto table = MakeTable(kBefore);
+  BaseHistogramCache cache;
+  const std::string key = "c|a|m";
+  auto build = [&](size_t rows) {
+    return [&table, rows]() {
+      return BuildBaseHistogram(*table, Range(0, rows), "a", "m");
+    };
+  };
+  bool built = false;
+  ASSERT_TRUE(cache.GetOrBuild(key, build(kBefore), &built, kBefore).ok());
+  AppendRows(table.get(), kBefore, kTotal);
+  // The post-append reader's staleness guard replaces the entry.
+  ASSERT_TRUE(cache.GetOrBuild(key, build(kTotal), &built, kTotal).ok());
+  ASSERT_TRUE(built);
+
+  IngestDeltaRequest request;
+  request.table = table.get();
+  request.rows_before = kBefore;
+  request.rows_appended = kTotal - kBefore;
+  request.dimensions = {"a"};
+  request.measures = {"m"};
+  request.cache = &cache;
+  IngestDeltaStats stats;
+  ASSERT_TRUE(ApplyAppendDeltas(request, &stats).ok());
+  EXPECT_EQ(stats.delta_merges, 0);
+
+  ASSERT_TRUE(cache.Contains(key, kTotal));
+  auto served = cache.GetOrBuild(key, build(kTotal), &built, kTotal);
+  ASSERT_TRUE(served.ok());
+  EXPECT_FALSE(built);
+  auto cold = BuildBaseHistogram(*table, Range(0, kTotal), "a", "m");
+  ASSERT_TRUE(cold.ok());
+  ExpectSameHistogram(**served, *cold);
+}
+
+// An entry of neither the pre- nor the post-append version (it missed an
+// earlier patch) cannot be patched into the right answer: it is dropped.
+TEST_F(ApplyAppendDeltasTest, EntryOfAnOlderVersionIsDropped) {
+  auto table = MakeTable(40);
+  BaseHistogramCache cache;
+  bool built = false;
+  ASSERT_TRUE(cache
+                  .GetOrBuild(
+                      "c|a|m",
+                      [&]() {
+                        return BuildBaseHistogram(*table, Range(0, 40), "a",
+                                                  "m");
+                      },
+                      &built)
+                  .ok());
+  AppendRows(table.get(), 40, 60);  // an append whose patch never ran
+  AppendRows(table.get(), 60, 100);
+
+  IngestDeltaRequest request;
+  request.table = table.get();
+  request.rows_before = 60;
+  request.rows_appended = 40;
+  request.dimensions = {"a"};
+  request.measures = {"m"};
+  request.cache = &cache;
+  ASSERT_TRUE(ApplyAppendDeltas(request, nullptr).ok());
+  EXPECT_FALSE(cache.Contains("c|a|m"));
+}
+
+// A target side no appended row satisfies still advances its stamp, so
+// the following append patches it instead of dropping it.
+TEST_F(ApplyAppendDeltasTest, EmptyTargetDeltaKeepsEntryPatchable) {
+  auto table = MakeTable(30);
+  // a = (i * 7) % 13 >= 13 never holds.
+  PredicatePtr pred =
+      MakeComparison("a", CompareOp::kGe, Value(int64_t{13}));
+  ASSERT_TRUE(pred->Bind(table->schema()).ok());
+  BaseHistogramCache cache;
+  WarmCache(*table, 30, pred.get(), &cache);
+  for (const size_t end : {50u, 80u}) {
+    const size_t before = table->num_rows();
+    AppendRows(table.get(), before, end);
+    IngestDeltaRequest request;
+    request.table = table.get();
+    request.rows_before = before;
+    request.rows_appended = end - before;
+    request.dimensions = {"a"};
+    request.measures = {"m"};
+    request.target_predicate = pred.get();
+    request.cache = &cache;
+    IngestDeltaStats stats;
+    ASSERT_TRUE(ApplyAppendDeltas(request, &stats).ok());
+    EXPECT_EQ(stats.delta_merges, 2) << end;
+    EXPECT_EQ(stats.target_delta_rows, 0);
+  }
+  EXPECT_TRUE(cache.Contains("t|a|m", 0));
 }
 
 TEST_F(ApplyAppendDeltasTest, EmptyCacheIsANoOp) {

@@ -130,13 +130,6 @@ TEST(CliGoldenTest, ToyMuveMuve) {
               "--probe-order=deviation-first");
 }
 
-// The cache-off run must recommend the SAME top-k (only the row/base
-// counters change) — the CLI-level form of the differential guarantee.
-TEST(CliGoldenTest, ToyLinearLinearNoBaseCache) {
-  CheckGolden("muve_cli_toy_linear_nocache",
-              "--dataset=toy --scheme=linear-linear --k=5 --no-base-cache");
-}
-
 // Anytime contract at the CLI surface: an already-expired deadline prints
 // an empty-but-valid top-k, the completeness tokens in the stats line, a
 // DEGRADED banner, and exits 4 (deadline_exceeded).  Deterministic because

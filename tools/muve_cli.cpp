@@ -21,12 +21,7 @@
 //   --distance=NAME           euclidean|l1|chebyshev|emd|kl|js
 //   --partition=additive|geometric  --step=N
 //   --approx=none|refine|skip [--def-bins=N]
-//   --shared                  SeeDB-style shared scans (linear-linear only)
 //   --threads=N               worker threads (default 1)
-//   --no-base-cache           disable the base-histogram prefix-sum cache
-//                             (forces direct scans for every probe)
-//   --no-fused-prewarm        keep the cache but skip the fused prewarm
-//                             pass (base histograms build on demand)
 //   --probe-order=priority|deviation-first|accuracy-first
 //                             MuVE's incremental-evaluation probe order;
 //                             `priority` (default) is the wall-clock-driven
@@ -103,10 +98,7 @@ struct Flags {
   int step = 1;
   std::string approx = "none";
   int def_bins = 4;
-  bool shared = false;
   int threads = 1;
-  bool base_cache = true;
-  bool fused_prewarm = true;
   std::string probe_order = "priority";
   double deadline_ms = -1.0;      // < 0: unbounded
   double cancel_after_ms = -1.0;  // < 0: no watchdog
@@ -195,14 +187,8 @@ Status ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (has("--def-bins=")) {
       MUVE_RETURN_IF_ERROR(
           parse_int("--def-bins=", &flags->def_bins, 1, 1000000));
-    } else if (arg == "--shared") {
-      flags->shared = true;
     } else if (has("--threads=")) {
       MUVE_RETURN_IF_ERROR(parse_int("--threads=", &flags->threads, 1, 4096));
-    } else if (arg == "--no-base-cache") {
-      flags->base_cache = false;
-    } else if (arg == "--no-fused-prewarm") {
-      flags->fused_prewarm = false;
     } else if (has("--probe-order=")) {
       flags->probe_order = muve::common::ToLower(value_of("--probe-order="));
     } else if (has("--deadline-ms=")) {
@@ -279,10 +265,7 @@ Result<muve::core::SearchOptions> BuildOptions(const Flags& flags) {
     return Status::InvalidArgument("unknown --approx: " + flags.approx);
   }
   options.refinement_default_bins = flags.def_bins;
-  options.shared_scans = flags.shared;
   options.num_threads = flags.threads;
-  options.base_histogram_cache = flags.base_cache;
-  options.fused_prewarm = flags.fused_prewarm;
   if (flags.probe_order == "deviation-first") {
     options.probe_order = muve::core::ProbeOrderPolicy::kDeviationFirst;
   } else if (flags.probe_order == "accuracy-first") {
@@ -523,7 +506,6 @@ int RunCli(int argc, char** argv) {
     baseline_options.approximation =
         muve::core::VerticalApproximation::kNone;
     baseline_options.partition = muve::core::PartitionSpec{};
-    baseline_options.shared_scans = false;
     auto baseline = recommender->Recommend(baseline_options);
     if (baseline.ok()) {
       std::cout << "fidelity vs Linear-Linear: "
