@@ -9,7 +9,9 @@
 //      a single traversal — the pass the Recommender's prewarm runs.
 //      The bench times both on NBA and DIAB for the target and
 //      comparison sides, checks the histograms agree pair for pair, and
-//      reports the rows_scanned ratio.
+//      reports the rows_scanned ratio plus the fused pass's per-phase ms
+//      (dictionary, keys, accumulate, merge) and how many dimensions
+//      built their dictionary from the chunk dictionaries.
 //
 //   2. Thread scaling.  The fused pass splits its row set into morsels
 //      dispatched on the shared pool.  The bench sweeps 1/2/4/8 threads
@@ -129,9 +131,11 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
     const double pair_ms = pair_timer.ElapsedMillis() / reps;
 
     std::vector<muve::storage::BaseHistogram> fused;
+    muve::storage::FusedScanStats phases;
     muve::common::Stopwatch fused_timer;
     for (int rep = 0; rep < reps; ++rep) {
-      auto built = muve::storage::FusedBuildBaseHistograms(table, rows, pairs);
+      auto built = muve::storage::FusedBuildBaseHistograms(
+          table, rows, pairs, /*pool=*/nullptr, /*morsel_size=*/0, &phases);
       MUVE_CHECK(built.ok()) << built.status().ToString();
       fused = std::move(built).value();
     }
@@ -157,7 +161,13 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
          << ", \"per_pair\": {\"rows_scanned\": " << pair_side_rows
          << ", \"ms\": " << pair_ms << "}"
          << ", \"fused\": {\"rows_scanned\": " << fused_side_rows
-         << ", \"ms\": " << fused_ms << "}}";
+         << ", \"ms\": " << fused_ms
+         << ", \"dict_ms\": " << phases.dict_ms / reps
+         << ", \"keys_ms\": " << phases.keys_ms / reps
+         << ", \"accumulate_ms\": " << phases.accumulate_ms / reps
+         << ", \"merge_ms\": " << phases.merge_ms / reps
+         << ", \"coded_dimensions\": " << phases.coded_dimensions / reps
+         << "}}";
   }
   const double ratio = static_cast<double>(per_pair_rows) /
                        static_cast<double>(std::max<int64_t>(fused_rows, 1));

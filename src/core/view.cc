@@ -2,12 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 
 namespace muve::core {
+
+namespace {
+
+// t, a dimension's raw group count over D_B: the distinct non-NULL,
+// non-NaN values of `col`, read from the chunk dictionaries — string
+// chunks always keep one, numeric chunks unless high-cardinality — so
+// setup reads no row.  A numeric column with a high-cardinality chunk
+// falls back to sorting its cells.
+size_t DistinctValues(const storage::Column& col) {
+  if (col.type() == storage::ValueType::kString) {
+    std::unordered_set<std::string_view> seen;
+    for (size_t c = 0; c < col.num_chunks(); ++c) {
+      for (const std::string& s : col.chunk(c).dict()) seen.insert(s);
+    }
+    return seen.size();
+  }
+  if (col.type() == storage::ValueType::kNull) return 0;
+  storage::MergedNumericDict merged;
+  if (col.MergeNumericDicts(0, col.num_chunks(), &merged)) {
+    return merged.values.size();
+  }
+  std::vector<double> values;
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col.IsNull(r)) continue;
+    const double v = col.NumericAt(r);
+    if (!std::isnan(v)) values.push_back(v);
+  }
+  std::sort(values.begin(), values.end());
+  return static_cast<size_t>(std::unique(values.begin(), values.end()) -
+                             values.begin());
+}
+
+}  // namespace
 
 std::string View::Label() const {
   return std::string(storage::AggregateName(function)) + "(" + measure +
@@ -49,11 +83,7 @@ common::Result<ViewSpace> ViewSpace::Create(const data::Dataset& dataset) {
     // B_j: one binning choice per unit of range (Definition 1's widths
     // L/1, L/2, ..., 1), at least one.
     info.max_bins = std::max(1, static_cast<int>(std::ceil(hi - lo)));
-    std::set<double> distinct;
-    for (size_t r = 0; r < col->size(); ++r) {
-      if (!col->IsNull(r)) distinct.insert(col->NumericAt(r));
-    }
-    info.distinct_values = distinct.size();
+    info.distinct_values = DistinctValues(*col);
     space.dim_index_.emplace(info.name, space.dims_.size());
     space.dims_.push_back(std::move(info));
   }
@@ -65,15 +95,11 @@ common::Result<ViewSpace> ViewSpace::Create(const data::Dataset& dataset) {
     info.name = dim;
     info.categorical = true;
     info.max_bins = 1;  // the single non-binned candidate
-    std::set<storage::Value> distinct;
-    for (size_t r = 0; r < col->size(); ++r) {
-      if (!col->IsNull(r)) distinct.insert(col->ValueAt(r));
-    }
-    if (distinct.empty()) {
+    info.distinct_values = DistinctValues(*col);
+    if (info.distinct_values == 0) {
       return common::Status::InvalidArgument(
           "categorical dimension '" + dim + "' has no non-null values");
     }
-    info.distinct_values = distinct.size();
     space.dim_index_.emplace(info.name, space.dims_.size());
     space.dims_.push_back(std::move(info));
   }

@@ -51,7 +51,11 @@ storage::RowSet SampleSubset(const storage::RowSet& rows, double fraction,
 
 ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
                              const ViewSpace& space, Options options)
-    : dataset_(dataset), space_(space), options_(options) {
+    : dataset_(dataset),
+      space_(space),
+      options_(options),
+      target_rows_(&dataset.target_rows),
+      all_rows_(&dataset.all_rows) {
   MUVE_CHECK(options_.sample_fraction > 0.0 &&
              options_.sample_fraction <= 1.0)
       << "sample_fraction must lie in (0, 1]";
@@ -59,26 +63,26 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
                     ? options_.base_cache
                     : std::make_shared<storage::BaseHistogramCache>();
   if (options_.sample_fraction < 1.0) {
-    all_rows_ = SampleSubset(dataset.all_rows, options_.sample_fraction,
-                             options_.sample_seed);
-    target_rows_ = SampleSubset(dataset.target_rows, options_.sample_fraction,
-                                options_.sample_seed);
+    storage::RowSet& all = sampled_all_rows_;
+    storage::RowSet& target = sampled_target_rows_;
+    all = SampleSubset(dataset.all_rows, options_.sample_fraction,
+                       options_.sample_seed);
+    target = SampleSubset(dataset.target_rows, options_.sample_fraction,
+                          options_.sample_seed);
     // Keep at least one target row so probes never see an empty D_Q; the
     // kept row is forced into the comparison sample as well to maintain
     // the subset invariant (row sets are ascending, so insert sorted).
-    if (target_rows_.empty() && !dataset.target_rows.empty()) {
+    if (target.empty() && !dataset.target_rows.empty()) {
       const uint32_t kept = dataset.target_rows.front();
-      target_rows_.push_back(kept);
-      const auto it =
-          std::lower_bound(all_rows_.begin(), all_rows_.end(), kept);
-      if (it == all_rows_.end() || *it != kept) all_rows_.insert(it, kept);
+      target.push_back(kept);
+      const auto it = std::lower_bound(all.begin(), all.end(), kept);
+      if (it == all.end() || *it != kept) all.insert(it, kept);
     }
-    if (all_rows_.empty() && !dataset.all_rows.empty()) {
-      all_rows_.push_back(dataset.all_rows.front());
+    if (all.empty() && !dataset.all_rows.empty()) {
+      all.push_back(dataset.all_rows.front());
     }
-  } else {
-    target_rows_ = dataset.target_rows;
-    all_rows_ = dataset.all_rows;
+    target_rows_ = &target;
+    all_rows_ = &all;
   }
 }
 
@@ -97,7 +101,7 @@ ViewEvaluator::MissingPairs(const std::string* dimension,
                             bool target_side) const {
   std::vector<storage::BaseHistogramCache::FusedPairRequest> pairs;
   const int64_t expected_rows = static_cast<int64_t>(
-      (target_side ? target_rows_ : all_rows_).size());
+      (target_side ? target_rows() : all_rows()).size());
   std::unordered_set<std::string> seen;
   for (const View& view : space_.views()) {
     if (dimension != nullptr && view.dimension != *dimension) continue;
@@ -158,7 +162,7 @@ void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
     if (pairs.empty()) continue;
     common::Stopwatch timer;
     storage::BaseHistogramCache::FusedHistogramBuildRequest request;
-    request.rows = target_side ? &target_rows_ : &all_rows_;
+    request.rows = target_side ? target_rows_ : all_rows_;
     request.pairs = std::move(pairs);
     request.pool = pool;
     request.morsel_size = options_.fused_morsel_size;
@@ -182,7 +186,7 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
   // View::Key fields; '|' keeps these keys grep-able in logs).
   const std::string key = (target_side ? "t|" : "c|") + view.dimension +
                           "|" + view.measure;
-  const storage::RowSet& rows = target_side ? target_rows_ : all_rows_;
+  const storage::RowSet& rows = target_side ? target_rows() : all_rows();
   const bool missing =
       !base_cache_->Contains(key, static_cast<int64_t>(rows.size()));
   if (missing) {
@@ -244,8 +248,8 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
           *BaseFor(view, /*target_side=*/true), view.function, bins,
           dim.lo, dim.hi));
     }
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
-    return storage::BinnedAggregate(*dataset_.table, target_rows_,
+    ChargeProbeRows(static_cast<int64_t>(target_rows().size()));
+    return storage::BinnedAggregate(*dataset_.table, target_rows(),
                                     view.dimension, view.measure,
                                     view.function, bins, dim.lo, dim.hi);
   }();
@@ -270,8 +274,8 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedComparison(const View& view,
           *BaseFor(view, /*target_side=*/false), view.function, bins,
           dim.lo, dim.hi));
     }
-    ChargeProbeRows(static_cast<int64_t>(all_rows_.size()));
-    return storage::BinnedAggregate(*dataset_.table, all_rows_,
+    ChargeProbeRows(static_cast<int64_t>(all_rows().size()));
+    return storage::BinnedAggregate(*dataset_.table, all_rows(),
                                     view.dimension, view.measure,
                                     view.function, bins, dim.lo, dim.hi);
   }();
@@ -297,7 +301,7 @@ const ViewEvaluator::RawSeries& ViewEvaluator::RawTargetSeries(
     BaseRawSeries(*BaseFor(view, /*target_side=*/true), view.function,
                   &series.keys, &series.aggregates);
   } else {
-    auto grouped = storage::GroupByAggregate(*dataset_.table, target_rows_,
+    auto grouped = storage::GroupByAggregate(*dataset_.table, target_rows(),
                                              view.dimension, view.measure,
                                              view.function);
     MUVE_CHECK(grouped.ok()) << grouped.status().ToString();
@@ -308,7 +312,7 @@ const ViewEvaluator::RawSeries& ViewEvaluator::RawTargetSeries(
       MUVE_CHECK(d.ok()) << d.status().ToString();
       series.keys.push_back(*d);
     }
-    ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
+    ChargeProbeRows(static_cast<int64_t>(target_rows().size()));
   }
   const double ms = timer.ElapsedMillis();
   // The raw series is an input to the accuracy objective; its (one-off)
@@ -357,25 +361,25 @@ double ViewEvaluator::EvaluateCategoricalDeviation(const View& view) {
   // onto the comparison keys loses nothing.
   common::Stopwatch comparison_timer;
   auto comparison = storage::GroupByAggregate(
-      *dataset_.table, all_rows_, view.dimension, view.measure,
+      *dataset_.table, all_rows(), view.dimension, view.measure,
       view.function);
   MUVE_CHECK(comparison.ok()) << comparison.status().ToString();
   const double comparison_ms = comparison_timer.ElapsedMillis();
   stats_.comparison_time_ms += comparison_ms;
   ++stats_.comparison_queries;
-  ChargeProbeRows(static_cast<int64_t>(all_rows_.size()));
+  ChargeProbeRows(static_cast<int64_t>(all_rows().size()));
   cost_model_.Observe(CostKind::kComparisonQuery, comparison_ms);
 
   common::Stopwatch target_timer;
   auto target = storage::GroupByAggregate(*dataset_.table,
-                                          target_rows_,
+                                          target_rows(),
                                           view.dimension, view.measure,
                                           view.function);
   MUVE_CHECK(target.ok()) << target.status().ToString();
   const double target_ms = target_timer.ElapsedMillis();
   stats_.target_time_ms += target_ms;
   ++stats_.target_queries;
-  ChargeProbeRows(static_cast<int64_t>(target_rows_.size()));
+  ChargeProbeRows(static_cast<int64_t>(target_rows().size()));
   cost_model_.Observe(CostKind::kTargetQuery, target_ms);
 
   common::Stopwatch distance_timer;

@@ -102,6 +102,9 @@ class ViewEvaluator {
   // `dataset` and `space` must outlive the evaluator.
   ViewEvaluator(const data::Dataset& dataset, const ViewSpace& space,
                 Options options = {});
+  // Not copyable or movable: the row-set pointers may point at members.
+  ViewEvaluator(const ViewEvaluator&) = delete;
+  ViewEvaluator& operator=(const ViewEvaluator&) = delete;
 
   // D(V_{i,b}) (Eq. 2): executes the binned target and comparison queries,
   // normalizes both into distributions, and computes the distance.
@@ -158,8 +161,8 @@ class ViewEvaluator {
   // Row sets all probes scan: the dataset's own when sample_fraction is
   // 1, deterministic samples otherwise.  Exposed (read-only) so tests can
   // assert the sampling invariant sample(D_Q) = D_Q ∩ sample(D_B).
-  const storage::RowSet& target_rows() const { return target_rows_; }
-  const storage::RowSet& all_rows() const { return all_rows_; }
+  const storage::RowSet& target_rows() const { return *target_rows_; }
+  const storage::RowSet& all_rows() const { return *all_rows_; }
 
  private:
   struct RawSeries {
@@ -209,8 +212,12 @@ class ViewEvaluator {
   const data::Dataset& dataset_;
   const ViewSpace& space_;
   Options options_;
-  storage::RowSet target_rows_;
-  storage::RowSet all_rows_;
+  // The row sets probes scan: borrowed from the dataset at
+  // sample_fraction 1 (no per-worker copy), else the owned samples below.
+  const storage::RowSet* target_rows_;
+  const storage::RowSet* all_rows_;
+  storage::RowSet sampled_target_rows_;
+  storage::RowSet sampled_all_rows_;
   ExecStats stats_;
   CostModel cost_model_;
 

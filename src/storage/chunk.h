@@ -12,7 +12,15 @@
 //   * strings deduplicate (per-chunk dictionary encoding: each distinct
 //     string stored once, rows hold dense uint32 codes — equality and IN
 //     predicates compare codes, and a literal absent from the dictionary
-//     skips the chunk outright).
+//     skips the chunk outright), and
+//   * numeric columns carry a capped distinct-value dictionary with
+//     uint16 per-row codes, maintained on append: view-space setup reads
+//     a column's distinct values from the dictionaries instead of its
+//     rows, and fused builds key rows through a code remap instead of a
+//     sort and a binary search per row.  A chunk whose distinct values
+//     outgrow kMaxNumericDictSize (or that holds a NaN, which no
+//     dictionary can key) drops its dictionary for good and is
+//     "high-cardinality": readers fall back to the cells.
 //
 // Chunks are structurally immutable once full ("sealed"); only a column's
 // open tail chunk ever mutates, and copy-on-write in Column keeps a tail
@@ -44,6 +52,10 @@ class ColumnChunk {
   // dictionary index, and never equal to any probe code — scan loops over
   // codes treat NULL rows as non-matching for free.
   static constexpr uint32_t kNoCode = 0xFFFFFFFFu;
+
+  // Most distinct values a numeric chunk's dictionary holds: codes fit
+  // uint16_t.  One more distinct value makes the chunk high-cardinality.
+  static constexpr size_t kMaxNumericDictSize = 4096;
 
   ColumnChunk(ValueType type, size_t capacity)
       : type_(type), capacity_(capacity) {}
@@ -94,6 +106,21 @@ class ColumnChunk {
     return codes_.data();
   }
 
+  // --- Numeric dictionary ---
+  // True for a numeric chunk whose every non-NULL cell is coded: at most
+  // kMaxNumericDictSize distinct values and no NaN.  Empty chunks count.
+  bool HasNumericDict() const {
+    return (type_ == ValueType::kInt64 || type_ == ValueType::kDouble) &&
+           !high_cardinality_;
+  }
+  // Distinct cell values (as doubles, so int64 values that round to one
+  // double share an entry, and -0.0 shares 0.0's) in first-appearance
+  // order.  Only meaningful when HasNumericDict().
+  const std::vector<double>& numeric_dict() const { return num_dict_; }
+  // Per-row index into numeric_dict(); NULL rows hold 0 (mask them with
+  // validity()).  Only meaningful when HasNumericDict().
+  const uint16_t* numeric_codes() const { return num_codes_.data(); }
+
   // --- String dictionary ---
   // Distinct strings in first-appearance order; rows store indexes into
   // this vector (kNoCode for NULL rows).
@@ -121,7 +148,19 @@ class ColumnChunk {
   size_t ApproxBytes() const;
 
  private:
+  // Zone map plus dictionary upkeep for one appended numeric cell.
   void ObserveNumeric(double v);
+  // Appends `v`'s dictionary code, adding `v` to the dictionary when new;
+  // turns the chunk high-cardinality instead when it would overflow.
+  void CodeNumeric(double v);
+  // Doubles the append index (16 slots at first) and re-inserts every
+  // dictionary entry.
+  void GrowIndex();
+  // Drops the dictionary, codes and index for good.
+  void DropNumericDict();
+  // Frees the append-time hash index once the chunk is full: a sealed
+  // chunk never codes another value.
+  void ReleaseIndexIfFull();
 
   ValueType type_;
   size_t capacity_;
@@ -131,6 +170,13 @@ class ColumnChunk {
   std::vector<std::string> dict_;
   std::vector<uint32_t> codes_;
   std::unordered_map<std::string, uint32_t> dict_index_;
+  std::vector<double> num_dict_;
+  std::vector<uint16_t> num_codes_;
+  // Open-addressing index over num_dict_ for appends: slot holds code + 1,
+  // 0 = empty.  Power-of-two size, at most a quarter full, grown with the
+  // dictionary (at most 16384 slots).
+  std::vector<uint16_t> num_slots_;
+  bool high_cardinality_ = false;
   size_t null_count_ = 0;
   bool has_range_ = false;
   bool has_nan_ = false;

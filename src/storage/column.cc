@@ -1,5 +1,6 @@
 #include "storage/column.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -174,6 +175,42 @@ common::Result<double> Column::NumericMax() const {
   if (found) return best;
   if (any_nan) return std::nan("");
   return common::Status::NotFound("column has no non-null cells");
+}
+
+bool Column::MergeNumericDicts(size_t first_chunk, size_t last_chunk,
+                               MergedNumericDict* out) const {
+  out->values.clear();
+  out->remap.clear();
+  out->remap_begin.clear();
+  if (type_ != ValueType::kInt64 && type_ != ValueType::kDouble) return false;
+  struct Entry {
+    double value;
+    uint32_t slot;  // position in `remap`
+  };
+  std::vector<Entry> entries;
+  out->remap_begin.assign(last_chunk, 0);
+  for (size_t c = first_chunk; c < last_chunk; ++c) {
+    const ColumnChunk& chunk = *chunks_[c];
+    if (!chunk.HasNumericDict()) {
+      out->remap_begin.clear();
+      return false;
+    }
+    out->remap_begin[c] = entries.size();
+    for (const double v : chunk.numeric_dict()) {
+      entries.push_back({v, static_cast<uint32_t>(entries.size())});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.value < b.value; });
+  out->remap.resize(entries.size());
+  for (const Entry& e : entries) {
+    // == merges -0.0 into 0.0, as every other reader of the column does.
+    if (out->values.empty() || out->values.back() != e.value) {
+      out->values.push_back(e.value);
+    }
+    out->remap[e.slot] = static_cast<uint32_t>(out->values.size() - 1);
+  }
+  return true;
 }
 
 void Column::Reserve(size_t n) {

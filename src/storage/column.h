@@ -26,6 +26,18 @@
 
 namespace muve::storage {
 
+// The sorted union of some chunks' numeric dictionaries, with each
+// chunk's code -> union index remap (Column::MergeNumericDicts).
+struct MergedNumericDict {
+  // Ascending distinct values.
+  std::vector<double> values;
+  // Union index of code k of chunk c: remap[remap_begin[c] + k].
+  // remap_begin is indexed by column chunk id (entries before the merged
+  // range are unused).
+  std::vector<uint32_t> remap;
+  std::vector<size_t> remap_begin;
+};
+
 // A single column of one ValueType with per-row validity.
 class Column {
  public:
@@ -81,6 +93,14 @@ class Column {
   // non-null cell is NaN reports NaN).
   common::Result<double> NumericMin() const;
   common::Result<double> NumericMax() const;
+
+  // Merges the numeric dictionaries of chunks [first_chunk, last_chunk)
+  // into `out` without reading a row: the union of the chunk
+  // dictionaries is sorted once and each chunk's codes remapped into it.
+  // Returns false when the column is not numeric or a chunk in the range
+  // is high-cardinality (ColumnChunk::HasNumericDict).
+  bool MergeNumericDicts(size_t first_chunk, size_t last_chunk,
+                         MergedNumericDict* out) const;
 
   void Reserve(size_t n);
 

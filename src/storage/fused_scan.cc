@@ -9,6 +9,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/simd/simd.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "storage/chunk_run.h"
 #include "storage/column.h"
@@ -35,9 +36,9 @@ void RunIndexed(common::ThreadPool* pool, size_t count,
   pool->ParallelFor(count, [&fn](size_t, size_t index) { fn(index); });
 }
 
-// Phase A kernel: gather the non-NULL values of one chunk run of `rows`
-// into `out` through the chunk's raw typed array (no Value boxing, no
-// virtual calls).
+// Phase A kernel, sorted path: gather the non-NULL values of one chunk
+// run of `rows` into `out` through the chunk's raw typed array (no Value
+// boxing, no virtual calls).
 template <typename T>
 void GatherValuesRun(const ColumnChunk& chunk, const T* data,
                      const RowSet& rows, size_t begin, size_t end,
@@ -71,12 +72,51 @@ void GatherValues(const Column& col, const RowSet& rows,
                   });
 }
 
-// Phase B kernel: dense dictionary key per row position of one chunk run
-// within a morsel.
+// Phase A on the coded path: the merged dictionaries of the chunks
+// `rows` spans (a superset of the rows' own values — Phase D drops the
+// fine bins no row fell into).  False, leaving the sorted path to run,
+// when a spanned chunk is high-cardinality or the merged entries would
+// outnumber the rows: a row set much smaller than the dictionary keeps a
+// dictionary (and an arena) only as large as its own values.
+bool MergeChunkDictionaries(const Column& col, const RowSet& rows,
+                            MergedNumericDict* dict) {
+  if (rows.empty()) return false;
+  const size_t first = rows.front() >> col.chunk_shift();
+  const size_t last = (rows.back() >> col.chunk_shift()) + 1;
+  size_t entries = 0;
+  for (size_t c = first; c < last; ++c) {
+    const ColumnChunk& chunk = col.chunk(c);
+    if (!chunk.HasNumericDict()) return false;
+    entries += chunk.numeric_dict().size();
+  }
+  return entries <= rows.size() && col.MergeNumericDicts(first, last, dict);
+}
+
+// Phase B kernel, coded path: a row's key is its chunk code remapped
+// into the merged dictionary.
+void RemapKeysRun(const ColumnChunk& chunk, const uint32_t* remap,
+                  const RowSet& rows, size_t begin, size_t end, uint32_t mask,
+                  uint32_t* keys) {
+  const uint16_t* codes = chunk.numeric_codes();
+  if (chunk.AllValid()) {
+    for (size_t p = begin; p < end; ++p) {
+      keys[p] = remap[codes[rows[p] & mask]];
+    }
+    return;
+  }
+  const ValidityBitmap& valid = chunk.validity();
+  for (size_t p = begin; p < end; ++p) {
+    const uint32_t i = rows[p] & mask;
+    keys[p] = valid.Get(i) ? remap[codes[i]] : kNullKey;
+  }
+}
+
+// Phase B kernel, sorted path: dense dictionary key per row position of
+// one chunk run within a morsel, by binary search.
 template <typename T>
-void FillKeysRun(const ColumnChunk& chunk, const T* data,
-                 const std::vector<double>& dict, const RowSet& rows,
-                 size_t begin, size_t end, uint32_t mask, uint32_t* keys) {
+void SearchKeysRun(const ColumnChunk& chunk, const T* data,
+                   const std::vector<double>& dict, const RowSet& rows,
+                   size_t begin, size_t end, uint32_t mask, uint32_t* keys) {
   const bool all_valid = chunk.AllValid();
   const ValidityBitmap& valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
@@ -92,18 +132,23 @@ void FillKeysRun(const ColumnChunk& chunk, const T* data,
   }
 }
 
-void FillKeys(const Column& col, const std::vector<double>& dict,
+void FillKeys(const Column& col, const MergedNumericDict& dict,
               const RowSet& rows, size_t begin, size_t end, uint32_t* keys) {
   const uint32_t mask = col.chunk_mask();
+  const bool coded = !dict.remap_begin.empty();
   ForEachChunkRun(rows, begin, end, col.chunk_shift(),
                   [&](uint32_t c, size_t rb, size_t re) {
                     const ColumnChunk& chunk = col.chunk(c);
-                    if (col.type() == ValueType::kInt64) {
-                      FillKeysRun(chunk, chunk.int64_data(), dict, rows, rb,
-                                  re, mask, keys);
+                    if (coded) {
+                      RemapKeysRun(chunk,
+                                   dict.remap.data() + dict.remap_begin[c],
+                                   rows, rb, re, mask, keys);
+                    } else if (col.type() == ValueType::kInt64) {
+                      SearchKeysRun(chunk, chunk.int64_data(), dict.values,
+                                    rows, rb, re, mask, keys);
                     } else {
-                      FillKeysRun(chunk, chunk.double_data(), dict, rows, rb,
-                                  re, mask, keys);
+                      SearchKeysRun(chunk, chunk.double_data(), dict.values,
+                                    rows, rb, re, mask, keys);
                     }
                   });
 }
@@ -172,15 +217,22 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   const uint32_t chunk_mask = dim_cols[0]->chunk_mask();
 
   // Phase A: one sorted distinct-value dictionary per dimension, shared
-  // by every measure paired with it.
+  // by every measure paired with it — merged from the chunk dictionaries
+  // when they serve, else gathered from the rows, sorted and deduped.
+  common::Stopwatch phase_timer;
   RunIndexed(pool, num_dims, [&](size_t d) {
-    std::vector<double>& dict = scratch->dicts[d];
-    dict.clear();
-    dict.reserve(n);
-    GatherValues(*dim_cols[d], rows, &dict);
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
+    MergedNumericDict& dict = scratch->dicts[d];
+    if (MergeChunkDictionaries(*dim_cols[d], rows, &dict)) return;
+    dict.remap_begin.clear();
+    std::vector<double>& values = dict.values;
+    values.clear();
+    values.reserve(n);
+    GatherValues(*dim_cols[d], rows, &values);
+    std::sort(values.begin(), values.end());
+    values.erase(std::unique(values.begin(), values.end()), values.end());
   });
+  const double dict_ms = phase_timer.ElapsedMillis();
+  phase_timer.Restart();
 
   // Phase B: dense key arrays, morsel x dimension parallel, plus the
   // position-aligned chunk-local row offsets Phase C's kernels consume.
@@ -204,6 +256,8 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
     FillKeys(*dim_cols[d], scratch->dicts[d], rows, begin, end,
              scratch->keys[d].data());
   });
+  const double keys_ms = phase_timer.ElapsedMillis();
+  phase_timer.Restart();
 
   // Phase boundary poll: dictionaries and key arrays for a large row set
   // are themselves row-order work, so re-check before committing to the
@@ -216,7 +270,7 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   size_t slab = 0;
   for (size_t i = 0; i < pairs.size(); ++i) {
     pair_offset[i] = slab;
-    slab += scratch->dicts[pair_dim[i]].size();
+    slab += scratch->dicts[pair_dim[i]].values.size();
   }
   scratch->counts.assign(slab * num_morsels, 0);
   scratch->sums.assign(slab * num_morsels, 0.0);
@@ -293,6 +347,8 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
     }
     return ctx->ExpiryStatus();
   }
+  const double accumulate_ms = phase_timer.ElapsedMillis();
+  phase_timer.Restart();
 
   // Phase D: serial merge in ascending morsel order (fixed association —
   // identical output for any worker count), then compact fine bins with
@@ -300,7 +356,7 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   // which restores the exact per-(A, M) fine-bin set of the per-pair
   // builder.
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const std::vector<double>& dict = scratch->dicts[pair_dim[i]];
+    const std::vector<double>& dict = scratch->dicts[pair_dim[i]].values;
     const size_t off = pair_offset[i];
     BaseHistogram& base = out[i];
     base.source_rows = static_cast<int64_t>(n);
@@ -331,6 +387,13 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   if (stats != nullptr) {
     stats->morsels += static_cast<int64_t>(num_morsels);
     stats->dimensions += static_cast<int64_t>(num_dims);
+    for (size_t d = 0; d < num_dims; ++d) {
+      if (!scratch->dicts[d].remap_begin.empty()) ++stats->coded_dimensions;
+    }
+    stats->dict_ms += dict_ms;
+    stats->keys_ms += keys_ms;
+    stats->accumulate_ms += accumulate_ms;
+    stats->merge_ms += phase_timer.ElapsedMillis();
   }
   return out;
 }

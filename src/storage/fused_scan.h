@@ -10,13 +10,19 @@
 // phase):
 //
 //   Phase A (dictionaries, parallel across dimensions): for each distinct
-//     dimension, gather its non-NULL values over the row set, sort,
-//     dedupe -> the sorted fine-bin key dictionary, built ONCE and shared
-//     by every measure paired with that dimension (the per-pair stable
-//     sort of the old builder disappears).
+//     dimension, the sorted fine-bin key dictionary, built ONCE and
+//     shared by every measure paired with that dimension.  Coded path:
+//     merge the numeric dictionaries of the chunks the row set spans
+//     (storage/chunk.h; at most kMaxNumericDictSize values per chunk),
+//     plus a per-chunk remap from chunk code to sorted index — no row is
+//     read.  Sorted path, when a spanned chunk is high-cardinality or the
+//     row set has fewer rows than the merged dictionary has entries:
+//     gather the non-NULL values over the row set, sort, dedupe.
 //   Phase B (key arrays, morsel x dimension parallel): map each row
 //     position to its dense dictionary index (kNullKey for NULL cells),
-//     so Phase C's accumulators are plain array indexing.
+//     so Phase C's accumulators are plain array indexing.  Coded path:
+//     keys[p] = remap[chunk][code[row]]; sorted path: a binary search of
+//     the cell value.
 //   Phase C (accumulation, morsel-parallel): the row set splits into
 //     ~64K-row morsels dispatched on the shared ThreadPool; each morsel
 //     accumulates count / sum / sum-of-squares per (pair, fine bin) into
@@ -26,7 +32,9 @@
 //     so results are identical for 1 and N threads.  Fine bins whose
 //     merged count is 0 (every row NULL on the measure) are compacted
 //     away, restoring the exact per-(A, M) fine-bin set of the old
-//     per-pair builder.
+//     per-pair builder — and dropping the values of a merged chunk
+//     dictionary that no row of the row set holds, so both Phase A paths
+//     yield the same histograms bit for bit.
 //
 // Determinism / exactness contract (pinned by
 // tests/storage/fused_scan_differential_test.cc):
@@ -51,6 +59,7 @@
 #include "common/simd/aligned.h"
 #include "common/status.h"
 #include "storage/base_histogram_cache.h"
+#include "storage/column.h"
 #include "storage/table.h"
 
 namespace muve::common {
@@ -76,8 +85,16 @@ struct FusedScanPair {
 struct FusedScanStats {
   // Morsel tasks dispatched in the accumulation phase (Phase C).
   int64_t morsels = 0;
-  // Distinct dimensions whose dictionary was built (Phase A).
+  // Distinct dimensions whose dictionary was built (Phase A), and those
+  // of them built on the coded path (merged chunk dictionaries).
   int64_t dimensions = 0;
+  int64_t coded_dimensions = 0;
+  // Wall-clock per phase: dictionaries (A), key arrays (B), accumulation
+  // (C) and merge (D).
+  double dict_ms = 0.0;
+  double keys_ms = 0.0;
+  double accumulate_ms = 0.0;
+  double merge_ms = 0.0;
 };
 
 // Reusable scratch arena: dictionaries, dense key arrays, and the
@@ -91,7 +108,9 @@ struct FusedScanStats {
 // keyed accumulators, and cache-line-aligned slabs keep the per-morsel
 // partials from straddling lines.
 struct FusedScanScratch {
-  std::vector<std::vector<double>> dicts;  // per-dimension sorted values
+  // Per-dimension sorted values, plus the chunk code remap on the coded
+  // path (remap_begin is empty on the sorted path).
+  std::vector<MergedNumericDict> dicts;
   // per-dimension dense keys
   std::vector<common::simd::AlignedVector<uint32_t>> keys;
   // Chunk-local row offsets (rows[p] & chunk_mask), position-aligned

@@ -50,6 +50,12 @@ struct FuzzConfig {
   // Add a string measure and restrict F to COUNT (the only aggregate a
   // string measure takes); no base serves it.
   bool string_measure_count = false;
+  // Rows per column chunk of the generated table.
+  size_t chunk_rows = storage::kDefaultChunkRows;
+  // Adds the fractional dimension "hc" (nearly every value distinct) and
+  // grows the table past one 8192-row chunk, so with 8192-row chunks hc's
+  // first chunk crosses the numeric dictionary cap.
+  bool high_cardinality = false;
 };
 
 // Random exploration dataset: 1-3 integer dimensions, optional
@@ -59,7 +65,8 @@ data::Dataset RandomDataset(uint64_t seed, const FuzzConfig& config) {
   const int num_numeric = 1 + static_cast<int>(rng.UniformInt(0, 2));
   const bool with_categorical = rng.Bernoulli(0.3);
   const int num_measures = 1 + static_cast<int>(rng.UniformInt(0, 2));
-  const size_t rows = 30 + static_cast<size_t>(rng.UniformInt(0, 90));
+  size_t rows = 30 + static_cast<size_t>(rng.UniformInt(0, 90));
+  if (config.high_cardinality) rows += 8192;
 
   storage::Schema schema;
   data::Dataset ds;
@@ -70,6 +77,13 @@ data::Dataset RandomDataset(uint64_t seed, const FuzzConfig& config) {
                               storage::FieldRole::kDimension})
                    .ok());
     ds.dimensions.push_back(name);
+  }
+  if (config.high_cardinality) {
+    MUVE_CHECK(schema
+                   .AddField({"hc", storage::ValueType::kDouble,
+                              storage::FieldRole::kDimension})
+                   .ok());
+    ds.dimensions.push_back("hc");
   }
   if (with_categorical) {
     MUVE_CHECK(schema
@@ -95,7 +109,7 @@ data::Dataset RandomDataset(uint64_t seed, const FuzzConfig& config) {
     ds.measures.push_back("label");
   }
 
-  auto table = std::make_shared<storage::Table>(schema);
+  auto table = std::make_shared<storage::Table>(schema, config.chunk_rows);
   const char* cats[] = {"p", "q", "r"};
   std::vector<int64_t> ranges(static_cast<size_t>(num_numeric));
   for (auto& r : ranges) r = 4 + rng.UniformInt(0, 36);
@@ -104,6 +118,7 @@ data::Dataset RandomDataset(uint64_t seed, const FuzzConfig& config) {
     for (int d = 0; d < num_numeric; ++d) {
       row.emplace_back(rng.UniformInt(0, ranges[static_cast<size_t>(d)]));
     }
+    if (config.high_cardinality) row.emplace_back(rng.Uniform(0, 30));
     if (with_categorical) row.emplace_back(cats[rng.UniformInt(0, 2)]);
     row.emplace_back(rng.UniformInt(0, 2));  // sel
     for (int m = 0; m < num_measures; ++m) {
@@ -347,6 +362,49 @@ TEST(RebinDifferentialStatsTest, StringMeasureCountScansDirectly) {
       EXPECT_EQ(rec->views[i].view.Key(), want[i].view.Key()) << i;
       EXPECT_EQ(rec->views[i].bins, want[i].bins) << i;
       EXPECT_EQ(rec->views[i].utility, want[i].utility) << i;
+    }
+  }
+}
+
+// Chunked tables through the whole Recommender: with 8-row chunks every
+// dimension is coded chunk by chunk and fused builds merge many chunk
+// dictionaries; with 8192-row chunks "hc" crosses the dictionary cap in
+// its first chunk, so one build mixes coded and sorted dimensions.
+// Linear-Linear at 1, 2 and 8 threads must reproduce the direct-scan
+// oracle's top-k bit for bit (integral measures).
+TEST(RebinChunkedTest, DictionaryPathTopKMatchesOracle) {
+  for (uint64_t param = 1; param <= 4; ++param) {
+    const uint64_t seed = testutil::FuzzSeed(param ^ 0xC0DEULL);
+    SCOPED_TRACE(testutil::FuzzTrace(param, seed));
+    common::Rng rng(seed * 97);
+    FuzzConfig config;
+    config.integral_measures = true;
+    config.high_cardinality = param % 2 == 0;
+    config.chunk_rows = config.high_cardinality ? 8192 : 8;
+    const data::Dataset ds = RandomDataset(seed, config);
+    auto recommender = Recommender::Create(ds);
+    ASSERT_TRUE(recommender.ok()) << recommender.status().ToString();
+
+    SearchOptions base;
+    base.weights = RandomWeights(rng);
+    base.k = 3;
+    base.horizontal = HorizontalStrategy::kLinear;
+    base.vertical = VerticalStrategy::kLinear;
+    const std::vector<ScoredView> want =
+        testutil::DirectLinearLinear(ds, recommender->space(), base).views;
+    for (const int threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      SearchOptions options = base;
+      options.num_threads = threads;
+      auto rec = recommender->Recommend(options);
+      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+      ASSERT_EQ(rec->views.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("rank " + std::to_string(i));
+        EXPECT_EQ(rec->views[i].view.Key(), want[i].view.Key());
+        EXPECT_EQ(rec->views[i].bins, want[i].bins);
+        EXPECT_EQ(rec->views[i].utility, want[i].utility);
+      }
     }
   }
 }

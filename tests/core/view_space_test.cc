@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "dimension_oracle.h"
+#include "fuzz_util.h"
 #include "test_util.h"
 
 namespace muve::core {
@@ -92,6 +100,125 @@ TEST(ViewSpaceTest, DegenerateSingleValueDimension) {
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok());
   EXPECT_EQ(space->dimension_info("c").max_bins, 1);
+}
+
+// The fuzzed DimensionInfo tables' columns: i (small int64 range), big
+// (int64 around 2^53, where neighbouring values round to one double), d
+// (doubles including -0.0 and 0.0), hc (doubles, nearly all distinct:
+// high-cardinality once a chunk holds more than kMaxNumericDictSize
+// rows), s (strings) and the measure m.
+storage::Schema DimensionFuzzSchema() {
+  return storage::Schema({
+      {"i", storage::ValueType::kInt64},
+      {"big", storage::ValueType::kInt64},
+      {"d", storage::ValueType::kDouble},
+      {"hc", storage::ValueType::kDouble},
+      {"s", storage::ValueType::kString},
+      {"m", storage::ValueType::kDouble},
+  });
+}
+
+// One row; NULL cells sprinkled except where `no_nulls` (so no column of
+// a table is ever all-NULL).
+std::vector<storage::Value> DimensionFuzzRow(common::Rng& rng,
+                                             bool no_nulls) {
+  constexpr int64_t kTwo53 = int64_t{1} << 53;
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.25};
+  const char* strings[] = {"p", "q", "r", "s"};
+  std::vector<storage::Value> row;
+  row.emplace_back(rng.UniformInt(-20, 20));
+  row.emplace_back(kTwo53 + rng.UniformInt(-8, 8));
+  row.emplace_back(rng.Bernoulli(0.5) ? doubles[rng.UniformInt(0, 3)]
+                                      : 0.5 * rng.UniformInt(-9, 9));
+  row.emplace_back(rng.Uniform(0.0, 1000.0));
+  row.emplace_back(strings[rng.UniformInt(0, 3)]);
+  row.emplace_back(rng.Uniform(0.0, 1.0));
+  if (!no_nulls) {
+    for (size_t c = 0; c + 1 < row.size(); ++c) {
+      if (rng.Bernoulli(0.1)) row[c] = storage::Value();
+    }
+  }
+  return row;
+}
+
+// ViewSpace over `table` with every column as a numeric dimension, then
+// as a categorical one, must agree with the row-reading oracle.
+void ExpectDimensionInfoMatchesOracle(
+    const std::shared_ptr<const storage::Table>& table) {
+  data::Dataset ds;
+  ds.table = table;
+  ds.measures = {"m"};
+  ds.functions = {storage::AggregateFunction::kSum};
+  ds.dimensions = {"i", "big", "d", "hc"};
+  auto numeric = ViewSpace::Create(ds);
+  ASSERT_TRUE(numeric.ok()) << numeric.status().ToString();
+  for (const std::string& name : ds.dimensions) {
+    SCOPED_TRACE("numeric " + name);
+    const DimensionInfo want =
+        testutil::OracleDimensionInfo(*table, name, /*categorical=*/false);
+    const DimensionInfo& got = numeric->dimension_info(name);
+    EXPECT_FALSE(got.categorical);
+    EXPECT_EQ(got.lo, want.lo);
+    EXPECT_EQ(got.hi, want.hi);
+    EXPECT_EQ(got.max_bins, want.max_bins);
+    EXPECT_EQ(got.distinct_values, want.distinct_values);
+  }
+  ds.categorical_dimensions = {"i", "big", "d", "hc", "s"};
+  ds.dimensions.clear();
+  auto categorical = ViewSpace::Create(ds);
+  ASSERT_TRUE(categorical.ok()) << categorical.status().ToString();
+  for (const std::string& name : ds.categorical_dimensions) {
+    SCOPED_TRACE("categorical " + name);
+    const DimensionInfo& got = categorical->dimension_info(name);
+    EXPECT_TRUE(got.categorical);
+    EXPECT_EQ(got.max_bins, 1);
+    EXPECT_EQ(got.distinct_values,
+              testutil::OracleDimensionInfo(*table, name, true)
+                  .distinct_values);
+  }
+}
+
+// Tables built by appends that cross chunk boundaries, then grown on
+// both sides of a Clone() — the two copies share the open tail chunk, so
+// each side's first append copy-on-writes it.  With 8192-row chunks, hc's
+// first chunk crosses the dictionary cap mid-append while its second
+// chunk stays coded.
+TEST(DimensionInfoTest, FuzzedTablesMatchRowReadingOracle) {
+  const size_t chunk_sizes[] = {4, 16, 512, 8192};
+  for (uint64_t c = 0; c < 24; ++c) {
+    const uint64_t seed = testutil::FuzzSeed(c + 7000);
+    SCOPED_TRACE(testutil::FuzzTrace(c + 7000, seed));
+    common::Rng rng(seed);
+    const size_t chunk_rows = chunk_sizes[c % 4];
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    const size_t rows =
+        chunk_rows == 8192
+            ? 8192 + static_cast<size_t>(rng.UniformInt(1, 3000))
+            : 1 + static_cast<size_t>(rng.UniformInt(0, 600));
+    const size_t split = 1 + static_cast<size_t>(rng.UniformInt(
+                                 0, static_cast<int64_t>(rows) - 1));
+    auto base =
+        std::make_shared<storage::Table>(DimensionFuzzSchema(), chunk_rows);
+    for (size_t r = 0; r < split; ++r) {
+      ASSERT_TRUE(base->AppendRow(DimensionFuzzRow(rng, r == 0)).ok());
+    }
+    auto grown = std::make_shared<storage::Table>(base->Clone());
+    for (size_t r = split; r < rows; ++r) {
+      ASSERT_TRUE(grown->AppendRow(DimensionFuzzRow(rng, false)).ok());
+    }
+    const int64_t diverging = rng.UniformInt(1, 40);
+    for (int64_t r = 0; r < diverging; ++r) {
+      ASSERT_TRUE(base->AppendRow(DimensionFuzzRow(rng, false)).ok());
+    }
+    {
+      SCOPED_TRACE("base");
+      ExpectDimensionInfoMatchesOracle(base);
+    }
+    {
+      SCOPED_TRACE("grown");
+      ExpectDimensionInfoMatchesOracle(grown);
+    }
+  }
 }
 
 }  // namespace

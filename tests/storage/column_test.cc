@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 namespace muve::storage {
 namespace {
 
@@ -81,6 +84,112 @@ TEST(ColumnTest, StringStorage) {
   col.AppendString("beta");
   EXPECT_EQ(col.StringAt(1), "beta");
   EXPECT_EQ(col.ValueAt(0), Value("alpha"));
+}
+
+// Every non-NULL cell of every chunk decodes to its own value.
+void ExpectCodesDecode(const Column& col) {
+  for (size_t row = 0; row < col.size(); ++row) {
+    const ColumnChunk& chunk = col.chunk(row >> col.chunk_shift());
+    const size_t i = row & col.chunk_mask();
+    ASSERT_TRUE(chunk.HasNumericDict()) << "row " << row;
+    if (chunk.IsNull(i)) continue;
+    EXPECT_EQ(chunk.numeric_dict()[chunk.numeric_codes()[i]],
+              col.NumericAt(row))
+        << "row " << row;
+  }
+}
+
+TEST(NumericDictTest, CodesEveryCellAcrossChunks) {
+  Column col(ValueType::kInt64, /*chunk_rows=*/8);
+  for (int64_t v = 0; v < 30; ++v) {
+    if (v % 7 == 3) {
+      col.AppendNull();
+    } else {
+      col.AppendInt64(v % 5);
+    }
+  }
+  ASSERT_EQ(col.num_chunks(), 4u);
+  ExpectCodesDecode(col);
+  // First-appearance order within a chunk: rows 0..7 hold 0,1,2,NULL,4,0,1,2.
+  EXPECT_EQ(col.chunk(0).numeric_dict(), (std::vector<double>{0, 1, 2, 4}));
+}
+
+TEST(NumericDictTest, NegativeZeroSharesZerosEntry) {
+  Column col(ValueType::kDouble);
+  col.AppendDouble(-0.0);
+  col.AppendDouble(0.0);
+  col.AppendDouble(1.5);
+  EXPECT_EQ(col.chunk(0).numeric_dict().size(), 2u);
+  EXPECT_EQ(col.chunk(0).numeric_codes()[1], col.chunk(0).numeric_codes()[0]);
+}
+
+TEST(NumericDictTest, ChunkCrossingTheCapDropsItsDictionary) {
+  const size_t cap = ColumnChunk::kMaxNumericDictSize;
+  Column col(ValueType::kInt64, /*chunk_rows=*/2 * cap);
+  for (size_t v = 0; v < cap; ++v) col.AppendInt64(static_cast<int64_t>(v));
+  col.AppendInt64(7);  // repeat: still within the cap
+  ASSERT_TRUE(col.chunk(0).HasNumericDict());
+  EXPECT_EQ(col.chunk(0).numeric_dict().size(), cap);
+  ExpectCodesDecode(col);
+  col.AppendInt64(-1);  // one distinct value too many
+  EXPECT_FALSE(col.chunk(0).HasNumericDict());
+  EXPECT_TRUE(col.chunk(0).numeric_dict().empty());
+  col.AppendInt64(3);  // stays high-cardinality
+  EXPECT_FALSE(col.chunk(0).HasNumericDict());
+  // The next chunk starts a fresh dictionary.
+  for (size_t r = col.size(); r < 2 * cap + 2; ++r) col.AppendInt64(5);
+  EXPECT_TRUE(col.chunk(1).HasNumericDict());
+  EXPECT_EQ(col.chunk(1).numeric_dict(), (std::vector<double>{5}));
+}
+
+TEST(NumericDictTest, NaNDropsTheDictionary) {
+  Column col(ValueType::kDouble);
+  col.AppendDouble(1.0);
+  col.AppendDouble(std::nan(""));
+  EXPECT_FALSE(col.chunk(0).HasNumericDict());
+}
+
+TEST(NumericDictTest, StringColumnsHaveNoNumericDictionary) {
+  Column col(ValueType::kString);
+  col.AppendString("a");
+  EXPECT_FALSE(col.chunk(0).HasNumericDict());
+  MergedNumericDict merged;
+  EXPECT_FALSE(col.MergeNumericDicts(0, 1, &merged));
+}
+
+TEST(NumericDictTest, CopyOnWriteTailCarriesTheDictionary) {
+  Column original(ValueType::kDouble, /*chunk_rows=*/8);
+  for (const double v : {2.0, 1.0, 2.0}) original.AppendDouble(v);
+  Column copy = original;  // shares the open tail chunk
+  copy.AppendDouble(3.0);
+  copy.AppendDouble(1.0);
+  original.AppendDouble(9.0);
+  EXPECT_EQ(original.chunk(0).numeric_dict(),
+            (std::vector<double>{2.0, 1.0, 9.0}));
+  EXPECT_EQ(copy.chunk(0).numeric_dict(),
+            (std::vector<double>{2.0, 1.0, 3.0}));
+  ExpectCodesDecode(original);
+  ExpectCodesDecode(copy);
+}
+
+TEST(NumericDictTest, MergeSortsTheUnionAndRemapsEveryChunk) {
+  Column col(ValueType::kInt64, /*chunk_rows=*/4);
+  for (const int64_t v : {5, 1, 5, 3, /**/ 3, 9, 1, 1, /**/ 7}) {
+    col.AppendInt64(v);
+  }
+  MergedNumericDict merged;
+  ASSERT_TRUE(col.MergeNumericDicts(0, col.num_chunks(), &merged));
+  EXPECT_EQ(merged.values, (std::vector<double>{1, 3, 5, 7, 9}));
+  for (size_t row = 0; row < col.size(); ++row) {
+    const size_t c = row >> col.chunk_shift();
+    const uint16_t code = col.chunk(c).numeric_codes()[row & col.chunk_mask()];
+    EXPECT_EQ(merged.values[merged.remap[merged.remap_begin[c] + code]],
+              col.NumericAt(row))
+        << "row " << row;
+  }
+  // A sub-range merges only its own chunks.
+  ASSERT_TRUE(col.MergeNumericDicts(1, 3, &merged));
+  EXPECT_EQ(merged.values, (std::vector<double>{1, 3, 7, 9}));
 }
 
 }  // namespace

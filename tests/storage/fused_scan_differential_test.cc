@@ -12,7 +12,11 @@
 //   * thread-count invariance — for a FIXED morsel size, 1-worker,
 //     8-worker, and inline (no pool) runs are bitwise identical;
 //   * BuildBaseHistogram (the single-pair wrapper) — bit-identical to
-//     the reference, preserving the PR 2 cache contract.
+//     the reference, preserving the cache's bit-exactness contract;
+//   * both Phase A paths (merged chunk dictionaries and the sorted
+//     gather) — bit-identical to a reference that accumulates per morsel
+//     in row order and folds the partials in morsel order, at any morsel
+//     size and thread count.
 //
 // Seeding: per-case seeds derive from MUVE_FUZZ_SEED (fixed default) via
 // tests/fuzz_util.h; every failure prints the seeds to reproduce it.
@@ -80,6 +84,67 @@ BaseHistogram ReferenceBuild(const Table& table, const RowSet& rows,
       ++i;
     }
     h.values.push_back(key);
+    h.sums.push_back(sum);
+    h.sum_sqs.push_back(sum_sq);
+    h.prefix_counts.push_back(h.prefix_counts.back() + count);
+    h.prefix_sums.push_back(h.prefix_sums.back() + sum);
+    h.prefix_sum_sqs.push_back(h.prefix_sum_sqs.back() + sum_sq);
+  }
+  return h;
+}
+
+// Reference for one morsel partitioning: per morsel, count / sum /
+// sum_sq per distinct dimension value accumulate from zero in row order;
+// the partials then fold in ascending morsel order.  That is the
+// association the engine documents, so the comparison is bitwise at any
+// morsel size, whatever the measure values.
+BaseHistogram MorselReferenceBuild(const Table& table, const RowSet& rows,
+                                   const std::string& dimension,
+                                   const std::string& measure,
+                                   size_t morsel_size) {
+  const Column& dim = **table.ColumnByName(dimension);
+  const Column& mea = **table.ColumnByName(measure);
+  std::vector<double> values;
+  for (const uint32_t row : rows) {
+    if (!dim.IsNull(row)) values.push_back(dim.NumericAt(row));
+  }
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  const size_t d = values.size();
+  const size_t morsels =
+      rows.empty() ? 0 : (rows.size() + morsel_size - 1) / morsel_size;
+  std::vector<int64_t> counts(d * morsels, 0);
+  std::vector<double> sums(d * morsels, 0.0);
+  std::vector<double> sum_sqs(d * morsels, 0.0);
+  for (size_t p = 0; p < rows.size(); ++p) {
+    const uint32_t row = rows[p];
+    if (dim.IsNull(row) || mea.IsNull(row)) continue;
+    const size_t j = static_cast<size_t>(
+        std::lower_bound(values.begin(), values.end(), dim.NumericAt(row)) -
+        values.begin());
+    const size_t idx = (p / morsel_size) * d + j;
+    const double v = mea.NumericAt(row);
+    ++counts[idx];
+    sums[idx] += v;
+    sum_sqs[idx] += v * v;
+  }
+  BaseHistogram h;
+  h.source_rows = static_cast<int64_t>(rows.size());
+  h.table_rows = static_cast<int64_t>(table.num_rows());
+  h.prefix_counts.push_back(0);
+  h.prefix_sums.push_back(0.0);
+  h.prefix_sum_sqs.push_back(0.0);
+  for (size_t j = 0; j < d; ++j) {
+    int64_t count = 0;
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (size_t m = 0; m < morsels; ++m) {
+      count += counts[m * d + j];
+      sum += sums[m * d + j];
+      sum_sq += sum_sqs[m * d + j];
+    }
+    if (count == 0) continue;
+    h.values.push_back(values[j]);
     h.sums.push_back(sum);
     h.sum_sqs.push_back(sum_sq);
     h.prefix_counts.push_back(h.prefix_counts.back() + count);
@@ -258,6 +323,101 @@ TEST(FusedScanDifferentialTest, SinglePairWrapperIsBitIdentical) {
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       ExpectBitIdentical(
           *built, ReferenceBuild(*w.table, w.rows, p.dimension, p.measure));
+    }
+  }
+}
+
+// A table whose dimensions take both Phase A paths: x (a few int64
+// values) and d (halves, -0.0 and 0.0) are coded in every chunk; hc
+// (int64, nearly all distinct) is coded in 64-row chunks, but with
+// 8192-row chunks its first chunk crosses the dictionary cap and only
+// the second stays coded.  Row sets: all rows, a predicate subset, and a
+// sparse subset smaller than the merged dictionaries (sorted path).
+TEST(FusedScanDifferentialTest, DictionaryPathMatchesReferenceBitForBit) {
+  common::ThreadPool pool_1(1);
+  common::ThreadPool pool_2(2);
+  common::ThreadPool pool_8(8);
+  const double doubles[] = {-0.0, 0.0, 1.5, -2.5};
+  for (uint64_t c = 0; c < 6; ++c) {
+    const uint64_t seed = testutil::FuzzSeed(c + 2000);
+    SCOPED_TRACE(testutil::FuzzTrace(c + 2000, seed));
+    common::Rng rng(seed);
+    const size_t chunk_rows = c % 2 == 0 ? 64 : 8192;
+    SCOPED_TRACE("chunk_rows=" + std::to_string(chunk_rows));
+    const size_t num_rows =
+        chunk_rows == 64 ? 500 + static_cast<size_t>(rng.UniformInt(0, 2500))
+                         : 8192 + static_cast<size_t>(rng.UniformInt(1, 3000));
+    Table table(Schema({{"x", ValueType::kInt64},
+                        {"d", ValueType::kDouble},
+                        {"hc", ValueType::kInt64},
+                        {"m", ValueType::kDouble},
+                        {"k", ValueType::kInt64},
+                        {"sel", ValueType::kInt64}}),
+                chunk_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      std::vector<Value> row;
+      row.emplace_back(rng.UniformInt(0, 30));
+      row.emplace_back(rng.Bernoulli(0.3) ? doubles[rng.UniformInt(0, 3)]
+                                          : 0.5 * rng.UniformInt(-40, 40));
+      row.emplace_back(rng.UniformInt(0, 1000000));
+      row.emplace_back(rng.Uniform(-10.0, 10.0));
+      row.emplace_back(rng.UniformInt(-100, 100));
+      row.emplace_back(rng.UniformInt(0, 3));
+      for (size_t col = 0; col < 5; ++col) {
+        if (rng.Bernoulli(0.05)) row[col] = Value();
+      }
+      ASSERT_TRUE(table.AppendRow(row).ok());
+    }
+    std::vector<FusedScanPair> pairs;
+    for (const char* dim : {"x", "d", "hc"}) {
+      for (const char* mea : {"m", "k"}) pairs.push_back({dim, mea});
+    }
+    auto pred = MakeComparison("sel", CompareOp::kLe, Value(int64_t{1}));
+    auto subset = Filter(table, pred.get());
+    ASSERT_TRUE(subset.ok());
+    RowSet sparse;
+    for (size_t r = 3; r < num_rows; r += 499) {
+      sparse.push_back(static_cast<uint32_t>(r));
+    }
+    const RowSet all = AllRows(num_rows);
+    // Dimensions expected on the coded path for the all-rows build.
+    const int64_t coded_all_rows = chunk_rows == 64 ? 3 : 2;
+
+    for (const RowSet* rows :
+         std::vector<const RowSet*>{&all, &*subset, &sparse}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows->size()));
+      for (const size_t morsel_size :
+           {size_t{1024}, rows->size(), size_t{0}}) {
+        SCOPED_TRACE("morsel_size=" + std::to_string(morsel_size));
+        const size_t effective =
+            morsel_size == 0 ? kDefaultFusedMorselSize : morsel_size;
+        std::vector<BaseHistogram> reference;
+        for (const FusedScanPair& p : pairs) {
+          reference.push_back(MorselReferenceBuild(
+              table, *rows, p.dimension, p.measure, effective));
+        }
+        for (common::ThreadPool* pool :
+             {static_cast<common::ThreadPool*>(nullptr), &pool_1, &pool_2,
+              &pool_8}) {
+          SCOPED_TRACE(pool == nullptr ? std::string("inline")
+                                       : std::to_string(pool->num_workers()) +
+                                             " threads");
+          FusedScanStats stats;
+          auto built = FusedBuildBaseHistograms(table, *rows, pairs, pool,
+                                                morsel_size, &stats);
+          ASSERT_TRUE(built.ok()) << built.status().ToString();
+          if (rows == &all) {
+            EXPECT_EQ(stats.coded_dimensions, coded_all_rows);
+          }
+          if (rows == &sparse) {
+            EXPECT_EQ(stats.coded_dimensions, 0);
+          }
+          for (size_t i = 0; i < pairs.size(); ++i) {
+            SCOPED_TRACE(pairs[i].dimension + "/" + pairs[i].measure);
+            ExpectBitIdentical((*built)[i], reference[i]);
+          }
+        }
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include "storage/ingest.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -244,6 +245,104 @@ TEST_F(ApplyAppendDeltasTest, FuzzedAppendSchedules) {
       ASSERT_TRUE(cold.ok());
       ExpectSameHistogram(**patched, *cold);
     }
+  }
+}
+
+// Appends through copy-on-write table versions (each a Clone() of the
+// last, kept alive, as the catalog publishes them) over dimensions that
+// take both fused Phase A paths: x is coded in every chunk, while h (all
+// distinct) crosses the chunk dictionary cap mid-append.  Delta builds
+// (small row sets) and cold builds (all rows) then run on different
+// paths; every delta-patched base must equal a cold build over a one-shot
+// reload of the same rows.
+TEST_F(ApplyAppendDeltasTest, DictionaryPathsAgreeAcrossCopyOnWriteAppends) {
+  constexpr size_t kBigChunk = 8192;
+  const Schema schema({Field("x", ValueType::kInt64, FieldRole::kDimension),
+                       Field("h", ValueType::kInt64, FieldRole::kDimension),
+                       Field("m", ValueType::kInt64, FieldRole::kMeasure)});
+  auto row_at = [](size_t i) {
+    return std::vector<Value>{
+        Value(static_cast<int64_t>((i * 7) % 13)),
+        Value(static_cast<int64_t>((i * 7919) % 1000003)),
+        Value(static_cast<int64_t>((i * 31) % 997))};
+  };
+  common::Rng rng(0xD1C7);
+  const size_t total = 9000 + static_cast<size_t>(rng.UniformInt(0, 2000));
+  size_t published = 3000;
+  std::vector<std::shared_ptr<Table>> versions{
+      std::make_shared<Table>(schema, kBigChunk)};
+  for (size_t i = 0; i < published; ++i) {
+    ASSERT_TRUE(versions.back()->AppendRow(row_at(i)).ok());
+  }
+  PredicatePtr pred = MakeComparison("x", CompareOp::kGe, Value(int64_t{5}));
+  ASSERT_TRUE(pred->Bind(schema).ok());
+
+  const std::vector<std::string> keys = {"t|x|m", "t|h|m", "c|x|m", "c|h|m"};
+  auto side_rows = [&](const Table& table, const std::string& key) {
+    RowSet rows = Range(0, table.num_rows());
+    if (key[0] == 'c') return rows;
+    RowSet target;
+    pred->FilterInto(table, rows, &target, nullptr);
+    return target;
+  };
+  BaseHistogramCache cache;
+  for (const std::string& key : keys) {
+    const RowSet rows = side_rows(*versions.back(), key);
+    bool built = false;
+    ASSERT_TRUE(cache
+                    .GetOrBuild(
+                        key,
+                        [&]() {
+                          return BuildBaseHistogram(*versions.back(), rows,
+                                                    key.substr(2, 1), "m");
+                        },
+                        &built)
+                    .ok());
+  }
+
+  while (published < total) {
+    const size_t step = std::min<size_t>(
+        total - published, static_cast<size_t>(rng.UniformInt(1, 3000)));
+    versions.push_back(std::make_shared<Table>(versions.back()->Clone()));
+    Table* next = versions.back().get();
+    for (size_t i = published; i < published + step; ++i) {
+      ASSERT_TRUE(next->AppendRow(row_at(i)).ok());
+    }
+    IngestDeltaRequest request;
+    request.table = next;
+    request.rows_before = published;
+    request.rows_appended = step;
+    request.dimensions = {"x", "h"};
+    request.measures = {"m"};
+    request.target_predicate = pred.get();
+    request.cache = &cache;
+    ASSERT_TRUE(ApplyAppendDeltas(request, nullptr).ok());
+    published += step;
+  }
+  const Table& grown = *versions.back();
+  ASSERT_FALSE(grown.column(1).chunk(0).HasNumericDict());
+  ASSERT_TRUE(grown.column(0).chunk(0).HasNumericDict());
+
+  Table reload(schema, kBigChunk);
+  for (size_t i = 0; i < total; ++i) {
+    ASSERT_TRUE(reload.AppendRow(row_at(i)).ok());
+  }
+  for (const std::string& key : keys) {
+    SCOPED_TRACE(key);
+    const RowSet rows = side_rows(grown, key);
+    bool built = false;
+    auto patched = cache.GetOrBuild(
+        key,
+        [&]() {
+          return BuildBaseHistogram(grown, rows, key.substr(2, 1), "m");
+        },
+        &built, static_cast<int64_t>(rows.size()));
+    ASSERT_TRUE(patched.ok());
+    EXPECT_FALSE(built);
+    auto cold = BuildBaseHistogram(reload, side_rows(reload, key),
+                                   key.substr(2, 1), "m");
+    ASSERT_TRUE(cold.ok());
+    ExpectSameHistogram(**patched, *cold);
   }
 }
 
