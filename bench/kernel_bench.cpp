@@ -1,10 +1,11 @@
 // Differential microbenchmark for the SIMD kernel layer
 // (src/common/simd/): every kernel in the dispatch table, timed at every
 // compiled-in dispatch level, reported as ns/element with the speedup
-// over the scalar reference table.  This is the tentpole's speedup
-// evidence — the vector tables are bit-identical to scalar by
-// construction (see simd.h), so the ONLY thing this bench measures is
-// time.
+// over the scalar reference table.  Before timing, every level's output
+// is checked against the scalar table's on the same inputs — the
+// return value and every output buffer, byte for byte — and any
+// mismatch exits 1, so a run also asserts the exactness contract
+// (simd.h) on the CPU it runs on.
 //
 //   $ ./build/bench/kernel_bench [--smoke] [--repeat=N]
 //         [--json-out[=path]]
@@ -15,6 +16,7 @@
 // alongside) and speedup_vs_scalar.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -85,16 +87,15 @@ Timing TimeKernel(size_t elements, double target_ms, Fn&& fn) {
   return t;
 }
 
-// Shared random inputs for one problem size.
+// Shared random inputs for one problem size, plus the output buffers
+// the kernels write.  The timed p and q lie in [0, 1); with
+// `spread_magnitudes` they are also scaled by 2^-20..2^20, so a
+// reduction summed in another order is likely to round differently (the
+// exactness check runs on the timed inputs and on kCheckRounds spread
+// ones).
 struct Inputs {
   simd::AlignedVector<double> p, q, scratch;
   std::vector<int32_t> idx;
-  // Keyed-accumulator side: rows/keys over n positions into 64 groups.
-  std::vector<uint32_t> rows, keys;
-  simd::AlignedVector<double> f64_data;
-  std::vector<int64_t> i64_data;
-  simd::AlignedVector<int64_t> counts;
-  simd::AlignedVector<double> sums, sum_sqs;
   // Coarsen side: sorted fine-bin values + prefix arrays.
   std::vector<double> fine_values;
   std::vector<int64_t> prefix_counts;
@@ -102,26 +103,18 @@ struct Inputs {
   simd::AlignedVector<int64_t> out_counts;
   simd::AlignedVector<double> out_sums, out_sum_sqs;
 
-  explicit Inputs(size_t n) {
-    Rng rng(2024);
+  explicit Inputs(size_t n, uint64_t seed = 2024,
+                  bool spread_magnitudes = false) {
+    Rng rng(seed);
     p.resize(n);
     q.resize(n);
-    scratch.resize(n);
-    idx.resize(n);
-    rows.resize(n);
-    keys.resize(n);
-    f64_data.resize(n);
-    i64_data.resize(n);
-    counts.assign(64, 0);
-    sums.assign(64, 0.0);
-    sum_sqs.assign(64, 0.0);
     for (size_t i = 0; i < n; ++i) {
       p[i] = rng.NextDouble();
       q[i] = rng.NextDouble();
-      rows[i] = static_cast<uint32_t>(i);
-      keys[i] = static_cast<uint32_t>(rng.UniformInt(0, 63));
-      f64_data[i] = rng.NextDouble() * 100.0;
-      i64_data[i] = rng.UniformInt(0, 999);
+      if (spread_magnitudes) {
+        p[i] = std::ldexp(p[i], static_cast<int>(rng.UniformInt(-20, 20)));
+        q[i] = std::ldexp(q[i], static_cast<int>(rng.UniformInt(-20, 20)));
+      }
     }
     fine_values.resize(n);
     for (size_t i = 0; i < n; ++i) {
@@ -139,52 +132,65 @@ struct Inputs {
       prefix_sums[i + 1] = prefix_sums[i] + v;
       prefix_sum_sqs[i + 1] = prefix_sum_sqs[i] + v * v;
     }
-    out_counts.assign(64, 0);
-    out_sums.assign(64, 0.0);
-    out_sum_sqs.assign(64, 0.0);
+    ResetOutputs();
+  }
+
+  // Fills every output buffer with a sentinel, so an entry a kernel
+  // fails to write shows up in the exactness check.
+  void ResetOutputs() {
+    scratch.assign(p.size(), -7.0);
+    idx.assign(p.size(), -7);
+    out_counts.assign(64, -7);
+    out_sums.assign(64, -7.0);
+    out_sum_sqs.assign(64, -7.0);
+  }
+
+  // The bytes of one kernel call's return value and of every output
+  // buffer.
+  std::string OutputBytes(double result) const {
+    std::string bytes;
+    const auto append = [&bytes](const void* data, size_t size) {
+      bytes.append(static_cast<const char*>(data), size);
+    };
+    append(&result, sizeof(result));
+    append(scratch.data(), scratch.size() * sizeof(double));
+    append(idx.data(), idx.size() * sizeof(int32_t));
+    append(out_counts.data(), out_counts.size() * sizeof(int64_t));
+    append(out_sums.data(), out_sums.size() * sizeof(double));
+    append(out_sum_sqs.data(), out_sum_sqs.size() * sizeof(double));
+    return bytes;
   }
 };
 
+// Spread-magnitude input sets the exactness check runs per size.
+constexpr uint64_t kCheckRounds = 16;
+
 struct KernelCase {
   const char* name;
-  // Runs one call of this kernel from `table` over `in`.
-  void (*run)(const simd::KernelTable& table, Inputs& in);
+  // Runs one call of this kernel from `table` over `in`; returns the
+  // kernel's return value (0 for kernels that only write buffers).
+  double (*run)(const simd::KernelTable& table, Inputs& in);
 };
 
 const KernelCase kCases[] = {
     {"squared_l2_diff",
      [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.squared_l2_diff(in.p.data(), in.q.data(), in.p.size()));
-     }},
-    {"abs_diff_sum",
-     [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.abs_diff_sum(in.p.data(), in.q.data(), in.p.size()));
-     }},
-    {"max_abs_diff",
-     [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.max_abs_diff(in.p.data(), in.q.data(), in.p.size()));
-     }},
-    {"prefix_abs_diff_sum",
-     [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.prefix_abs_diff_sum(in.p.data(), in.q.data(), in.p.size()));
-     }},
-    {"sum",
-     [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.sum(in.p.data(), in.p.size()));
+       return t.squared_l2_diff(in.p.data(), in.q.data(), in.p.size());
      }},
     {"relative_sse",
      [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.relative_sse(in.p.data(), in.q.data(), in.p.size()));
+       return t.relative_sse(in.p.data(), in.q.data(), in.p.size());
      }},
     {"normalize_into",
      [](const simd::KernelTable& t, Inputs& in) {
-       Consume(t.normalize_into(in.p.data(), in.p.size(), in.scratch.data()));
+       return t.normalize_into(in.p.data(), in.p.size(), in.scratch.data());
      }},
     {"bin_index_into",
      [](const simd::KernelTable& t, Inputs& in) {
        t.bin_index_into(in.p.data(), in.p.size(), 0.0, 1.0, 64,
                         in.idx.data());
        ConsumePtr(in.idx.data());
+       return 0.0;
      }},
     {"coarsen_by_prefix_diff",
      [](const simd::KernelTable& t, Inputs& in) {
@@ -194,24 +200,16 @@ const KernelCase kCases[] = {
            in.prefix_sum_sqs.data(), in.out_counts.data(),
            in.out_sums.data(), in.out_sum_sqs.data());
        ConsumePtr(in.out_sums.data());
-     }},
-    {"accumulate_count_sum_sq_f64",
-     [](const simd::KernelTable& t, Inputs& in) {
-       t.accumulate_count_sum_sq_f64(in.rows.data(), 0, in.rows.size(),
-                                     in.keys.data(), nullptr,
-                                     in.f64_data.data(), in.counts.data(),
-                                     in.sums.data(), in.sum_sqs.data());
-       ConsumePtr(in.sums.data());
-     }},
-    {"accumulate_count_sum_sq_i64",
-     [](const simd::KernelTable& t, Inputs& in) {
-       t.accumulate_count_sum_sq_i64(in.rows.data(), 0, in.rows.size(),
-                                     in.keys.data(), nullptr,
-                                     in.i64_data.data(), in.counts.data(),
-                                     in.sums.data(), in.sum_sqs.data());
-       ConsumePtr(in.sums.data());
+       return 0.0;
      }},
 };
+
+// One call of `kernel` from `table` on freshly reset outputs.
+std::string OutputOf(const KernelCase& kernel, const simd::KernelTable& table,
+                     Inputs& in) {
+  in.ResetOutputs();
+  return in.OutputBytes(kernel.run(table, in));
+}
 
 }  // namespace
 
@@ -222,13 +220,12 @@ int main(int argc, char** argv) {
   const std::vector<size_t> sizes =
       smoke ? std::vector<size_t>{1024} : std::vector<size_t>{64, 4096, 65536};
 
-  // Levels: scalar first (the baseline), then every other level this
-  // binary + CPU supports.
+  // Levels: scalar first (the baseline), then AVX2 when this binary +
+  // CPU support it.
   std::vector<const simd::KernelTable*> tables = {&simd::ScalarKernels()};
-  for (const auto level :
-       {simd::DispatchLevel::kNeon, simd::DispatchLevel::kAvx2}) {
-    const simd::KernelTable* t = simd::KernelsFor(level);
-    if (t != nullptr) tables.push_back(t);
+  if (const simd::KernelTable* avx2 =
+          simd::KernelsFor(simd::DispatchLevel::kAvx2)) {
+    tables.push_back(avx2);
   }
 
   std::cout << "=== SIMD kernel bench (active dispatch: "
@@ -237,6 +234,21 @@ int main(int argc, char** argv) {
   std::cout << ") ===\n";
 
   for (const size_t n : sizes) {
+    // Round 0 checks the timed inputs themselves.
+    for (uint64_t round = 0; round <= kCheckRounds; ++round) {
+      Inputs check = round == 0 ? Inputs(n) : Inputs(n, round, true);
+      for (const KernelCase& kernel : kCases) {
+        const std::string expected = OutputOf(kernel, *tables.front(), check);
+        for (const auto* t : tables) {
+          if (OutputOf(kernel, *t, check) != expected) {
+            std::cerr << "kernel_bench: " << kernel.name << " at level "
+                      << t->name << " differs from scalar (n = " << n
+                      << ", check round " << round << ")\n";
+            return 1;
+          }
+        }
+      }
+    }
     Inputs in(n);
     std::vector<std::string> headers = {"kernel"};
     for (const auto* t : tables) {
@@ -251,7 +263,7 @@ int main(int argc, char** argv) {
       double best_ns = 0.0;
       for (const auto* t : tables) {
         const Timing timing = TimeKernel(
-            n, target_ms, [&] { kernel.run(*t, in); });
+            n, target_ms, [&] { Consume(kernel.run(*t, in)); });
         if (t == tables.front()) scalar_ns = timing.ns_per_element_min;
         best_ns = timing.ns_per_element_min;
         row.push_back(FormatDouble(timing.ns_per_element_min, 3));

@@ -35,12 +35,10 @@ const KernelTable* ResolveInitialTable() {
     forced = &ScalarKernels();
   } else if (IEquals(env, "avx2")) {
     forced = KernelsFor(DispatchLevel::kAvx2);
-  } else if (IEquals(env, "neon")) {
-    forced = KernelsFor(DispatchLevel::kNeon);
   } else {
     std::fprintf(stderr,
                  "[muve] warning: MUVE_SIMD='%s' is not a known level "
-                 "(scalar|neon|avx2|native); using '%s'\n",
+                 "(scalar|avx2|native); using '%s'\n",
                  env, best->name);
     return best;
   }
@@ -80,8 +78,6 @@ const char* DispatchLevelName(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return "scalar";
-    case DispatchLevel::kNeon:
-      return "neon";
     case DispatchLevel::kAvx2:
       return "avx2";
   }
@@ -92,12 +88,6 @@ const KernelTable* KernelsFor(DispatchLevel level) {
   switch (level) {
     case DispatchLevel::kScalar:
       return &ScalarKernels();
-    case DispatchLevel::kNeon:
-#if defined(MUVE_SIMD_NEON)
-      return &NeonKernelsImpl();
-#else
-      return nullptr;
-#endif
     case DispatchLevel::kAvx2:
 #if defined(MUVE_SIMD_AVX2)
       return Avx2SupportedAtRuntime() ? &Avx2KernelsImpl() : nullptr;
@@ -112,11 +102,7 @@ DispatchLevel BestSupportedLevel() {
 #if defined(MUVE_SIMD_AVX2)
   if (Avx2SupportedAtRuntime()) return DispatchLevel::kAvx2;
 #endif
-#if defined(MUVE_SIMD_NEON)
-  return DispatchLevel::kNeon;
-#else
   return DispatchLevel::kScalar;
-#endif
 }
 
 const KernelTable& ActiveKernels() { return *ActiveTable(); }

@@ -1,18 +1,13 @@
-// AVX2 kernel table: 4-lane double ports of the hot primitives.
+// AVX2 kernel table: 4-lane double ports of the five probe-path kernels.
 //
 // This TU is compiled with -mavx2 but deliberately WITHOUT -mfma: every
-// per-lane multiply/add rounds exactly like its scalar counterpart, so
-// the only divergence from scalar_impl is reduction order (lane-boundary
-// re-association), which the ulp-bounded differential contract covers.
-// Kernels with bit-identity requirements (bin_index_into,
-// coarsen_by_prefix_diff, the keyed accumulators) are constructed so the
-// per-element operation sequence matches scalar exactly:
+// per-lane multiply/add rounds exactly like its scalar counterpart, and
+// the reductions keep the scalar table's pinned 4-lane association, so
+// every kernel is bit-identical to kernels_scalar.cc:
 //   * bin_index_into uses the same IEEE divide + truncate + clamp, with
 //     the boundary cases handled by blends instead of branches;
 //   * coarsen_by_prefix_diff shares the scalar run sweep and differs
-//     only in how the (bit-exact) index block is produced;
-//   * accumulate_* vectorizes only the gather/multiply of the measure
-//     values — the scatter-adds stay scalar, in row order.
+//     only in how the (bit-exact) index block is produced.
 //
 // All loads are unaligned (loadu); alignment is a performance hint, not
 // a requirement (see simd.h).
@@ -28,27 +23,13 @@
 namespace muve::common::simd {
 namespace {
 
-const __m256d kSignMask =
-    _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll));
-
-inline __m256d Abs(__m256d x) { return _mm256_and_pd(x, kSignMask); }
-
-// Deterministic horizontal sum: (l0 + l1) + (l2 + l3).
+// Deterministic horizontal sum in the pinned order: (l0 + l2) + (l1 + l3).
 inline double HSum(__m256d v) {
   const __m128d lo = _mm256_castpd256_pd128(v);
   const __m128d hi = _mm256_extractf128_pd(v, 1);
   const __m128d pair = _mm_add_pd(lo, hi);  // {l0+l2, l1+l3}
   return _mm_cvtsd_f64(pair) +
          _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-
-inline double HMax(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d pair = _mm_max_pd(lo, hi);
-  const double a = _mm_cvtsd_f64(pair);
-  const double b = _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-  return a < b ? b : a;
 }
 
 double SquaredL2Diff(const double* p, const double* q, size_t n) {
@@ -64,83 +45,6 @@ double SquaredL2Diff(const double* p, const double* q, size_t n) {
     const double d = p[i] - q[i];
     sum += d * d;
   }
-  return sum;
-}
-
-double AbsDiffSum(const double* p, const double* q, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, Abs(_mm256_sub_pd(_mm256_loadu_pd(p + i),
-                                               _mm256_loadu_pd(q + i))));
-  }
-  double sum = HSum(acc);
-  for (; i < n; ++i) {
-    const double d = p[i] - q[i];
-    sum += d < 0.0 ? -d : d;
-  }
-  return sum;
-}
-
-double MaxAbsDiff(const double* p, const double* q, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_max_pd(acc, Abs(_mm256_sub_pd(_mm256_loadu_pd(p + i),
-                                               _mm256_loadu_pd(q + i))));
-  }
-  double best = HMax(acc);
-  for (; i < n; ++i) {
-    const double d = p[i] - q[i];
-    const double a = d < 0.0 ? -d : d;
-    best = best < a ? a : best;
-  }
-  return best;
-}
-
-// Lane-shift helpers for the in-register prefix sum: lane i receives
-// lane i - k, shifted-in lanes are 0.
-inline __m256d ShiftInOneZero(__m256d x) {
-  const __m256d r = _mm256_permute4x64_pd(x, _MM_SHUFFLE(2, 1, 0, 0));
-  return _mm256_blend_pd(r, _mm256_setzero_pd(), 0x1);
-}
-
-inline __m256d ShiftInTwoZeros(__m256d x) {
-  const __m256d r = _mm256_permute4x64_pd(x, _MM_SHUFFLE(1, 0, 0, 0));
-  return _mm256_blend_pd(r, _mm256_setzero_pd(), 0x3);
-}
-
-double PrefixAbsDiffSum(const double* p, const double* q, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  __m256d carry = _mm256_setzero_pd();  // running cum, broadcast
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d =
-        _mm256_sub_pd(_mm256_loadu_pd(p + i), _mm256_loadu_pd(q + i));
-    // In-register inclusive prefix sum of the 4 lanes.
-    __m256d s = _mm256_add_pd(d, ShiftInOneZero(d));
-    s = _mm256_add_pd(s, ShiftInTwoZeros(s));
-    const __m256d cum = _mm256_add_pd(s, carry);
-    acc = _mm256_add_pd(acc, Abs(cum));
-    carry = _mm256_permute4x64_pd(cum, _MM_SHUFFLE(3, 3, 3, 3));
-  }
-  double total = HSum(acc);
-  double cum = _mm_cvtsd_f64(_mm256_castpd256_pd128(carry));
-  for (; i < n; ++i) {
-    cum += p[i] - q[i];
-    total += cum < 0.0 ? -cum : cum;
-  }
-  return total;
-}
-
-double Sum(const double* a, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(a + i));
-  }
-  double sum = HSum(acc);
-  for (; i < n; ++i) sum += a[i];
   return sum;
 }
 
@@ -264,65 +168,16 @@ void CoarsenByPrefixDiff(const double* values, size_t d, double lo,
       prefix_sum_sqs, out_counts, out_sums, out_sum_sqs);
 }
 
-void AccumulateCountSumSqF64(const uint32_t* rows, size_t begin, size_t end,
-                             const uint32_t* keys,
-                             const uint64_t* validity_words,
-                             const double* data, int64_t* counts,
-                             double* sums, double* sum_sqs) {
-  if (validity_words != nullptr) {
-    // NULL-able measure: the per-row bit test dominates; keep scalar.
-    scalar_impl::AccumulateCountSumSqF64(rows, begin, end, keys,
-                                         validity_words, data, counts,
-                                         sums, sum_sqs);
-    return;
-  }
-  size_t p = begin;
-  alignas(32) double m[4];
-  alignas(32) double m2[4];
-  for (; p + 4 <= end; p += 4) {
-    const __m128i vrows = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(rows + p));
-    const __m256d vm = _mm256_i32gather_pd(data, vrows, 8);
-    _mm256_store_pd(m, vm);
-    _mm256_store_pd(m2, _mm256_mul_pd(vm, vm));
-    // Scatter-adds stay scalar and in row order: duplicate keys within
-    // a block must accumulate in the same association as scalar.
-    for (int lane = 0; lane < 4; ++lane) {
-      const uint32_t k = keys[p + static_cast<size_t>(lane)];
-      if (k == kNullKey32) continue;
-      ++counts[k];
-      sums[k] += m[lane];
-      sum_sqs[k] += m2[lane];
-    }
-  }
-  for (; p < end; ++p) {
-    const uint32_t k = keys[p];
-    if (k == kNullKey32) continue;
-    const double mv = data[rows[p]];
-    ++counts[k];
-    sums[k] += mv;
-    sum_sqs[k] += mv * mv;
-  }
-}
-
 const KernelTable& BuildTable() {
   static const KernelTable table = [] {
     KernelTable t;
     t.level = DispatchLevel::kAvx2;
     t.name = "avx2";
     t.squared_l2_diff = &SquaredL2Diff;
-    t.abs_diff_sum = &AbsDiffSum;
-    t.max_abs_diff = &MaxAbsDiff;
-    t.prefix_abs_diff_sum = &PrefixAbsDiffSum;
-    t.sum = &Sum;
     t.relative_sse = &RelativeSse;
     t.normalize_into = &NormalizeInto;
     t.bin_index_into = &BinIndexInto;
     t.coarsen_by_prefix_diff = &CoarsenByPrefixDiff;
-    t.accumulate_count_sum_sq_f64 = &AccumulateCountSumSqF64;
-    // Int64 measures need a 64-bit gather + exact int->double convert;
-    // the scalar loop is already load-bound, so it is reused as-is.
-    t.accumulate_count_sum_sq_i64 = &scalar_impl::AccumulateCountSumSqI64;
     return t;
   }();
   return table;

@@ -1,52 +1,46 @@
 // Runtime-dispatched SIMD kernel layer for the probe hot path.
 //
-// After the prefix-sum cache (PR 2) and the fused scan engine (PR 3) the
-// recommender's cost is dominated by dense, branch-free array loops: the
-// distance kernels behind Eq. 2, the relative-SSE accuracy of Eq. 4, the
-// O(d) prefix-sum coarsening of every (view, b) probe, and the
-// count/sum/sum-sq morsel accumulators of the fused scan.  This module
-// provides those primitives behind ONE dispatch table selected at
-// startup:
+// The five kernels here are the dense, branch-free array loops every
+// probe runs: the Euclidean deviation of Eq. 2, the relative-SSE
+// accuracy of Eq. 4 (with its bin-index pass), distribution
+// normalization, and the O(d) prefix-sum coarsening of every (view, b)
+// probe.  They sit behind ONE dispatch table selected at startup:
 //
-//   * `scalar`  — portable reference implementations, bit-identical to
-//                 the historical open-coded loops.  Always available.
+//   * `scalar`  — portable reference implementations.  Always available;
+//                 the only table on aarch64 and on x86-64 without AVX2.
 //   * `avx2`    — 4-lane double kernels (x86-64, compiled with -mavx2 in
 //                 its own TU, selected only when the CPU reports AVX2).
-//   * `neon`    — 2-lane double kernels (aarch64, `#ifdef`-guarded; falls
-//                 back to scalar entries for the non-ported kernels).
 //
 // Selection happens once, at first use: the best level the CPU supports,
 // overridable with the MUVE_SIMD environment variable
-// (`MUVE_SIMD=scalar|avx2|neon|native`).  Tests and benchmarks can force
-// a level in-process via SetActiveLevel().
+// (`MUVE_SIMD=scalar|avx2|native`).  Tests and benchmarks can force a
+// level in-process via SetActiveLevel().
 //
-// Exactness contract (pinned by tests/common/simd_kernel_test.cc and the
-// recommender-level dispatch-invariance suite): EVERY kernel is
-// BIT-IDENTICAL across every dispatch level, by construction:
-//   * Integer outputs (bin_index_into, accumulate counts, coarsen
-//     counts) use the same IEEE divide / truncate / clamp sequence in
-//     every table.
-//   * The keyed accumulators and the coarsen kernel preserve the row /
-//     fine-bin-order association (vector tables vectorize only the
-//     gathers; the scatter-adds stay in order).
-//   * The floating-point reductions (squared_l2_diff, abs_diff_sum,
-//     prefix_abs_diff_sum, sum, relative_sse, normalize_into) all use
-//     ONE pinned 4-lane-strided association — lane j owns elements
-//     i % 4 == j, lanes combine as (l0+l2)+(l1+l3), tails fold
-//     sequentially (see kernels_scalar.cc) — which every vector table
-//     reproduces exactly.  max_abs_diff is association-free (max never
-//     rounds).  Consequence: recommender top-k output can never depend
-//     on the dispatch path.
-//   * Versus the PRE-SIMD engine: results are unchanged for n < 4 and
-//     differ by O(n * eps) re-association for longer reductions (the
-//     goldens were refreshed once for this).
+// Exactness contract (pinned by tests/common/simd_kernel_test.cc, the
+// recommender-level dispatch-invariance suite and kernel_bench's
+// pre-timing check): EVERY kernel is BIT-IDENTICAL across dispatch
+// levels, by construction:
+//   * Integer outputs (bin_index_into, coarsen counts) use the same IEEE
+//     divide / truncate / clamp sequence in every table.
+//   * The coarsen kernel preserves the fine-bin order (both tables share
+//     the run sweep and differ only in how the index block is produced).
+//   * The floating-point reductions (squared_l2_diff, relative_sse,
+//     normalize_into) all use ONE pinned 4-lane-strided association —
+//     lane j owns elements i % 4 == j, lanes combine as
+//     (l0+l2)+(l1+l3), tails fold sequentially (see kernels_scalar.cc) —
+//     which the AVX2 table reproduces exactly.  Consequence: recommender
+//     top-k output can never depend on the dispatch path.
 //   * NaN inputs are outside the contract (no recommender path produces
 //     them); ±0 and denormals are inside it and fuzzed explicitly.
 //
+// Plain loops outside this table: Manhattan, Chebyshev and EMD
+// (core/distance.cc), which the default Euclidean probe path never runs,
+// and the fused scan's keyed accumulator (storage/fused_scan.cc), whose
+// AVX2 gather version ran slower than scalar.
+//
 // Alignment contract: every kernel uses unaligned loads, so callers MAY
-// pass arbitrary pointers; hot callers (fused scan arenas, evaluator
-// distribution buffers) use AlignedVector (aligned.h) so accumulator
-// slabs are cache-line aligned.
+// pass arbitrary pointers; hot callers (evaluator distribution buffers)
+// use AlignedVector (aligned.h).
 
 #ifndef MUVE_COMMON_SIMD_SIMD_H_
 #define MUVE_COMMON_SIMD_SIMD_H_
@@ -59,13 +53,8 @@ namespace muve::common::simd {
 // Dispatch levels, ordered by preference (higher = wider).
 enum class DispatchLevel : int {
   kScalar = 0,
-  kNeon = 1,
-  kAvx2 = 2,
+  kAvx2 = 1,
 };
-
-// Sentinel dense-dictionary key for NULL cells in the keyed accumulators
-// (shared with the fused scan engine's Phase B key arrays).
-inline constexpr uint32_t kNullKey32 = 0xFFFFFFFFu;
 
 // Reference bin-index semantics, shared with storage::BinIndexFor (which
 // delegates here): values outside [lo, hi] clamp to the first/last bin.
@@ -89,16 +78,8 @@ struct KernelTable {
   DispatchLevel level = DispatchLevel::kScalar;
   const char* name = "scalar";
 
-  // sum_i (p[i] - q[i])^2  — Euclidean deviation core (Eq. 2) and SSE.
+  // sum_i (p[i] - q[i])^2  — Euclidean deviation core (Eq. 2).
   double (*squared_l2_diff)(const double* p, const double* q, size_t n);
-  // sum_i |p[i] - q[i]|  — Manhattan / total-variation core.
-  double (*abs_diff_sum)(const double* p, const double* q, size_t n);
-  // max_i |p[i] - q[i]|  — Chebyshev core.  Exact across levels.
-  double (*max_abs_diff)(const double* p, const double* q, size_t n);
-  // sum_{i<n} |sum_{j<=i} (p[j] - q[j])|  — 1-D earth mover's core.
-  double (*prefix_abs_diff_sum)(const double* p, const double* q, size_t n);
-  // sum_i a[i].
-  double (*sum)(const double* a, size_t n);
   // sum over i with g[i] != 0 of (g[i] - rep[i])^2 / g[i]^2 — the
   // relative SSE behind the accuracy objective (Eq. 4).
   double (*relative_sse)(const double* g, const double* rep, size_t n);
@@ -122,25 +103,9 @@ struct KernelTable {
                                  const double* prefix_sum_sqs,
                                  int64_t* out_counts, double* out_sums,
                                  double* out_sum_sqs);
-  // Keyed scatter-add over one morsel of row positions [begin, end):
-  // for each position p with keys[p] != kNullKey32 and (validity_words ==
-  // nullptr or bit rows[p] set), accumulates counts/sums/sum_sqs[keys[p]]
-  // with m = (double)data[rows[p]].  Additions stay in row order per key
-  // (bit-identical across levels).  `validity_words` is the Arrow-style
-  // word array of the measure's validity bitmap (nullptr = all valid).
-  void (*accumulate_count_sum_sq_f64)(const uint32_t* rows, size_t begin,
-                                      size_t end, const uint32_t* keys,
-                                      const uint64_t* validity_words,
-                                      const double* data, int64_t* counts,
-                                      double* sums, double* sum_sqs);
-  void (*accumulate_count_sum_sq_i64)(const uint32_t* rows, size_t begin,
-                                      size_t end, const uint32_t* keys,
-                                      const uint64_t* validity_words,
-                                      const int64_t* data, int64_t* counts,
-                                      double* sums, double* sum_sqs);
 };
 
-// "scalar" / "neon" / "avx2".
+// "scalar" / "avx2".
 const char* DispatchLevelName(DispatchLevel level);
 
 // The always-available portable reference table.
@@ -155,7 +120,7 @@ DispatchLevel BestSupportedLevel();
 
 // The table all hot paths dispatch through.  Resolved once on first use:
 // BestSupportedLevel(), overridden by MUVE_SIMD
-// (scalar|neon|avx2|native; unsupported or unparsable values fall back
+// (scalar|avx2|native; unsupported or unparsable values fall back
 // to the best supported level with a warning to stderr).
 const KernelTable& ActiveKernels();
 DispatchLevel ActiveLevel();
@@ -166,12 +131,6 @@ const char* ActiveLevelName();
 // the active table unchanged — when `level` is unsupported.  Thread-safe
 // but not synchronized with in-flight kernel calls; call between runs.
 bool SetActiveLevel(DispatchLevel level);
-
-// Convenience alias: sum of squared differences (identical primitive to
-// squared_l2_diff, named for the accuracy/fidelity call sites).
-inline double SumSquaredError(const double* a, const double* b, size_t n) {
-  return ActiveKernels().squared_l2_diff(a, b, n);
-}
 
 }  // namespace muve::common::simd
 

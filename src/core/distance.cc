@@ -13,8 +13,9 @@ namespace {
 
 constexpr double kSmoothingEpsilon = 1e-9;
 
-// The dense cores (squared-L2 / L1 / Linf / prefix-sum EMD) dispatch
-// through the SIMD kernel table; the normalization wrappers stay here.
+// Euclidean, the paper's default, runs its squared-L2 core through the
+// SIMD kernel table; the other metrics are plain loops (none runs on the
+// default probe path).
 
 double Euclidean(const double* p, const double* q, size_t n) {
   const double sum = common::simd::ActiveKernels().squared_l2_diff(p, q, n);
@@ -22,25 +23,30 @@ double Euclidean(const double* p, const double* q, size_t n) {
 }
 
 double Manhattan(const double* p, const double* q, size_t n) {
-  return common::simd::ActiveKernels().abs_diff_sum(p, q, n) / 2.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += std::abs(p[i] - q[i]);
+  return sum / 2.0;
 }
 
 double Chebyshev(const double* p, const double* q, size_t n) {
-  return common::simd::ActiveKernels().max_abs_diff(p, q, n);
+  double best = 0.0;
+  for (size_t i = 0; i < n; ++i) best = std::max(best, std::abs(p[i] - q[i]));
+  return best;
 }
 
 double EarthMovers(const double* p, const double* q, size_t n) {
   if (n <= 1) return 0.0;
   // 1-D EMD with unit ground distance between adjacent bins equals the
-  // sum of absolute prefix-sum differences; max is (b - 1) (all mass moved
-  // across the whole axis).
-  const double total =
-      common::simd::ActiveKernels().prefix_abs_diff_sum(p, q, n - 1);
+  // sum of absolute prefix-sum differences over the first b - 1 prefixes;
+  // max is (b - 1) (all mass moved across the whole axis).
+  double cum = 0.0;
+  double total = 0.0;
+  for (size_t i = 0; i + 1 < n; ++i) {
+    cum += p[i] - q[i];
+    total += std::abs(cum);
+  }
   return total / static_cast<double>(n - 1);
 }
-
-// KL and JS are transcendental-bound (log per element); they keep the
-// scalar loops.
 
 double KlOneWay(const double* p, const double* q, size_t n) {
   double sum = 0.0;

@@ -39,11 +39,10 @@ common::Result<DistanceKind> DistanceKindFromName(std::string_view name);
 
 // Computes the normalized distance between two equal-length probability
 // distributions of length `n`.  Returns 0 for empty or singleton inputs
-// where the metric is degenerate (e.g. EMD with one bin).  The dense
-// cores (Euclidean/Manhattan/Chebyshev/EMD) dispatch through the SIMD
-// kernel layer (common/simd/simd.h); KL and JS stay scalar
-// (transcendental-bound).  Span-style view: callers pass scratch buffers
-// without materializing vectors.
+// where the metric is degenerate (e.g. EMD with one bin).  Euclidean's
+// core dispatches through the SIMD kernel layer (common/simd/simd.h);
+// the other metrics are plain scalar loops.  Span-style view: callers
+// pass scratch buffers without materializing vectors.
 double Distance(DistanceKind kind, const double* p, const double* q,
                 size_t n);
 

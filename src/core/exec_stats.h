@@ -126,7 +126,7 @@ struct ExecStats {
   double deviation_time_ms = 0.0;
   double accuracy_time_ms = 0.0;
 
-  // SIMD dispatch level the kernels ran at ("scalar" / "avx2" / "neon");
+  // SIMD dispatch level the kernels ran at ("scalar" / "avx2");
   // set by the recommender from common::simd::ActiveLevelName().  Merge
   // adopts the other block's value when this one is empty (per-worker
   // stat blocks all run the same process-wide dispatch table).

@@ -8,7 +8,6 @@
 #include "common/exec_context.h"
 #include "common/failpoint.h"
 #include "common/logging.h"
-#include "common/simd/simd.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "storage/chunk_run.h"
@@ -18,10 +17,8 @@ namespace muve::storage {
 
 namespace {
 
-// Dense-key sentinel for NULL dimension cells (the SIMD keyed
-// accumulators share the same sentinel).
-constexpr uint32_t kNullKey = common::simd::kNullKey32;
-static_assert(kNullKey == std::numeric_limits<uint32_t>::max());
+// Dense-key sentinel for NULL dimension cells.
+constexpr uint32_t kNullKey = std::numeric_limits<uint32_t>::max();
 
 // Runs fn(index) for every index in [0, count): inline when no pool (or
 // trivially small), data-parallel on the shared pool otherwise.  Every
@@ -153,6 +150,33 @@ void FillKeys(const Column& col, const MergedNumericDict& dict,
                   });
 }
 
+// Phase C kernel: keyed count / sum / sum-of-squares scatter-add over
+// the row positions [begin, end) of one chunk run.  `keys` is indexed by
+// row position, `data` by the chunk-local row in `local`; per key the
+// additions happen in row order, the association every worker count and
+// chunking reproduces.
+template <typename T>
+void AccumulateRun(const ColumnChunk& chunk, const T* data,
+                   const uint32_t* local, size_t begin, size_t end,
+                   const uint32_t* keys, int64_t* counts, double* sums,
+                   double* sum_sqs) {
+  const uint64_t* validity_words =
+      chunk.AllValid() ? nullptr : chunk.validity().words();
+  for (size_t p = begin; p < end; ++p) {
+    const uint32_t k = keys[p];
+    if (k == kNullKey) continue;  // NULL dimension cell
+    const uint32_t row = local[p];
+    if (validity_words != nullptr &&
+        ((validity_words[row >> 6] >> (row & 63)) & 1u) == 0) {
+      continue;  // NULL measure cell
+    }
+    const double m = static_cast<double>(data[row]);
+    ++counts[k];
+    sums[k] += m;
+    sum_sqs[k] += m * m;
+  }
+}
+
 }  // namespace
 
 common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
@@ -235,7 +259,7 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   phase_timer.Restart();
 
   // Phase B: dense key arrays, morsel x dimension parallel, plus the
-  // position-aligned chunk-local row offsets Phase C's kernels consume.
+  // position-aligned chunk-local row offsets Phase C's kernel consumes.
   // A morsel planner note on skipping: the morsel grid partitions the
   // ROW SET, not the table — a chunk with no selected rows (e.g. one the
   // predicate's zone map discarded) contributes no positions, so no
@@ -283,13 +307,8 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
   std::atomic<bool> aborted{false};
   std::atomic<bool> fault_injected{false};
 
-  // Phase C: morsel-parallel accumulation into per-morsel partials.
-  // The keyed scatter-adds run through the SIMD kernel table; `keys` is
-  // indexed by row POSITION, measure data by row id, and per fine bin
-  // the additions happen in row order within the morsel — the
-  // association the exactness contract relies on (the kernels are
-  // bit-identical across dispatch levels here).
-  const common::simd::KernelTable& kernels = common::simd::ActiveKernels();
+  // Phase C: morsel-parallel accumulation into per-morsel partials; per
+  // fine bin the additions happen in row order within the morsel.
   RunIndexed(pool, num_morsels, [&](size_t m) {
     if (aborted.load(std::memory_order_relaxed)) return;
     switch (MUVE_FAILPOINT("fused_scan.morsel")) {
@@ -311,10 +330,10 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
     double* sums = scratch->sums.data() + m * slab;
     double* sum_sqs = scratch->sum_sqs.data() + m * slab;
     // One chunk-run decomposition per morsel, shared by every pair: the
-    // kernels receive the chunk-local row array plus the run's chunk
-    // data/validity pointers — same positions, same per-key row order,
-    // same accumulation association as the flat layout, so the output
-    // bits do not depend on the chunking.
+    // kernel receives the chunk-local row array plus the run's chunk —
+    // same positions, same per-key row order, same accumulation
+    // association as the flat layout, so the output bits do not depend
+    // on the chunking.
     const uint32_t* local = scratch->local_rows.data();
     ForEachChunkRun(rows, begin, end, chunk_shift, [&](uint32_t c,
                                                       size_t rb, size_t re) {
@@ -322,16 +341,12 @@ common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
         const uint32_t* keys = scratch->keys[pair_dim[i]].data();
         const ColumnChunk& mea = mea_cols[i]->chunk(c);
         const size_t off = pair_offset[i];
-        const uint64_t* validity_words =
-            mea.AllValid() ? nullptr : mea.validity().words();
         if (mea.type() == ValueType::kInt64) {
-          kernels.accumulate_count_sum_sq_i64(
-              local, rb, re, keys, validity_words, mea.int64_data(),
-              counts + off, sums + off, sum_sqs + off);
+          AccumulateRun(mea, mea.int64_data(), local, rb, re, keys,
+                        counts + off, sums + off, sum_sqs + off);
         } else {
-          kernels.accumulate_count_sum_sq_f64(
-              local, rb, re, keys, validity_words, mea.double_data(),
-              counts + off, sums + off, sum_sqs + off);
+          AccumulateRun(mea, mea.double_data(), local, rb, re, keys,
+                        counts + off, sums + off, sum_sqs + off);
         }
       }
     });

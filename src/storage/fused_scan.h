@@ -104,8 +104,7 @@ struct FusedScanStats {
 // churn is gone).  A scratch instance must not be shared by concurrent
 // builds; per-evaluator ownership is the intended pattern.
 // The key arrays and morsel-partial arenas are 64-byte aligned
-// (common/simd/aligned.h): Phase C feeds them straight into the SIMD
-// keyed accumulators, and cache-line-aligned slabs keep the per-morsel
+// (common/simd/aligned.h): cache-line-aligned slabs keep the per-morsel
 // partials from straddling lines.
 struct FusedScanScratch {
   // Per-dimension sorted values, plus the chunk code remap on the coded
@@ -114,10 +113,8 @@ struct FusedScanScratch {
   // per-dimension dense keys
   std::vector<common::simd::AlignedVector<uint32_t>> keys;
   // Chunk-local row offsets (rows[p] & chunk_mask), position-aligned
-  // with `rows`: Phase C feeds them to the SIMD keyed accumulators one
-  // chunk run at a time, with the run's chunk data pointer — the kernels
-  // keep their flat-array signature while the storage underneath is
-  // chunked.
+  // with `rows`: Phase C feeds them to its keyed accumulator one chunk
+  // run at a time, with the run's chunk data pointer.
   common::simd::AlignedVector<uint32_t> local_rows;
   common::simd::AlignedVector<int64_t> counts;  // morsel-partial arenas
   common::simd::AlignedVector<double> sums;

@@ -64,6 +64,12 @@ void SelectionCache::Put(const std::string& key,
     return;  // first insert wins
   }
   const size_t bytes = EntryBytes(key, *rows);
+  if (bytes > per_shard_budget_) {
+    // Larger than the shard's whole share of the budget: not retained
+    // (the caller still holds its rows), counted as evicted on arrival.
+    ++shard.evictions;
+    return;
+  }
   shard.lru.push_front(key);
   Shard::Entry entry;
   entry.rows = std::move(rows);
@@ -73,10 +79,9 @@ void SelectionCache::Put(const std::string& key,
   shard.bytes += bytes;
   ++shard.insertions;
 
-  // Per-shard LRU eviction under the byte budget; the entry just
-  // inserted (LRU front) is never evicted, so an oversized selection
-  // still serves the request that filled it.
-  while (shard.bytes > per_shard_budget_ && shard.entries.size() > 1) {
+  // Per-shard LRU eviction under the byte budget.  The entry just
+  // inserted (LRU front) fits on its own, so it is never the victim.
+  while (shard.bytes > per_shard_budget_) {
     const std::string& victim_key = shard.lru.back();
     const auto victim = shard.entries.find(victim_key);
     MUVE_CHECK(victim != shard.entries.end());

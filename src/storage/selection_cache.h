@@ -70,7 +70,9 @@ class SelectionCache {
 
   // Inserts `rows` under `key`.  First insert wins: a concurrent filler
   // of the same key keeps the existing entry (both were filtered from
-  // identical table state — the epoch in the key pins that).
+  // identical table state — the epoch in the key pins that).  A
+  // selection larger than one shard's share of max_bytes is not
+  // retained, so the cache never holds more than max_bytes.
   void Put(const std::string& key, std::shared_ptr<const RowSet> rows);
 
   // Drops every entry.  Outstanding shared_ptrs stay valid.

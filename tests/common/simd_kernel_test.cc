@@ -68,12 +68,11 @@ void FillAdversarial(Rng& rng, double* out, size_t n) {
 }
 
 // Every non-scalar table compiled into this binary and supported by
-// this CPU.
+// this CPU (AVX2, or none).
 std::vector<const KernelTable*> VectorTables() {
   std::vector<const KernelTable*> tables;
-  for (const auto level : {DispatchLevel::kNeon, DispatchLevel::kAvx2}) {
-    const KernelTable* t = KernelsFor(level);
-    if (t != nullptr && t != &ScalarKernels()) tables.push_back(t);
+  if (const KernelTable* t = KernelsFor(DispatchLevel::kAvx2)) {
+    tables.push_back(t);
   }
   return tables;
 }
@@ -104,14 +103,6 @@ TEST_F(SimdKernelDifferentialTest, ReductionsBitIdenticalAcrossLevels) {
         FillAdversarial(rng, q.data(), n);
         EXPECT_TRUE(BitEqual(ref.squared_l2_diff(p.data(), q.data(), n),
                              table->squared_l2_diff(p.data(), q.data(), n)));
-        EXPECT_TRUE(BitEqual(ref.abs_diff_sum(p.data(), q.data(), n),
-                             table->abs_diff_sum(p.data(), q.data(), n)));
-        EXPECT_TRUE(BitEqual(ref.max_abs_diff(p.data(), q.data(), n),
-                             table->max_abs_diff(p.data(), q.data(), n)));
-        EXPECT_TRUE(
-            BitEqual(ref.prefix_abs_diff_sum(p.data(), q.data(), n),
-                     table->prefix_abs_diff_sum(p.data(), q.data(), n)));
-        EXPECT_TRUE(BitEqual(ref.sum(p.data(), n), table->sum(p.data(), n)));
         // relative_sse's guard (g != 0) must agree across levels even
         // with exact ±0 entries in g.
         EXPECT_TRUE(BitEqual(ref.relative_sse(p.data(), q.data(), n),
@@ -245,86 +236,6 @@ TEST_F(SimdKernelDifferentialTest, CoarsenByPrefixDiffBitIdentical) {
   }
 }
 
-TEST_F(SimdKernelDifferentialTest, KeyedAccumulatorsBitIdentical) {
-  const KernelTable& ref = ScalarKernels();
-  uint64_t case_index = 4000;
-  for (const KernelTable* table : VectorTables()) {
-    for (const size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{8},
-                           size_t{37}, size_t{1000}}) {
-      for (const bool with_validity : {false, true}) {
-        const uint64_t seed = testutil::FuzzSeed(case_index++);
-        SCOPED_TRACE(testutil::FuzzTrace(case_index - 1, seed));
-        SCOPED_TRACE(std::string("level=") + table->name +
-                     " n=" + std::to_string(n) +
-                     " validity=" + (with_validity ? "y" : "n"));
-        Rng rng(seed);
-        const size_t num_rows = n + 16;
-        const int num_keys = 13;
-        std::vector<uint32_t> rows(n), keys(num_rows);
-        AlignedVector<double> f64(num_rows);
-        std::vector<int64_t> i64(num_rows);
-        std::vector<uint64_t> validity((num_rows + 63) / 64, 0);
-        for (size_t i = 0; i < num_rows; ++i) {
-          // ~10% NULL keys exercise the sentinel skip.
-          keys[i] = rng.NextDouble() < 0.1
-                        ? kNullKey32
-                        : static_cast<uint32_t>(
-                              rng.UniformInt(0, num_keys - 1));
-          f64[i] = rng.Uniform(-100.0, 100.0);
-          i64[i] = rng.UniformInt(-1000, 1000);
-          if (rng.NextDouble() < 0.8) {
-            validity[i >> 6] |= uint64_t{1} << (i & 63);
-          }
-        }
-        for (size_t i = 0; i < n; ++i) {
-          rows[i] = static_cast<uint32_t>(
-              rng.UniformInt(0, static_cast<int64_t>(num_rows) - 1));
-        }
-        const uint64_t* words = with_validity ? validity.data() : nullptr;
-        // Split the range mid-way: kernels must honor [begin, end).
-        const size_t begin = n / 3;
-        const size_t end = n;
-        {
-          AlignedVector<int64_t> c_ref(num_keys, 2), c_vec(num_keys, 2);
-          AlignedVector<double> s_ref(num_keys, 0.5), s_vec(num_keys, 0.5);
-          AlignedVector<double> q_ref(num_keys, 0.25), q_vec(num_keys, 0.25);
-          ref.accumulate_count_sum_sq_f64(rows.data(), begin, end,
-                                          keys.data(), words, f64.data(),
-                                          c_ref.data(), s_ref.data(),
-                                          q_ref.data());
-          table->accumulate_count_sum_sq_f64(rows.data(), begin, end,
-                                             keys.data(), words, f64.data(),
-                                             c_vec.data(), s_vec.data(),
-                                             q_vec.data());
-          for (int k = 0; k < num_keys; ++k) {
-            ASSERT_EQ(c_ref[k], c_vec[k]) << "f64 key " << k;
-            ASSERT_TRUE(BitEqual(s_ref[k], s_vec[k])) << "f64 key " << k;
-            ASSERT_TRUE(BitEqual(q_ref[k], q_vec[k])) << "f64 key " << k;
-          }
-        }
-        {
-          AlignedVector<int64_t> c_ref(num_keys, 2), c_vec(num_keys, 2);
-          AlignedVector<double> s_ref(num_keys, 0.5), s_vec(num_keys, 0.5);
-          AlignedVector<double> q_ref(num_keys, 0.25), q_vec(num_keys, 0.25);
-          ref.accumulate_count_sum_sq_i64(rows.data(), begin, end,
-                                          keys.data(), words, i64.data(),
-                                          c_ref.data(), s_ref.data(),
-                                          q_ref.data());
-          table->accumulate_count_sum_sq_i64(rows.data(), begin, end,
-                                             keys.data(), words, i64.data(),
-                                             c_vec.data(), s_vec.data(),
-                                             q_vec.data());
-          for (int k = 0; k < num_keys; ++k) {
-            ASSERT_EQ(c_ref[k], c_vec[k]) << "i64 key " << k;
-            ASSERT_TRUE(BitEqual(s_ref[k], s_vec[k])) << "i64 key " << k;
-            ASSERT_TRUE(BitEqual(q_ref[k], q_vec[k])) << "i64 key " << k;
-          }
-        }
-      }
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // Dispatch plumbing.
 
@@ -353,18 +264,18 @@ TEST(SimdDispatchTest, SetActiveLevelRoundTrips) {
 }
 
 TEST(SimdDispatchTest, SetActiveLevelRejectsUnsupported) {
-  // At most one of NEON/AVX2 can be supported on a given host; the other
-  // must be rejected without disturbing the active table.
+  // A level with no table — AVX2 on a host without it, or a value no
+  // table carries — is rejected without disturbing the active table.
   const DispatchLevel original = ActiveLevel();
-  int unsupported = 0;
-  for (const auto level : {DispatchLevel::kNeon, DispatchLevel::kAvx2}) {
-    if (KernelsFor(level) == nullptr) {
-      EXPECT_FALSE(SetActiveLevel(level));
-      EXPECT_EQ(ActiveLevel(), original);
-      ++unsupported;
-    }
+  std::vector<DispatchLevel> unsupported = {static_cast<DispatchLevel>(7)};
+  if (KernelsFor(DispatchLevel::kAvx2) == nullptr) {
+    unsupported.push_back(DispatchLevel::kAvx2);
   }
-  EXPECT_GE(unsupported, 1);
+  for (const DispatchLevel level : unsupported) {
+    EXPECT_EQ(KernelsFor(level), nullptr);
+    EXPECT_FALSE(SetActiveLevel(level));
+    EXPECT_EQ(ActiveLevel(), original);
+  }
 }
 
 TEST(SimdDispatchTest, BinIndexReferenceClampSemantics) {

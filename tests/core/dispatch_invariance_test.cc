@@ -4,16 +4,19 @@
 // (view identities, bin counts, bitwise utilities, and the
 // deterministic probe counters) must be identical whether the engine
 // runs on the scalar reference table or the widest vector table, at 1
-// thread and at 8.  This is the end-to-end guard for the acceptance
-// criterion that `MUVE_SIMD=scalar` and native runs agree byte-for-byte.
+// thread and at 8, on the toy dataset and on NBA.  This is the
+// end-to-end guard for the acceptance criterion that `MUVE_SIMD=scalar`
+// and native runs agree byte-for-byte.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "common/simd/simd.h"
 #include "core/recommender.h"
+#include "data/nba.h"
 #include "test_util.h"
 
 namespace muve::core {
@@ -66,10 +69,18 @@ class DispatchInvarianceTest : public ::testing::Test {
   }
 };
 
+// NBA: the paper's workload, whose views have enough bins to run the
+// AVX2 kernels' 4-wide loops, not only their scalar tails.  Sized like
+// muve_cli's default (3 dimensions x 3 measures x 3 functions).
+data::Dataset NbaWorkload() {
+  return data::WithWorkloadSize(data::MakeNbaDataset(), 3, 3, 3);
+}
+
 // One scheme, run under scalar and under the best vector level, at the
 // given thread count; the recommendations must be bit-identical.
-void CheckScheme(const SearchOptions& options, const char* what) {
-  auto recommender = Recommender::Create(testutil::MakeToyDataset());
+void CheckScheme(data::Dataset dataset, const SearchOptions& options,
+                 const char* what) {
+  auto recommender = Recommender::Create(std::move(dataset));
   ASSERT_TRUE(recommender.ok()) << recommender.status().ToString();
 
   LevelGuard guard;
@@ -100,7 +111,8 @@ TEST_F(DispatchInvarianceTest, LinearLinearSerial) {
   options.horizontal = HorizontalStrategy::kLinear;
   options.vertical = VerticalStrategy::kLinear;
   options.num_threads = 1;
-  CheckScheme(options, "linear-linear serial");
+  CheckScheme(testutil::MakeToyDataset(), options, "linear-linear serial");
+  CheckScheme(NbaWorkload(), options, "nba linear-linear serial");
 }
 
 TEST_F(DispatchInvarianceTest, LinearLinearEightThreads) {
@@ -108,7 +120,8 @@ TEST_F(DispatchInvarianceTest, LinearLinearEightThreads) {
   options.horizontal = HorizontalStrategy::kLinear;
   options.vertical = VerticalStrategy::kLinear;
   options.num_threads = 8;
-  CheckScheme(options, "linear-linear 8 threads");
+  CheckScheme(testutil::MakeToyDataset(), options, "linear-linear 8 threads");
+  CheckScheme(NbaWorkload(), options, "nba linear-linear 8 threads");
 }
 
 TEST_F(DispatchInvarianceTest, MuveMuveSerialPinnedProbeOrder) {
@@ -120,7 +133,12 @@ TEST_F(DispatchInvarianceTest, MuveMuveSerialPinnedProbeOrder) {
   // every counter) is deterministic, as the CLI golden does.
   options.probe_order = ProbeOrderPolicy::kDeviationFirst;
   options.num_threads = 1;
-  CheckScheme(options, "muve-muve serial");
+  CheckScheme(testutil::MakeToyDataset(), options, "muve-muve serial");
+  // Deviation-heavy weights on NBA: under the paper default the search
+  // settles at b = 1; these probe ~14K candidates up to wide bin counts,
+  // with the pruning bounds deciding most of them.
+  options.weights = Weights{0.8, 0.1, 0.1};
+  CheckScheme(NbaWorkload(), options, "nba muve-muve serial");
 }
 
 TEST_F(DispatchInvarianceTest, MuveMuveEightThreadsSameUtilities) {

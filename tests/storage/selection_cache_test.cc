@@ -1,6 +1,7 @@
 // SelectionCache unit tests (storage/selection_cache.h): LRU behavior,
-// first-insert-wins, byte-budget eviction, and the stats contract the
-// cross-query differential suite leans on: hits + misses == lookups.
+// first-insert-wins, byte-budget eviction (oversized selections
+// included), and the stats contract the cross-query differential suite
+// leans on: hits + misses == lookups.
 
 #include "storage/selection_cache.h"
 
@@ -52,14 +53,41 @@ TEST(SelectionCacheTest, EntriesOutliveEviction) {
   cache.Put("a", Rows({1, 2, 3, 4, 5, 6, 7, 8}));
   auto held = cache.Get("a");
   ASSERT_NE(held, nullptr);
-  // Large enough to blow the budget repeatedly.
+  // Each fits the budget alone but not beside another: every insert
+  // evicts its predecessor.
   for (int i = 0; i < 8; ++i) {
-    auto big = std::make_shared<RowSet>(64, static_cast<uint32_t>(i));
+    auto big = std::make_shared<RowSet>(48, static_cast<uint32_t>(i));
     cache.Put("b" + std::to_string(i),
               std::shared_ptr<const RowSet>(std::move(big)));
   }
   EXPECT_GT(cache.TotalStats().evictions, 0);
   EXPECT_EQ(*held, (RowSet{1, 2, 3, 4, 5, 6, 7, 8}));  // still intact
+}
+
+TEST(SelectionCacheTest, OversizedPutsStayWithinBudget) {
+  // Every selection here is larger than a shard's 256-byte share of the
+  // budget.  None may be retained, whichever shards the keys hash to,
+  // while a selection that fits is still cached beside them.
+  SelectionCache::Options options;
+  options.max_bytes = 1024;
+  options.num_shards = 4;
+  SelectionCache cache(options);
+  std::vector<std::shared_ptr<const RowSet>> held;
+  for (int i = 0; i < 32; ++i) {
+    held.push_back(std::make_shared<const RowSet>(100, uint32_t{1}));
+    cache.Put("big" + std::to_string(i), held.back());
+    const auto stats = cache.TotalStats();
+    ASSERT_LE(stats.bytes, static_cast<int64_t>(cache.max_bytes()))
+        << "after put " << i;
+  }
+  EXPECT_EQ(cache.Get("big0"), nullptr);
+  EXPECT_EQ(cache.TotalStats().insertions, 0);
+  EXPECT_EQ(cache.TotalStats().evictions, 32);
+  EXPECT_EQ(held.front()->size(), 100u);  // the caller keeps its rows
+  cache.Put("small", Rows({1, 2, 3}));
+  EXPECT_NE(cache.Get("small"), nullptr);
+  EXPECT_LE(cache.TotalStats().bytes,
+            static_cast<int64_t>(cache.max_bytes()));
 }
 
 TEST(SelectionCacheTest, LruPrefersRecentlyUsed) {
