@@ -1,13 +1,14 @@
 // Cross-request shared execution ablation (DESIGN.md §13).
 //
-// Starts an in-process muved on a loopback ephemeral port, replays a
-// duplicate-heavy workload — a small pool of fixed recommend frames,
-// each issued many times, the shape a dashboard of analysts produces —
-// once with every sharing layer enabled and once with all of them off,
-// and reports per-request latency plus the server's own sharing
-// counters.  The interesting numbers: the result-cache hit rate on the
-// duplicate workload and the mean-latency win of sharing-on over
-// sharing-off.
+// Replays a duplicate-heavy workload — a small pool of fixed recommend
+// frames, each issued many times, the shape a dashboard of analysts
+// produces — against in-process muved servers on loopback ephemeral
+// ports, twice: once through one long-lived server (registry, base-
+// histogram stores and result cache all reused across requests), and
+// once through a cold server per frame, so nothing is reused.  Reports
+// per-request latency plus the servers' own sharing counters.  The
+// interesting numbers: the result-cache hit rate on the duplicate
+// workload and the mean-latency win of sharing-on over sharing-off.
 //
 //   $ ablate_cross_query [--repeat=N] [--smoke] [--json-out=PATH]
 //
@@ -24,6 +25,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -74,10 +76,8 @@ double NowMs() {
 struct RunStats {
   double mean_ms = 0.0;
   double p50_ms = 0.0;
-  double total_ms = 0.0;
   int64_t requests = 0;
   int64_t result_cache_hits = 0;
-  int64_t selection_hits = 0;
   int64_t base_hits = 0;
   int64_t recommends_executed = 0;
   std::vector<std::string> payloads;  // one canonical body per request
@@ -94,32 +94,56 @@ int64_t NestedIntField(const JsonValue& obj, const char* outer,
   return (o != nullptr && o->is_object()) ? IntField(*o, name) : 0;
 }
 
+// Sums one server's sharing counters into `run`.
+void AddServerStats(int fd, RunStats* run) {
+  JsonValue stats_request = JsonValue::Object();
+  stats_request.Set("op", JsonValue::String("stats"));
+  auto stats = muve::server::RoundTrip(fd, stats_request);
+  if (!stats.ok()) return;
+  run->result_cache_hits += IntField(*stats, "result_cache_hits");
+  run->recommends_executed += IntField(*stats, "recommends_executed");
+  run->base_hits += NestedIntField(*stats, "base_cache", "hits");
+}
+
+// An in-process muved on an ephemeral port, with one connection to it.
+struct LiveServer {
+  LiveServer() : server(muve::server::ServerOptions{}) {
+    if (auto st = server.Start(); !st.ok()) {
+      std::cerr << "ablate_cross_query: " << st.ToString() << "\n";
+      std::exit(1);
+    }
+    auto dialed = muve::server::DialLocal(server.port());
+    if (!dialed.ok()) {
+      std::cerr << "ablate_cross_query: " << dialed.status().ToString()
+                << "\n";
+      std::exit(1);
+    }
+    fd = *dialed;
+  }
+  ~LiveServer() {
+    ::close(fd);
+    server.Stop();
+  }
+  muve::server::MuvedServer server;
+  int fd = -1;
+};
+
+// Sharing on: every frame goes to one long-lived server.  Sharing off:
+// every frame gets a cold server of its own.
 RunStats RunWorkload(bool sharing, const std::vector<Frame>& frames,
                      int rounds) {
-  muve::server::ServerOptions options;
-  options.port = 0;
-  options.enable_selection_cache = sharing;
-  options.enable_shared_base_cache = sharing;
-  options.enable_result_cache = sharing;
-  muve::server::MuvedServer server(options);
-  if (auto st = server.Start(); !st.ok()) {
-    std::cerr << "ablate_cross_query: " << st.ToString() << "\n";
-    std::exit(1);
-  }
-  auto fd = muve::server::DialLocal(server.port());
-  if (!fd.ok()) {
-    std::cerr << "ablate_cross_query: " << fd.status().ToString() << "\n";
-    std::exit(1);
-  }
-
   RunStats run;
   std::vector<double> latencies;
-  const double wall_start = NowMs();
+  std::unique_ptr<LiveServer> shared;
+  if (sharing) shared = std::make_unique<LiveServer>();
   for (int round = 0; round < rounds; ++round) {
     for (const Frame& frame : frames) {
+      std::unique_ptr<LiveServer> cold;
+      if (!sharing) cold = std::make_unique<LiveServer>();
+      LiveServer& live = sharing ? *shared : *cold;
       const JsonValue request = FrameRequest(frame);
       const double start = NowMs();
-      auto response = muve::server::RoundTrip(*fd, request);
+      auto response = muve::server::RoundTrip(live.fd, request);
       latencies.push_back(NowMs() - start);
       const JsonValue* ok = response.ok() ? response->Find("ok") : nullptr;
       if (!response.ok() || ok == nullptr || !ok->bool_value()) {
@@ -127,21 +151,11 @@ RunStats RunWorkload(bool sharing, const std::vector<Frame>& frames,
         std::exit(1);
       }
       run.payloads.push_back(response->Write());
+      if (!sharing) AddServerStats(live.fd, &run);
     }
   }
-  run.total_ms = NowMs() - wall_start;
+  if (sharing) AddServerStats(shared->fd, &run);
   run.requests = static_cast<int64_t>(latencies.size());
-
-  JsonValue stats_request = JsonValue::Object();
-  stats_request.Set("op", JsonValue::String("stats"));
-  if (auto stats = muve::server::RoundTrip(*fd, stats_request); stats.ok()) {
-    run.result_cache_hits = IntField(*stats, "result_cache_hits");
-    run.recommends_executed = IntField(*stats, "recommends_executed");
-    run.selection_hits = NestedIntField(*stats, "selection_cache", "hits");
-    run.base_hits = NestedIntField(*stats, "base_cache", "hits");
-  }
-  ::close(*fd);
-  server.Stop();
 
   for (double v : latencies) run.mean_ms += v;
   if (!latencies.empty()) {
@@ -189,17 +203,15 @@ int main(int argc, char** argv) {
   const double speedup = on.mean_ms > 0.0 ? off.mean_ms / on.mean_ms : 0.0;
 
   muve::bench::TablePrinter table(
-      {"config", "requests", "mean_ms", "p50_ms", "result_hits", "sel_hits",
+      {"config", "requests", "mean_ms", "p50_ms", "result_hits",
        "base_hits"});
   table.AddRow({"sharing-on", std::to_string(on.requests),
                 muve::bench::Ms(on.mean_ms), muve::bench::Ms(on.p50_ms),
                 std::to_string(on.result_cache_hits),
-                std::to_string(on.selection_hits),
                 std::to_string(on.base_hits)});
   table.AddRow({"sharing-off", std::to_string(off.requests),
                 muve::bench::Ms(off.mean_ms), muve::bench::Ms(off.p50_ms),
                 std::to_string(off.result_cache_hits),
-                std::to_string(off.selection_hits),
                 std::to_string(off.base_hits)});
   table.Print("Cross-request shared execution (duplicate-heavy workload)");
   std::cout << "result-cache hit rate: " << muve::bench::Pct(hit_rate)
@@ -216,7 +228,6 @@ int main(int argc, char** argv) {
        {"off_mean_ms", off.mean_ms},
        {"off_p50_ms", off.p50_ms},
        {"result_cache_hits", static_cast<double>(on.result_cache_hits)},
-       {"selection_hits", static_cast<double>(on.selection_hits)},
        {"base_hits", static_cast<double>(on.base_hits)},
        {"hit_rate", hit_rate},
        {"mean_speedup", speedup}});

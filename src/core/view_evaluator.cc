@@ -97,14 +97,12 @@ bool ViewEvaluator::CacheEligible(const View& view) const {
 }
 
 std::vector<storage::BaseHistogramCache::FusedPairRequest>
-ViewEvaluator::MissingPairs(const std::string* dimension,
-                            bool target_side) const {
+ViewEvaluator::MissingPairs(bool target_side) const {
   std::vector<storage::BaseHistogramCache::FusedPairRequest> pairs;
   const int64_t expected_rows = static_cast<int64_t>(
       (target_side ? target_rows() : all_rows()).size());
   std::unordered_set<std::string> seen;
   for (const View& view : space_.views()) {
-    if (dimension != nullptr && view.dimension != *dimension) continue;
     if (!CacheEligible(view)) continue;
     std::string key = (target_side ? "t|" : "c|") + view.dimension + "|" +
                       view.measure;
@@ -127,46 +125,35 @@ void ViewEvaluator::ChargeBuildRows(int64_t rows) {
   if (options_.exec != nullptr) options_.exec->ChargeRows(rows);
 }
 
-void ViewEvaluator::RunFusedBuild(
-    storage::BaseHistogramCache::FusedHistogramBuildRequest request) {
-  if (request.pairs.empty()) return;
-  request.exec = options_.exec;
-  request.coalesce = true;
-  storage::BaseHistogramCache::FusedBuildOutcome outcome;
-  const common::Status status = base_cache_->FusedBuild(
-      *dataset_.table, request, &outcome, &fused_scratch_);
-  stats_.fused_coalesced += outcome.coalesced;
-  if (!status.ok()) {
-    // Graceful degradation, not a programming error: the fused pass was
-    // aborted between morsels (expired context or injected fault) and
-    // cached nothing.  The caller's GetOrBuild falls back to a direct
-    // single-pair build, so the probe still gets its histogram.
-    return;
-  }
-  // One pass = one row-set traversal, whatever the number of pairs it
-  // builds; `passes` is 0 when a concurrent builder beat us to all of
-  // them, and then nothing is charged.
-  stats_.base_builds += outcome.passes;
-  stats_.fused_builds += outcome.passes;
-  ChargeBuildRows(outcome.rows_scanned);
-  stats_.morsels_dispatched += outcome.morsels;
-}
-
 void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
   for (const bool target_side : {true, false}) {
     // A bounded run that is already out of time skips prewarm entirely:
     // demand-path probes (if any still run) build exactly what they need.
     if (common::Expired(options_.exec)) return;
-    std::vector<storage::BaseHistogramCache::FusedPairRequest> pairs =
-        MissingPairs(/*dimension=*/nullptr, target_side);
-    if (pairs.empty()) continue;
-    common::Stopwatch timer;
     storage::BaseHistogramCache::FusedHistogramBuildRequest request;
+    request.pairs = MissingPairs(target_side);
+    if (request.pairs.empty()) continue;
+    common::Stopwatch timer;
     request.rows = target_side ? target_rows_ : all_rows_;
-    request.pairs = std::move(pairs);
     request.pool = pool;
     request.morsel_size = options_.fused_morsel_size;
-    RunFusedBuild(std::move(request));
+    request.exec = options_.exec;
+    request.coalesce = true;
+    storage::BaseHistogramCache::FusedBuildOutcome outcome;
+    const common::Status status = base_cache_->FusedBuild(
+        *dataset_.table, request, &outcome, &fused_scratch_);
+    stats_.fused_coalesced += outcome.coalesced;
+    // An aborted pass (expired context or injected fault) cached nothing
+    // and is charged nothing; BaseFor's GetOrBuild then builds each pair
+    // a probe needs directly.  One pass = one row-set traversal, whatever
+    // the number of pairs it builds; `passes` is 0 when a concurrent
+    // builder beat us to all of them.
+    if (status.ok()) {
+      stats_.base_builds += outcome.passes;
+      stats_.fused_builds += outcome.passes;
+      ChargeBuildRows(outcome.rows_scanned);
+      stats_.morsels_dispatched += outcome.morsels;
+    }
     // The pass's wall-clock lands on the side it prepaid (C_t or C_c);
     // no CostModel observation — a whole-space fused pass is not a
     // representative per-probe cost and would skew the priority rule.
@@ -187,19 +174,9 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
   const std::string key = (target_side ? "t|" : "c|") + view.dimension +
                           "|" + view.measure;
   const storage::RowSet& rows = target_side ? target_rows() : all_rows();
-  const bool missing =
-      !base_cache_->Contains(key, static_cast<int64_t>(rows.size()));
-  if (missing) {
-    // Cache miss: one fused traversal builds every still-missing measure
-    // of this (dimension, side) — the remaining misses of the batch turn
-    // into hits without touching rows.  Runs inline (no pool): misses
-    // fire inside worker lanes, and ParallelFor is not reentrant.
-    storage::BaseHistogramCache::FusedHistogramBuildRequest request;
-    request.rows = &rows;
-    request.morsel_size = options_.fused_morsel_size;
-    request.pairs = MissingPairs(&view.dimension, target_side);
-    RunFusedBuild(std::move(request));
-  }
+  // The prewarm built every eligible pair; a miss here means it was
+  // skipped or aborted (bounded run, injected fault) or the entry was
+  // evicted since, and this probe builds its one pair directly.
   bool built = false;
   auto result = base_cache_->GetOrBuild(
       key,
@@ -210,7 +187,7 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
       },
       &built, static_cast<int64_t>(rows.size()));
   if (!result.ok()) {
-    // Even the direct single-pair build failed (injected fault or real
+    // The single-pair build failed (injected fault or real
     // I/O error).  BaseFor's callers return values, not Results, so the
     // Status rides a StatusError up to Recommender::Recommend — possibly
     // across the thread pool, whose ParallelFor rethrows caller-side —
@@ -219,12 +196,9 @@ std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
     throw common::StatusError(result.status());
   }
   if (built) {
-    // Fallback build: the fused pass was aborted or its entry was
-    // evicted/refused before we could read it back.  Charged like any
-    // single-pair build pass.
     ++stats_.base_builds;
     ChargeBuildRows(static_cast<int64_t>(rows.size()));
-  } else if (!missing) {
+  } else {
     // Probes served from an already-built histogram touch zero rows.
     ++stats_.base_cache_hits;
   }

@@ -15,9 +15,9 @@
 //   * A numeric dimension with a moment-servable F (SUM/COUNT/AVG/STD/
 //     VAR) over a numeric measure reads the (A, M) side's base histogram
 //     (storage/base_histogram_cache.h) and coarsens it to b bins without
-//     touching rows.  The histogram is built once per side by a fused
-//     pass: the prewarm, or on a miss one pass over every still-missing
-//     measure of the probe's dimension.
+//     touching rows.  The prewarm builds every side's histograms in one
+//     fused pass; a probe that still misses (the prewarm was skipped or
+//     aborted, or the entry was evicted) builds its one pair directly.
 //   * Everything else — MIN/MAX, categorical dimensions, COUNT over a
 //     string measure — scans the rows directly (BinnedAggregate /
 //     GroupByAggregate).
@@ -79,8 +79,7 @@ struct ViewEvaluatorOptions {
   std::shared_ptr<storage::BaseHistogramCache> base_cache;
 
   // Rows per morsel for fused builds through this evaluator; 0 = engine
-  // default.  Miss-batch builds run inline (no pool — they fire inside
-  // worker lanes); PrewarmBaseHistograms takes the pool explicitly.
+  // default.  PrewarmBaseHistograms takes the pool explicitly.
   size_t fused_morsel_size = 0;
 
   // Execution control (deadline / cancellation / row budget), or nullptr
@@ -193,18 +192,9 @@ class ViewEvaluator {
   std::shared_ptr<const storage::BaseHistogram> BaseFor(const View& view,
                                                         bool target_side);
   // The cache-eligible (A, M) pairs of one side that are NOT cached yet,
-  // as fused build requests.  `dimension` restricts to one dimension
-  // (a miss); nullptr covers the whole view space (prewarm).
+  // as the prewarm's fused build requests.
   std::vector<storage::BaseHistogramCache::FusedPairRequest> MissingPairs(
-      const std::string* dimension, bool target_side) const;
-  // Runs one fused build over `request` and charges its accounting
-  // (base_builds / fused_builds / rows_scanned / build_rows_scanned /
-  // morsels_dispatched).  Wall-clock is charged by the caller.  An
-  // aborted build (expired context, injected fault) charges nothing and
-  // caches nothing; the caller's GetOrBuild then builds the single pair
-  // it needs directly.
-  void RunFusedBuild(
-      storage::BaseHistogramCache::FusedHistogramBuildRequest request);
+      bool target_side) const;
   // Row-scan charging: stats counters plus the exec context's budget.
   void ChargeProbeRows(int64_t rows);
   void ChargeBuildRows(int64_t rows);

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <initializer_list>
 #include <limits>
 #include <thread>
@@ -31,8 +30,6 @@
 #include "server/protocol.h"
 #include "sql/parser.h"
 #include "storage/csv.h"
-#include "storage/ingest.h"
-#include "storage/predicate.h"
 
 namespace muve::server {
 
@@ -232,33 +229,6 @@ JsonValue SerializeCompleteness(const core::ExecCompleteness& c) {
   return out;
 }
 
-// Canonical result-cache key: the registry entry's epoch-qualified
-// prefix plus every RESOLVED parameter that can shape the response body.
-// Session defaults are resolved before this point, so two sessions with
-// different spellings of one request share a key.
-std::string ResultCacheKey(const std::string& entry_key,
-                           const core::SearchOptions& options, int64_t k,
-                           int64_t threads) {
-  char weights[128];
-  std::snprintf(weights, sizeof(weights), "%.17g,%.17g,%.17g",
-                options.weights.deviation, options.weights.accuracy,
-                options.weights.usability);
-  std::string key = entry_key;
-  key += '\x01';
-  key += options.SchemeName();
-  key += '\x01';
-  key += std::to_string(k);
-  key += '\x01';
-  key += weights;
-  key += '\x01';
-  key += std::to_string(static_cast<int>(options.distance));
-  key += '\x01';
-  key += std::to_string(static_cast<int>(options.probe_order));
-  key += '\x01';
-  key += std::to_string(threads);
-  return key;
-}
-
 // Required array-of-nonempty-strings field (create's dims/measures).
 Status GetStringArray(const JsonValue& request, std::string_view name,
                       std::vector<std::string>* out) {
@@ -326,7 +296,9 @@ struct MuvedServer::Connection {
 };
 
 MuvedServer::MuvedServer(ServerOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      registry_(Registry::Options{options_.max_recommenders,
+                                  options_.result_cache_entries}) {
   // The built-ins enter the catalog like any created table, carrying
   // their paper workloads as specs.  Table::Clone shares chunks, so the
   // registrations cost O(columns), not O(rows).
@@ -343,18 +315,9 @@ MuvedServer::MuvedServer(ServerOptions options)
     spec.categorical_dimensions = ds.categorical_dimensions;
     spec.default_predicate = ds.query_predicate_sql;
     const Status st =
-        RegisterDataset(name, ds.table->Clone(), std::move(spec));
+        registry_.Create(name, ds.table->Clone(), std::move(spec));
     MUVE_CHECK(st.ok()) << st.ToString();
   }
-}
-
-Status MuvedServer::RegisterDataset(const std::string& name,
-                                    storage::Table table,
-                                    WorkloadSpec spec) {
-  MUVE_RETURN_IF_ERROR(catalog_.Create(name, std::move(table)));
-  std::lock_guard<std::mutex> lock(specs_mu_);
-  specs_[name] = std::move(spec);
-  return Status::OK();
 }
 
 MuvedServer::~MuvedServer() { Stop(); }
@@ -645,7 +608,7 @@ JsonValue MuvedServer::HandleUse(const JsonValue& request, Session* session) {
   if (dataset.empty()) {
     return ErrorResponse(Status::InvalidArgument("use: dataset is required"));
   }
-  auto entry = GetRecommender(dataset, predicate);
+  auto entry = registry_.Resolve(dataset, predicate);
   if (!entry.ok()) return ErrorResponse(entry.status());
   const core::Recommender& rec = *entry->recommender;
   session->dataset = dataset;
@@ -792,7 +755,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
     return ErrorResponse(st);
   }
 
-  auto entry = GetRecommender(dataset, predicate);
+  auto entry = registry_.Resolve(dataset, predicate);
   if (!entry.ok()) return ErrorResponse(entry.status());
 
   // Result cache: only unbounded, timing-free requests participate — a
@@ -801,24 +764,22 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   // the FIRST response's JsonValue through the canonical writer, so the
   // wire bytes are identical, and skips admission entirely (it costs no
   // execution slot).
-  const bool cacheable = options_.enable_result_cache && deadline_ms < 0.0 &&
+  const bool cacheable = registry_.caches_results() && deadline_ms < 0.0 &&
                          max_rows == 0 && !include_timings;
   std::string result_key;
   if (cacheable) {
-    result_key = ResultCacheKey(entry->key, *options, k, threads);
+    result_key = Registry::ResultKey(*entry, *options, k, threads);
     JsonValue cached;
-    if (LookupResult(result_key, &cached)) {
+    if (registry_.LookupResult(result_key, &cached)) {
       std::lock_guard<std::mutex> lock(counters_mu_);
       ++counters_.result_cache_hits;
       return cached;
     }
   }
 
-  // Cross-request base-histogram sharing: every request on this registry
-  // entry probes identical row sets, so they may share one store.
-  if (options_.enable_shared_base_cache) {
-    options->shared_base_cache = entry->base_cache;
-  }
+  // Every request on this registry entry probes identical row sets, so
+  // they share one base-histogram store.
+  options->shared_base_cache = entry->base_cache;
 
   // Bounded, deadline-aware admission (DESIGN.md §14).  The remaining
   // budget is what is left of deadline_ms after decode/registry work; a
@@ -917,8 +878,10 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   // degraded response is excluded belt-and-braces: unbounded runs only
   // degrade when shutdown cancellation catches them mid-flight, and that
   // partial top-k must not outlive the shutdown that caused it.
-  if (cacheable && !rec->stats.completeness.degraded) {
-    StoreResult(result_key, response);
+  if (cacheable && !rec->stats.completeness.degraded &&
+      registry_.StoreResult(result_key, response)) {
+    std::lock_guard<std::mutex> lock(counters_mu_);
+    ++counters_.result_cache_stores;
   }
   if (include_timings) {
     JsonValue timings = JsonValue::Object();
@@ -936,160 +899,6 @@ JsonValue MuvedServer::HandleShutdown(Session* session) {
   (void)session;
   RequestStop();
   return OkResponse("shutdown");
-}
-
-Result<MuvedServer::RegistryEntry> MuvedServer::GetRecommender(
-    const std::string& dataset, const std::string& predicate) {
-  // Resolve the table FIRST, so the diagnostic for an unknown name
-  // matches what a predicate-free request would get.
-  MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot snap,
-                        catalog_.Get(dataset));
-  WorkloadSpec spec;
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    spec = specs_.at(dataset);  // Create/Drop keep specs_ in step
-  }
-  // Canonicalize the predicate: registry, selection cache and result
-  // cache all key on the canonical form under the table's current
-  // data_epoch, so operand-permuted spellings of one WHERE clause share
-  // a recommender and its caches.  "" (the table's default workload)
-  // keys as the empty canonical.
-  std::string canonical;
-  sql::SelectStatement stmt;
-  if (!predicate.empty()) {
-    MUVE_ASSIGN_OR_RETURN(
-        stmt, sql::ParseSelect("SELECT * FROM t WHERE " + predicate));
-    canonical = storage::CanonicalPredicateKey(*stmt.where);
-  }
-  const std::string key = dataset + '\x01' +
-                          std::to_string(snap.data_epoch) + '\x01' +
-                          canonical;
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (const RegistryEntry& entry : registry_) {
-      if (entry.key == key) return entry;
-    }
-  }
-  // Build outside the registry lock: a cold build must not block a
-  // concurrent session's cache hit on another dataset.  Two sessions
-  // racing the same cold key both build; first insert wins and the loser
-  // adopts it.
-  const std::string effective_predicate =
-      predicate.empty() ? spec.default_predicate : predicate;
-  if (effective_predicate.empty()) {
-    return Status::InvalidArgument(
-        "table '" + dataset +
-        "' has no default predicate; pass \"predicate\"");
-  }
-  data::Dataset base;
-  base.name = dataset;
-  base.table = snap.table;
-  base.dimensions = spec.dimensions;
-  base.measures = spec.measures;
-  base.functions = spec.functions;
-  base.categorical_dimensions = spec.categorical_dimensions;
-  base.query_predicate_sql = effective_predicate;
-  sql::SelectStatement bound;
-  if (predicate.empty()) {
-    MUVE_ASSIGN_OR_RETURN(bound, sql::ParseSelect("SELECT * FROM t WHERE " +
-                                                  effective_predicate));
-  } else {
-    bound = std::move(stmt);
-  }
-  const int64_t rows_total = static_cast<int64_t>(base.table->num_rows());
-  {
-    common::Stopwatch setup_timer;
-    std::shared_ptr<const storage::RowSet> cached;
-    if (options_.enable_selection_cache) cached = selection_cache_.Get(key);
-    if (cached != nullptr) {
-      base.target_rows = *cached;
-    } else {
-      storage::FilterStats filter_stats;
-      MUVE_ASSIGN_OR_RETURN(
-          base.target_rows,
-          storage::Filter(*base.table, bound.where.get(), nullptr,
-                          &filter_stats));
-      base.chunks_skipped = filter_stats.chunks_skipped;
-      if (options_.enable_selection_cache && !base.target_rows.empty()) {
-        selection_cache_.Put(key, std::make_shared<const storage::RowSet>(
-                                      base.target_rows));
-      }
-    }
-    if (base.target_rows.empty()) {
-      return Status::InvalidArgument("predicate selects no rows: " +
-                                     effective_predicate);
-    }
-    base.all_rows = storage::AllRows(base.table->num_rows());
-    base.predicate_rows_filtered =
-        rows_total - static_cast<int64_t>(base.target_rows.size());
-    base.setup_time_ms = setup_timer.ElapsedMillis();
-  }
-  if (!predicate.empty()) base.name += " WHERE " + predicate;
-  MUVE_ASSIGN_OR_RETURN(core::Recommender built,
-                        core::Recommender::Create(std::move(base)));
-  RegistryEntry entry;
-  entry.key = key;
-  entry.dataset = dataset;
-  entry.recommender =
-      std::make_shared<const core::Recommender>(std::move(built));
-  // The base cache is keyed under base_epoch, NOT data_epoch: appends
-  // bump data_epoch (new registry entry, new selection/result keys) but
-  // preserve base_epoch, so the rebuilt entry adopts the same store —
-  // whose histograms the append path has already delta-patched.
-  entry.base_cache = GetOrCreateBaseCache(dataset, snap.base_epoch,
-                                          canonical, effective_predicate);
-  std::lock_guard<std::mutex> lock(registry_mu_);
-  for (const RegistryEntry& existing : registry_) {
-    if (existing.key == key) return existing;  // lost the race; adopt
-  }
-  registry_.push_back(entry);
-  if (registry_.size() > options_.max_recommenders) {
-    registry_.erase(registry_.begin());  // oldest first
-  }
-  return entry;
-}
-
-std::shared_ptr<storage::BaseHistogramCache> MuvedServer::GetOrCreateBaseCache(
-    const std::string& dataset, uint64_t base_epoch,
-    const std::string& canonical, const std::string& predicate_sql) {
-  const std::string key =
-      dataset + '\x01' + std::to_string(base_epoch) + '\x01' + canonical;
-  std::lock_guard<std::mutex> lock(base_caches_mu_);
-  auto it = base_caches_.find(key);
-  if (it != base_caches_.end()) return it->second.cache;
-  SharedBaseCache shared;
-  shared.cache = std::make_shared<storage::BaseHistogramCache>();
-  shared.dataset = dataset;
-  shared.predicate_sql = predicate_sql;
-  auto cache = shared.cache;
-  base_caches_.emplace(key, std::move(shared));
-  return cache;
-}
-
-bool MuvedServer::LookupResult(const std::string& key, JsonValue* response) {
-  std::lock_guard<std::mutex> lock(results_mu_);
-  auto it = results_.find(key);
-  if (it == results_.end()) return false;
-  results_lru_.splice(results_lru_.begin(), results_lru_, it->second.lru_it);
-  *response = it->second.response;
-  return true;
-}
-
-void MuvedServer::StoreResult(const std::string& key,
-                              const JsonValue& response) {
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    auto it = results_.find(key);
-    if (it != results_.end()) return;  // first store wins; racers agree anyway
-    results_lru_.push_front(key);
-    results_.emplace(key, ResultEntry{response, results_lru_.begin()});
-    while (results_.size() > options_.result_cache_entries) {
-      results_.erase(results_lru_.back());
-      results_lru_.pop_back();
-    }
-  }
-  std::lock_guard<std::mutex> lock(counters_mu_);
-  ++counters_.result_cache_stores;
 }
 
 JsonValue MuvedServer::HandleHealth(const JsonValue& request) {
@@ -1179,44 +988,19 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
                  JsonValue::Int(static_cast<int64_t>(conns_.size())));
   }
   {
-    const storage::SelectionCache::Stats sel = selection_cache_.TotalStats();
-    JsonValue s = JsonValue::Object();
-    s.Set("lookups", JsonValue::Int(sel.lookups));
-    s.Set("hits", JsonValue::Int(sel.hits));
-    s.Set("misses", JsonValue::Int(sel.misses));
-    s.Set("insertions", JsonValue::Int(sel.insertions));
-    s.Set("evictions", JsonValue::Int(sel.evictions));
-    s.Set("bytes", JsonValue::Int(sel.bytes));
-    response.Set("selection_cache", std::move(s));
-  }
-  {
-    // Aggregate across every resident registry entry's shared store.
-    storage::BaseHistogramCache::CacheStats total;
-    {
-      std::lock_guard<std::mutex> lock(registry_mu_);
-      for (const RegistryEntry& entry : registry_) {
-        const auto s = entry.base_cache->TotalStats();
-        total.lookups += s.lookups;
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.builds += s.builds;
-        total.evictions += s.evictions;
-        total.bytes += s.bytes;
-      }
-    }
+    // Summed over every base-histogram store the registry holds.
+    const Registry::Stats reg = registry_.stats();
     JsonValue b = JsonValue::Object();
-    b.Set("lookups", JsonValue::Int(total.lookups));
-    b.Set("hits", JsonValue::Int(total.hits));
-    b.Set("misses", JsonValue::Int(total.misses));
-    b.Set("builds", JsonValue::Int(total.builds));
-    b.Set("evictions", JsonValue::Int(total.evictions));
-    b.Set("bytes", JsonValue::Int(total.bytes));
+    b.Set("lookups", JsonValue::Int(reg.base_cache.lookups));
+    b.Set("hits", JsonValue::Int(reg.base_cache.hits));
+    b.Set("misses", JsonValue::Int(reg.base_cache.misses));
+    b.Set("builds", JsonValue::Int(reg.base_cache.builds));
+    b.Set("evictions", JsonValue::Int(reg.base_cache.evictions));
+    b.Set("bytes", JsonValue::Int(reg.base_cache.bytes));
+    b.Set("stores", JsonValue::Int(static_cast<int64_t>(reg.stores)));
     response.Set("base_cache", std::move(b));
-  }
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
     response.Set("result_cache_entries",
-                 JsonValue::Int(static_cast<int64_t>(results_.size())));
+                 JsonValue::Int(static_cast<int64_t>(reg.results)));
   }
   {
     // Per-table residency: rows, epochs, and an estimate of the chunk
@@ -1224,8 +1008,9 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
     // plus the process's peak RSS for the operator's capacity picture.
     JsonValue tables = JsonValue::Object();
     int64_t resident_total = 0;
-    for (const std::string& name : catalog_.List()) {
-      auto snap = catalog_.Get(name);
+    const storage::Catalog& catalog = registry_.catalog();
+    for (const std::string& name : catalog.List()) {
+      auto snap = catalog.Get(name);
       if (!snap.ok()) continue;  // racing drop
       const int64_t bytes =
           static_cast<int64_t>(snap->table->ApproxBytes());
@@ -1247,41 +1032,6 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
   return response;
 }
 
-void MuvedServer::PurgeDataset(const std::string& dataset, bool keep_bases) {
-  const std::string prefix = dataset + '\x01';
-  {
-    std::lock_guard<std::mutex> lock(registry_mu_);
-    for (auto it = registry_.begin(); it != registry_.end();) {
-      if (it->dataset == dataset) {
-        it = registry_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    for (auto it = results_.begin(); it != results_.end();) {
-      if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        results_lru_.erase(it->second.lru_it);
-        it = results_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (!keep_bases) {
-    std::lock_guard<std::mutex> lock(base_caches_mu_);
-    for (auto it = base_caches_.begin(); it != base_caches_.end();) {
-      if (it->second.dataset == dataset) {
-        it = base_caches_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
 JsonValue MuvedServer::HandleInvalidate(const JsonValue& request) {
   if (Status st = CheckAllowedFields(request, {"op", "dataset"}); !st.ok()) {
     return ErrorResponse(st);
@@ -1290,20 +1040,11 @@ JsonValue MuvedServer::HandleInvalidate(const JsonValue& request) {
   if (Status st = GetString(request, "dataset", &dataset); !st.ok()) {
     return ErrorResponse(st);
   }
-  // Bump the epochs FIRST: from here on, no new request can key into the
-  // old generation.  Then drop what is resident — in-flight requests
-  // holding old shared_ptrs finish safely on the old snapshot; their
-  // results are stored (if at all) under the old epochs' keys, which are
-  // now unreachable and age out of the LRU.  Unlike append, invalidate
-  // refreshes base_epoch too, so even the delta-patchable base
-  // histograms are discarded.
-  auto bumped = catalog_.Invalidate(dataset);
-  if (!bumped.ok()) return ErrorResponse(bumped.status());
-  PurgeDataset(dataset, /*keep_bases=*/false);
+  auto epoch = registry_.Invalidate(dataset);
+  if (!epoch.ok()) return ErrorResponse(epoch.status());
   JsonValue response = OkResponse("invalidate");
   response.Set("dataset", JsonValue::String(dataset));
-  response.Set("epoch",
-               JsonValue::Int(static_cast<int64_t>(bumped->data_epoch)));
+  response.Set("epoch", JsonValue::Int(static_cast<int64_t>(*epoch)));
   return response;
 }
 
@@ -1371,8 +1112,8 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   }
   const int64_t rows = static_cast<int64_t>(parsed_table->num_rows());
   const int64_t cols = static_cast<int64_t>(parsed_table->num_columns());
-  if (Status st = RegisterDataset(table_name, std::move(*parsed_table),
-                                  std::move(spec));
+  if (Status st = registry_.Create(table_name, std::move(*parsed_table),
+                                   std::move(spec));
       !st.ok()) {
     return ErrorResponse(st);
   }
@@ -1407,103 +1148,28 @@ JsonValue MuvedServer::HandleAppend(const JsonValue& request) {
   if (csv.empty()) {
     return ErrorResponse(Status::InvalidArgument("append: csv is required"));
   }
-  // One append at a time server-wide: the catalog publish and the
-  // delta-patch below form one unit, so patches land in publish order
-  // and the rebuild-vs-delta association stays deterministic.
-  std::lock_guard<std::mutex> ingest_lock(ingest_mu_);
-  auto snap = catalog_.Get(table_name);
-  if (!snap.ok()) return ErrorResponse(snap.status());
-  // The appended rows must arrive under the table's own schema — header
-  // names and cell types are enforced, not re-inferred.
-  storage::CsvOptions csv_options;
-  csv_options.schema = snap->table->schema();
-  auto rows = storage::ReadCsvString(csv, csv_options);
-  if (!rows.ok()) return ErrorResponse(rows.status());
-  if (rows->num_rows() == 0) {
-    return ErrorResponse(Status::InvalidArgument("append: csv has no rows"));
-  }
-  auto result = catalog_.Append(table_name, *rows);
-  if (!result.ok()) return ErrorResponse(result.status());
-  // data_epoch-keyed state (registry snapshots, selection vectors,
-  // cached results) is stale; base caches stay — they are about to be
-  // patched in place under the preserved base_epoch.
-  PurgeDataset(table_name, /*keep_bases=*/true);
-
-  WorkloadSpec spec;
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    auto it = specs_.find(table_name);
-    // A racing drop between the append and here leaves nothing to
-    // patch; the appended version is orphaned along with the table.
-    if (it == specs_.end()) {
-      JsonValue response = OkResponse("append");
-      response.Set("table", JsonValue::String(table_name));
-      response.Set("rows_appended", JsonValue::Int(static_cast<int64_t>(
-                                        result->rows_appended)));
-      return response;
-    }
-    spec = it->second;
-  }
-  std::vector<std::pair<std::string, SharedBaseCache>> targets;
-  {
-    std::lock_guard<std::mutex> lock(base_caches_mu_);
-    for (const auto& [key, shared] : base_caches_) {
-      if (shared.dataset == table_name) targets.emplace_back(key, shared);
-    }
-  }
-  storage::IngestDeltaStats ingest_stats;
-  std::vector<std::string> failed;
-  for (const auto& [key, shared] : targets) {
-    sql::SelectStatement stmt;
-    storage::IngestDeltaRequest delta;
-    delta.table = result->snapshot.table.get();
-    delta.rows_before = result->rows_before;
-    delta.rows_appended = result->rows_appended;
-    delta.dimensions = spec.dimensions;
-    delta.measures = spec.measures;
-    if (!shared.predicate_sql.empty()) {
-      auto parsed =
-          sql::ParseSelect("SELECT * FROM t WHERE " + shared.predicate_sql);
-      if (!parsed.ok() ||
-          !parsed->where->Bind(result->snapshot.table->schema()).ok()) {
-        failed.push_back(key);
-        continue;
-      }
-      stmt = std::move(*parsed);
-      delta.target_predicate = stmt.where.get();
-    }
-    delta.cache = shared.cache.get();
-    if (!storage::ApplyAppendDeltas(delta, &ingest_stats).ok()) {
-      // The cache may now mix patched and unpatched entries; drop it
-      // wholesale — the next recommend rebuilds cold and correct.
-      failed.push_back(key);
-    }
-  }
-  if (!failed.empty()) {
-    std::lock_guard<std::mutex> lock(base_caches_mu_);
-    for (const std::string& key : failed) base_caches_.erase(key);
-  }
+  auto appended = registry_.Append(table_name, csv);
+  if (!appended.ok()) return ErrorResponse(appended.status());
+  JsonValue response = OkResponse("append");
+  response.Set("table", JsonValue::String(table_name));
+  response.Set("rows_appended", JsonValue::Int(appended->rows_appended));
+  // A racing drop left nothing to patch: the appended version is
+  // orphaned along with the table.
+  if (!appended->patched) return response;
+  const storage::IngestDeltaStats& ingest = appended->ingest;
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.appends_executed;
-    counters_.rows_ingested +=
-        static_cast<int64_t>(result->rows_appended);
-    counters_.delta_merges += ingest_stats.delta_merges;
-    counters_.ingest_chunks_skipped += ingest_stats.chunks_skipped;
+    counters_.rows_ingested += appended->rows_appended;
+    counters_.delta_merges += ingest.delta_merges;
+    counters_.ingest_chunks_skipped += ingest.chunks_skipped;
   }
-  JsonValue response = OkResponse("append");
-  response.Set("table", JsonValue::String(table_name));
-  response.Set("rows_appended", JsonValue::Int(static_cast<int64_t>(
-                                    result->rows_appended)));
-  response.Set("rows_total",
-               JsonValue::Int(static_cast<int64_t>(
-                   result->snapshot.table->num_rows())));
+  response.Set("rows_total", JsonValue::Int(appended->rows_total));
   response.Set("data_epoch", JsonValue::Int(static_cast<int64_t>(
-                                 result->snapshot.data_epoch)));
-  response.Set("delta_merges", JsonValue::Int(ingest_stats.delta_merges));
-  response.Set("ingest_rows", JsonValue::Int(ingest_stats.rows_scanned));
-  response.Set("chunks_skipped",
-               JsonValue::Int(ingest_stats.chunks_skipped));
+                                 appended->data_epoch)));
+  response.Set("delta_merges", JsonValue::Int(ingest.delta_merges));
+  response.Set("ingest_rows", JsonValue::Int(ingest.rows_scanned));
+  response.Set("chunks_skipped", JsonValue::Int(ingest.chunks_skipped));
   return response;
 }
 
@@ -1518,14 +1184,9 @@ JsonValue MuvedServer::HandleDrop(const JsonValue& request) {
   if (table_name.empty()) {
     return ErrorResponse(Status::InvalidArgument("drop: table is required"));
   }
-  if (Status st = catalog_.Drop(table_name); !st.ok()) {
+  if (Status st = registry_.Drop(table_name); !st.ok()) {
     return ErrorResponse(st);
   }
-  {
-    std::lock_guard<std::mutex> lock(specs_mu_);
-    specs_.erase(table_name);
-  }
-  PurgeDataset(table_name, /*keep_bases=*/false);
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.tables_dropped;

@@ -1,14 +1,15 @@
 // muved — the long-lived MuVE recommendation server.
 //
-// One MuvedServer owns the shared state every request rides on: the
-// dataset/recommender registry (a Recommender per (dataset, predicate),
-// built once and shared by every session that asks for it) and the
-// admission gate that caps how many Recommend() calls execute at once —
-// excess requests queue FIFO-ish on a condition variable instead of
-// oversubscribing the machine.  The gate is BOUNDED (max_queue waiters,
-// queue_timeout_ms each, deadline-aware): overload is answered with a
-// typed `unavailable` shed frame carrying retry_after_ms, never with an
-// unbounded invisible backlog (DESIGN.md §14).
+// One MuvedServer owns the admission gate that caps how many
+// Recommend() calls execute at once — excess requests queue FIFO-ish on
+// a condition variable instead of oversubscribing the machine — and the
+// Registry (server/registry.h) that holds everything reused across
+// requests: the catalog, the recommenders, the base-histogram stores and
+// the result cache.  The op handlers here parse a request, call the
+// registry and serialize the reply.  The gate is BOUNDED (max_queue
+// waiters, queue_timeout_ms each, deadline-aware): overload is answered
+// with a typed `unavailable` shed frame carrying retry_after_ms, never
+// with an unbounded invisible backlog (DESIGN.md §14).
 //
 // Each accepted TCP connection IS one session: a dedicated handler
 // thread with per-session defaults (dataset, k, alpha weights, scheme)
@@ -46,21 +47,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "core/recommender.h"
 #include "server/json.h"
-#include "storage/aggregate.h"
-#include "storage/base_histogram_cache.h"
-#include "storage/catalog.h"
-#include "storage/selection_cache.h"
+#include "server/registry.h"
 
 namespace muve::server {
 
@@ -130,29 +125,10 @@ struct ServerOptions {
   // Off = only signals/Stop() end the server.
   bool allow_shutdown_op = true;
 
-  // --- Cross-request shared execution (DESIGN.md §13) ---
-  //
-  // Three independently toggleable layers; all default on.  Every key
-  // includes the dataset's epoch, so {"op":"invalidate"} makes stale
-  // entries unreachable without coordinating with in-flight requests.
-
-  // Canonical-predicate → selection-vector cache: identical (and
-  // permuted-operand) WHERE clauses filter the table once per epoch.
-  bool enable_selection_cache = true;
-
-  // One base-histogram store per registry entry, handed to Recommend()
-  // via SearchOptions::shared_base_cache: the second request on a
-  // (dataset, predicate) prewarms from cache instead of rescanning, and
-  // concurrent cold requests coalesce into single-flight fused scans.
-  bool enable_shared_base_cache = true;
-
-  // Canonical top-k response cache: an unbounded (no deadline_ms /
-  // max_rows, no timings) recommend with the same resolved parameters is
-  // answered byte-identically from the first response, zero rows
-  // touched.
-  bool enable_result_cache = true;
-
-  // LRU cap on cached responses.
+  // Canonical top-k response cache (DESIGN.md §13): an unbounded (no
+  // deadline_ms / max_rows, no timings) recommend with the same resolved
+  // parameters is answered byte-identically from the first response,
+  // zero rows touched.  LRU cap on cached responses; 0 = no result cache.
   size_t result_cache_entries = 256;
 };
 
@@ -232,18 +208,6 @@ class MuvedServer {
   struct Session;
   struct Connection;
 
-  // One resident (dataset, canonical predicate, epoch) unit of shared
-  // state: the recommender plus the base-histogram store every request
-  // on this entry shares (SearchOptions::shared_base_cache).
-  struct RegistryEntry {
-    // dataset \x01 epoch \x01 canonical-predicate — the composed prefix
-    // the selection and result caches also key under.
-    std::string key;
-    std::string dataset;
-    std::shared_ptr<const core::Recommender> recommender;
-    std::shared_ptr<storage::BaseHistogramCache> base_cache;
-  };
-
   void AcceptLoop();
   void HandleConnection(Connection* conn);
   JsonValue Dispatch(const JsonValue& request, Session* session,
@@ -260,50 +224,6 @@ class MuvedServer {
   JsonValue HandleAppend(const JsonValue& request);
   JsonValue HandleDrop(const JsonValue& request);
   JsonValue HandleShutdown(Session* session);
-
-  // The exploration workload attached to a catalog table: which columns
-  // are dimensions/measures, the aggregate functions in play, and the
-  // table's default analyst predicate ("" = none; recommends must then
-  // pass one).  Built-ins carry their paper workloads; `create` derives
-  // one from the request.
-  struct WorkloadSpec {
-    std::vector<std::string> dimensions;
-    std::vector<std::string> measures;
-    std::vector<storage::AggregateFunction> functions;
-    std::vector<std::string> categorical_dimensions;
-    std::string default_predicate;
-  };
-
-  // Registers `ds` (table + workload) into the catalog; used for the
-  // built-ins (toy|nba|diab) at construction and by `create`.
-  common::Status RegisterDataset(const std::string& name,
-                                 storage::Table table, WorkloadSpec spec);
-
-  // Purges registry entries / cached results / shared base caches of
-  // `dataset`.  `keep_bases` leaves base caches resident (the append
-  // path: they are about to be delta-patched and stay valid under the
-  // preserved base_epoch).
-  void PurgeDataset(const std::string& dataset, bool keep_bases);
-
-  // Registry: returns (building on first use) the shared recommender for
-  // catalog table `dataset` filtered by `predicate` ("" = the table's
-  // default analyst predicate).  Lookup is by CANONICAL predicate under
-  // the table's current data_epoch, so operand-permuted spellings of one
-  // WHERE clause share an entry.
-  common::Result<RegistryEntry> GetRecommender(const std::string& dataset,
-                                               const std::string& predicate);
-
-  // The base-histogram store shared by every epoch-generation of one
-  // (dataset, canonical predicate): keyed under the table's base_epoch,
-  // which Catalog::Append PRESERVES — cached bases survive appends (they
-  // are delta-patched) while data_epoch-keyed state invalidates.
-  std::shared_ptr<storage::BaseHistogramCache> GetOrCreateBaseCache(
-      const std::string& dataset, uint64_t base_epoch,
-      const std::string& canonical, const std::string& predicate_sql);
-
-  // Result cache (epoch-keyed canonical responses, LRU).
-  bool LookupResult(const std::string& key, JsonValue* response);
-  void StoreResult(const std::string& key, const JsonValue& response);
 
   // How one request left the admission gate (see Counters for the exact
   // balance invariant these map onto).
@@ -375,48 +295,8 @@ class MuvedServer {
   std::chrono::steady_clock::time_point started_at_{};
   bool started_ = false;
 
-  // Registry entries, insertion-ordered for oldest-first eviction.
-  std::mutex registry_mu_;
-  std::vector<RegistryEntry> registry_;
-
-  // The table store: named tables with MVCC snapshots and per-table
-  // epochs (storage/catalog.h).  data_epoch bumps on append/invalidate
-  // and keys the registry + selection/result caches; base_epoch keys the
-  // base-histogram stores and survives appends.
-  storage::Catalog catalog_;
-
-  // Per-table workload specs, keyed by table name.
-  std::mutex specs_mu_;
-  std::unordered_map<std::string, WorkloadSpec> specs_;
-
-  // Shared base-histogram stores, keyed dataset \x01 base_epoch \x01
-  // canonical-predicate.  The stored predicate SQL is what the append
-  // path rebinds to filter appended rows for the target side.
-  struct SharedBaseCache {
-    std::shared_ptr<storage::BaseHistogramCache> cache;
-    std::string dataset;
-    std::string predicate_sql;  // "" = no target-side predicate
-  };
-  std::mutex base_caches_mu_;
-  std::unordered_map<std::string, SharedBaseCache> base_caches_;
-
-  // Serializes `append` ops server-wide: catalog publish + delta patch
-  // form one unit, so patches land in publish order and never interleave
-  // (recommends are unaffected — they read snapshots, never this lock).
-  std::mutex ingest_mu_;
-
-  // Cross-request caches.  The selection cache is its own shard-locked
-  // store; the result cache is a small mutex-guarded LRU of canonical
-  // JSON responses (a stored JsonValue re-serializes to the exact bytes
-  // of the first response — the writer is canonical).
-  storage::SelectionCache selection_cache_;
-  std::mutex results_mu_;
-  std::list<std::string> results_lru_;  // front = most recently used
-  struct ResultEntry {
-    JsonValue response;
-    std::list<std::string>::iterator lru_it;
-  };
-  std::unordered_map<std::string, ResultEntry> results_;
+  // Cross-request state: catalog, recommenders, stores, results.
+  Registry registry_;
 
   mutable std::mutex counters_mu_;
   Counters counters_;

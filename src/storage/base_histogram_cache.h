@@ -211,8 +211,8 @@ class BaseHistogramCache {
       int64_t expected_source_rows = -1);
 
   // Whether `key` currently has an entry.  Does not touch LRU order —
-  // callers use it to assemble fused build batches of the still-missing
-  // pairs without perturbing eviction priority.  `expected_source_rows`
+  // callers use it to assemble a fused build of the still-missing pairs
+  // without perturbing eviction priority.  `expected_source_rows`
   // >= 0 additionally requires the entry to cover exactly that many
   // rows (the GetOrBuild staleness guard); a mismatched entry reads as
   // absent.
@@ -230,8 +230,8 @@ class BaseHistogramCache {
   // A fused build: ONE pass over `*rows` produces the base histograms of
   // every still-missing pair (pairs already cached are skipped), split
   // into ~`morsel_size`-row morsels on `pool` when provided.  This is
-  // how ViewEvaluator prewarms the cache at recommendation start and
-  // batches cache-miss builds: one traversal instead of |A| x |M|.
+  // how ViewEvaluator prewarms the cache at recommendation start: one
+  // traversal instead of |A| x |M|.
   struct FusedHistogramBuildRequest {
     const RowSet* rows = nullptr;
     std::vector<FusedPairRequest> pairs;

@@ -439,7 +439,7 @@ TEST_F(MuvedIntegrationTest, PermutedPredicateSpellingsShareCaches) {
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(IsOk(*first)) << first->Write();
   // The operand-permuted spelling keys identically end to end (registry,
-  // selection vector, result cache): served without executing.
+  // base-histogram store, result cache): served without executing.
   auto second = RoundTrip(fd, with_predicate("m1 > 0 AND x >= 2"));
   ASSERT_TRUE(second.ok());
   ::close(fd);
@@ -498,16 +498,12 @@ TEST_F(MuvedIntegrationTest, StatsOpReportsConsistentCacheCounters) {
   EXPECT_EQ(stats.Find("result_cache_hits")->int_value(), 1);
   EXPECT_EQ(stats.Find("result_cache_stores")->int_value(), 1);
   EXPECT_EQ(stats.Find("result_cache_entries")->int_value(), 1);
-  const JsonValue* selection = stats.Find("selection_cache");
-  ASSERT_NE(selection, nullptr);
-  EXPECT_EQ(selection->Find("hits")->int_value() +
-                selection->Find("misses")->int_value(),
-            selection->Find("lookups")->int_value());
   const JsonValue* base = stats.Find("base_cache");
   ASSERT_NE(base, nullptr);
   EXPECT_EQ(base->Find("hits")->int_value() +
                 base->Find("misses")->int_value(),
             base->Find("lookups")->int_value());
+  EXPECT_EQ(base->Find("stores")->int_value(), 1);
 
   // The op has a strict field whitelist like every other.
   JsonValue bad = Request("stats");
@@ -517,35 +513,63 @@ TEST_F(MuvedIntegrationTest, StatsOpReportsConsistentCacheCounters) {
 }
 
 TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
-  // The server-level differential: the same frames answered with every
-  // sharing layer disabled produce exactly the bytes the sharing path
-  // serves — caching is semantically invisible on the wire.
-  const JsonValue request = CacheableToyRecommend();
-  auto run_pair = [&](bool sharing) {
+  // The server-level differential: a long-lived server, which reuses its
+  // registry, base-histogram stores and result cache across requests,
+  // answers every frame with exactly the bytes a cold server gives the
+  // same frame — sharing is semantically invisible on the wire.
+  std::vector<JsonValue> requests;
+  for (const char* predicate : {"", "x >= 2", "m1 > 0 AND x >= 2"}) {
+    JsonValue r = CacheableToyRecommend();
+    if (*predicate != '\0') r.Set("predicate", JsonValue::String(predicate));
+    requests.push_back(r);
+    requests.push_back(r);  // the repeat is a result-cache hit
+  }
+  StartServer();
+  const int fd = Dial();
+  for (const JsonValue& request : requests) {
+    auto shared = RoundTrip(fd, request);
+    ASSERT_TRUE(shared.ok());
+    ASSERT_TRUE(IsOk(*shared)) << shared->Write();
+
     ServerOptions options;
-    options.enable_selection_cache = sharing;
-    options.enable_shared_base_cache = sharing;
-    options.enable_result_cache = sharing;
-    StartServer(options);
-    const int fd = Dial();
-    auto first = RoundTrip(fd, request);
-    auto second = RoundTrip(fd, request);
-    EXPECT_TRUE(first.ok() && second.ok());
-    EXPECT_TRUE(IsOk(*first));
-    ::close(fd);
-    const auto counters = server_->counters();
-    server_->Stop();
-    return std::make_pair(
-        std::make_pair(first->Write(), second->Write()), counters);
-  };
-  const auto on = run_pair(true);
-  const auto off = run_pair(false);
-  EXPECT_EQ(on.first.first, on.first.second);
-  EXPECT_EQ(off.first.first, off.first.second);
-  EXPECT_EQ(on.first.first, off.first.first);
-  EXPECT_EQ(on.second.result_cache_hits, 1);
-  EXPECT_EQ(off.second.result_cache_hits, 0);
-  EXPECT_EQ(off.second.recommends_executed, 2);
+    options.port = 0;
+    MuvedServer cold(options);
+    ASSERT_TRUE(cold.Start().ok());
+    auto cold_fd = DialLocal(cold.port());
+    ASSERT_TRUE(cold_fd.ok());
+    auto fresh = RoundTrip(*cold_fd, request);
+    ::close(*cold_fd);
+    cold.Stop();
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_EQ(shared->Write(), fresh->Write());
+  }
+  ::close(fd);
+  const auto counters = server_->counters();
+  EXPECT_EQ(counters.result_cache_hits, 3);
+  EXPECT_EQ(counters.recommends_executed, 3);
+}
+
+TEST_F(MuvedIntegrationTest, StatsCountsEveryHeldBaseStore) {
+  // Registry entries are capped, base-histogram stores are not: each
+  // (dataset, base_epoch, predicate) store outlives its entry's eviction,
+  // and stats reports all of them.
+  ServerOptions options;
+  options.max_recommenders = 2;
+  StartServer(options);
+  const int fd = Dial();
+  for (const char* predicate :
+       {"x >= 1", "x >= 2", "x >= 3", "m1 > 0", "y >= 1"}) {
+    JsonValue r = CacheableToyRecommend();
+    r.Set("predicate", JsonValue::String(predicate));
+    ASSERT_TRUE(IsOk(Call(fd, r))) << predicate;
+  }
+  JsonValue stats = Call(fd, Request("stats"));
+  ASSERT_TRUE(IsOk(stats)) << stats.Write();
+  const JsonValue* base = stats.Find("base_cache");
+  ASSERT_NE(base, nullptr);
+  EXPECT_EQ(base->Find("stores")->int_value(), 5);
+  EXPECT_GT(base->Find("builds")->int_value(), 0);
+  ::close(fd);
 }
 
 // ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@
 //                       the server's cross-request sharing layers
 //   --assert-sharing    after the run, query {"op":"stats"} and exit 1
 //                       unless the server reports at least one sharing
-//                       hit (result cache, selection cache, or shared
-//                       base store) — the CI smoke proof that sharing
+//                       hit (result cache or shared base-histogram
+//                       store) — the CI smoke proof that sharing
 //                       actually engaged
 //   --invariance-out=F  instead of the load run, replay one FIXED
 //                       deterministic workload on a single session and
@@ -696,7 +696,6 @@ int main(int argc, char** argv) {
         return (o != nullptr && o->is_object()) ? o->Find(field) : nullptr;
       };
       const int64_t result_hits = int_of(stats.Find("result_cache_hits"));
-      const int64_t selection_hits = int_of(nested("selection_cache", "hits"));
       const int64_t base_hits = int_of(nested("base_cache", "hits"));
       const int64_t recommends = int_of(stats.Find("recommends_executed"));
       const int64_t answered = recommends + result_hits;
@@ -706,10 +705,8 @@ int main(int argc, char** argv) {
               : 0.0;
       std::cout << "loadgen: sharing  result_cache_hits=" << result_hits
                 << " (hit-rate " << muve::bench::Ms(hit_rate * 100.0)
-                << "%)  selection_hits=" << selection_hits
-                << "  base_hits=" << base_hits << "\n";
-      if (flags.assert_sharing &&
-          result_hits + selection_hits + base_hits == 0) {
+                << "%)  base_hits=" << base_hits << "\n";
+      if (flags.assert_sharing && result_hits + base_hits == 0) {
         std::cerr << "loadgen: --assert-sharing: no sharing hits recorded\n";
         sharing_ok = false;
       }

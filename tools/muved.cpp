@@ -36,14 +36,11 @@
 //                       accepting traffic (diab|nba|toy), so first
 //                       requests don't pay cold-build latency
 //   --no-shutdown-op    refuse {"op":"shutdown"} (signals only)
-//   --no-cross-query-cache
-//                       disable all three cross-request sharing layers
-//                       (selection-vector cache, shared base-histogram
-//                       stores, top-k result cache — DESIGN.md §13);
-//                       every request then executes in isolation
 //   --result-cache-entries=N
 //                       LRU cap on cached top-k responses (default 256;
-//                       0 disables just the result cache)
+//                       0 disables the result cache).  Recommenders and
+//                       base-histogram stores are always shared across
+//                       requests (DESIGN.md §13)
 
 #include <unistd.h>
 
@@ -79,7 +76,6 @@ struct Flags {
   int max_threads = 8;
   std::string preload;
   bool allow_shutdown_op = true;
-  bool cross_query_cache = true;
   int result_cache_entries = 256;
 };
 
@@ -140,8 +136,6 @@ Status ParseFlags(int argc, char** argv, Flags* flags) {
       flags->preload = value_of("--preload=");
     } else if (arg == "--no-shutdown-op") {
       flags->allow_shutdown_op = false;
-    } else if (arg == "--no-cross-query-cache") {
-      flags->cross_query_cache = false;
     } else if (has("--result-cache-entries=")) {
       MUVE_ASSIGN_OR_RETURN(
           flags->result_cache_entries,
@@ -176,14 +170,8 @@ int main(int argc, char** argv) {
   options.max_connections = flags.max_connections;
   options.max_request_threads = flags.max_threads;
   options.allow_shutdown_op = flags.allow_shutdown_op;
-  options.enable_selection_cache = flags.cross_query_cache;
-  options.enable_shared_base_cache = flags.cross_query_cache;
-  options.enable_result_cache =
-      flags.cross_query_cache && flags.result_cache_entries > 0;
-  if (flags.result_cache_entries > 0) {
-    options.result_cache_entries =
-        static_cast<size_t>(flags.result_cache_entries);
-  }
+  options.result_cache_entries =
+      static_cast<size_t>(flags.result_cache_entries);
   muve::server::MuvedServer server(options);
 
   // A client may vanish between its request and our response; writes go
