@@ -66,34 +66,18 @@ using muve::bench::TablePrinter;
 muve::data::Dataset DatasetOver(
     std::shared_ptr<const muve::storage::Table> table,
     const std::string& predicate_sql) {
-  muve::data::Dataset ds;
-  ds.name = "scale";
-  ds.table = std::move(table);
-  ds.dimensions = {"x", "y"};
-  ds.measures = {"m1", "m2"};
-  ds.functions = {muve::storage::AggregateFunction::kSum,
-                  muve::storage::AggregateFunction::kAvg};
-  ds.query_predicate_sql = predicate_sql;
-
-  auto stmt = muve::sql::ParseSelect("SELECT * FROM t WHERE " + predicate_sql);
-  if (!stmt.ok()) {
-    std::cerr << "predicate parse failed: " << stmt.status().ToString()
-              << "\n";
+  muve::data::Workload workload;
+  workload.dimensions = {"x", "y"};
+  workload.measures = {"m1", "m2"};
+  workload.functions = {muve::storage::AggregateFunction::kSum,
+                        muve::storage::AggregateFunction::kAvg};
+  auto ds = muve::data::Bind("scale", std::move(table), workload,
+                             predicate_sql);
+  if (!ds.ok()) {
+    std::cerr << "predicate bind failed: " << ds.status().ToString() << "\n";
     std::exit(1);
   }
-  muve::storage::FilterStats stats;
-  auto target = muve::storage::Filter(*ds.table, stmt->where.get(),
-                                      /*base=*/nullptr, &stats);
-  if (!target.ok()) {
-    std::cerr << "predicate filter failed: " << target.status().ToString()
-              << "\n";
-    std::exit(1);
-  }
-  ds.target_rows = *std::move(target);
-  ds.all_rows = muve::storage::AllRows(ds.table->num_rows());
-  ds.predicate_rows_filtered = stats.rows_in - stats.rows_out;
-  ds.chunks_skipped = stats.chunks_skipped;
-  return ds;
+  return *std::move(ds);
 }
 
 struct Phase {
@@ -194,9 +178,9 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
     std::cerr << "append: " << published.status().ToString() << "\n";
     return false;
   }
-  auto stmt = muve::sql::ParseSelect("SELECT * FROM t WHERE " + predicate);
-  if (!stmt.ok() ||
-      !stmt->where->Bind(published->snapshot.table->schema()).ok()) {
+  auto where = muve::sql::ParseWhere(predicate);
+  if (!where.ok() ||
+      !(*where)->Bind(published->snapshot.table->schema()).ok()) {
     return false;
   }
   muve::storage::IngestDeltaRequest request;
@@ -205,7 +189,7 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
   request.rows_appended = published->rows_appended;
   request.dimensions = {"x", "y"};
   request.measures = {"m1", "m2"};
-  request.target_predicate = stmt->where.get();
+  request.target_predicate = where->get();
   request.cache = cache.get();
   muve::storage::IngestDeltaStats ingest;
   if (!muve::storage::ApplyAppendDeltas(request, &ingest).ok()) {

@@ -12,8 +12,8 @@
 #include <string>
 
 #include "core/recommend_sql.h"
-#include "sql/catalog.h"
 #include "sql/executor.h"
+#include "storage/catalog.h"
 #include "storage/csv.h"
 #include "viz/bar_chart.h"
 
@@ -68,8 +68,8 @@ int main() {
   auto table = muve::storage::ReadCsvString(kSalesCsv, csv_options);
   if (!table.ok()) Fail(table.status());
 
-  muve::sql::Catalog catalog;
-  if (Status st = catalog.RegisterTable("sales", std::move(table).value());
+  muve::storage::Catalog catalog;
+  if (Status st = catalog.Create("sales", std::move(table).value());
       !st.ok()) {
     Fail(st);
   }

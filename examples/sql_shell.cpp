@@ -10,8 +10,11 @@
 //   muve> \q
 //
 // Tables available: `players` (synthetic 2015 NBA) and `patients`
-// (synthetic Pima diabetes).  Also reads statements from stdin when
-// piped, which the repository uses for smoke testing:
+// (synthetic Pima diabetes); CREATE TABLE adds more.  Tables live in a
+// storage::Catalog, the MVCC catalog muved serves from: names are
+// case-insensitive, and INSERT / LOAD CSV each publish one all-or-nothing
+// append.  Also reads statements from stdin when piped, which the
+// `examples` ctest (tests/examples/examples_smoke.sh) uses:
 //
 //   $ echo "SELECT COUNT(*) FROM patients;" | ./build/examples/sql_shell
 
@@ -26,10 +29,11 @@
 #include "data/nba.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "storage/catalog.h"
 
 namespace {
 
-void ExecuteLine(const std::string& line, muve::sql::Catalog& catalog) {
+void ExecuteLine(const std::string& line, muve::storage::Catalog& catalog) {
   auto parsed = muve::sql::Parse(line);
   if (!parsed.ok()) {
     std::cout << "error: " << parsed.status().ToString() << "\n";
@@ -58,12 +62,12 @@ void ExecuteLine(const std::string& line, muve::sql::Catalog& catalog) {
 }  // namespace
 
 int main() {
-  muve::sql::Catalog catalog;
+  muve::storage::Catalog catalog;
   {
     const muve::data::Dataset nba = muve::data::MakeNbaDataset();
     const muve::data::Dataset diab = muve::data::MakeDiabDataset();
-    MUVE_CHECK(catalog.RegisterTable("players", nba.table->Clone()).ok());
-    MUVE_CHECK(catalog.RegisterTable("patients", diab.table->Clone()).ok());
+    MUVE_CHECK(catalog.Create("players", nba.table->Clone()).ok());
+    MUVE_CHECK(catalog.Create("patients", diab.table->Clone()).ok());
   }
 
   const bool interactive = isatty(0);

@@ -1,11 +1,10 @@
 #include "core/recommend_sql.h"
 
-#include <memory>
+#include <optional>
 
-#include "common/stopwatch.h"
-#include "common/string_util.h"
+#include "data/dataset.h"
+#include "sql/executor.h"
 #include "sql/parser.h"
-#include "storage/predicate.h"
 
 namespace muve::core {
 
@@ -18,81 +17,51 @@ common::Result<SearchOptions> OptionsFromStatement(
   options.weights = Weights{stmt.alpha_d, stmt.alpha_a, stmt.alpha_s};
   MUVE_ASSIGN_OR_RETURN(options.distance,
                         DistanceKindFromName(stmt.distance));
-
-  const std::string scheme = common::ToUpper(stmt.scheme);
-  if (scheme == "LINEAR") {
-    options.horizontal = HorizontalStrategy::kLinear;
-    options.vertical = VerticalStrategy::kLinear;
-  } else if (scheme == "HC") {
-    options.horizontal = HorizontalStrategy::kHillClimbing;
-    options.vertical = VerticalStrategy::kLinear;
-  } else if (scheme == "MUVE_LINEAR") {
-    options.horizontal = HorizontalStrategy::kMuve;
-    options.vertical = VerticalStrategy::kLinear;
-  } else if (scheme == "MUVE") {
-    options.horizontal = HorizontalStrategy::kMuve;
-    options.vertical = VerticalStrategy::kMuve;
-  } else {
+  const std::optional<Scheme> scheme = SchemeFromName(stmt.scheme);
+  if (!scheme) {
     return common::Status::InvalidArgument(
         "unknown recommendation scheme '" + stmt.scheme +
         "' (expected LINEAR, HC, MUVE_LINEAR, or MUVE)");
   }
+  options.horizontal = scheme->horizontal;
+  options.vertical = scheme->vertical;
   return options;
 }
 
 }  // namespace
 
-common::Result<Recommendation> ExecuteRecommend(sql::RecommendStatement& stmt,
-                                                const sql::Catalog& catalog) {
-  MUVE_ASSIGN_OR_RETURN(const storage::Table* table,
-                        catalog.GetTable(stmt.table_name));
+common::Result<Recommendation> ExecuteRecommend(
+    const sql::RecommendStatement& stmt, const storage::Catalog& catalog) {
+  MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot snap,
+                        sql::GetTable(catalog, stmt.table_name));
   if (stmt.where == nullptr) {
     return common::Status::InvalidArgument(
         "RECOMMEND requires a WHERE predicate selecting the analyzed "
         "subset D_Q");
   }
-
-  data::Dataset dataset;
-  dataset.name = stmt.table_name;
-  // The catalog owns the table and outlives the recommendation; alias it
-  // without taking ownership.
-  dataset.table = std::shared_ptr<const storage::Table>(
-      table, [](const storage::Table*) {});
-  dataset.dimensions =
-      table->schema().FieldNamesWithRole(storage::FieldRole::kDimension);
-  dataset.categorical_dimensions = table->schema().FieldNamesWithRole(
-      storage::FieldRole::kCategoricalDimension);
-  dataset.measures =
-      table->schema().FieldNamesWithRole(storage::FieldRole::kMeasure);
-  dataset.functions = {storage::AggregateFunction::kSum,
-                       storage::AggregateFunction::kAvg,
-                       storage::AggregateFunction::kCount};
-  if ((dataset.dimensions.empty() && dataset.categorical_dimensions.empty()) ||
-      dataset.measures.empty()) {
+  const storage::Schema& schema = snap.table->schema();
+  data::Workload workload;
+  workload.dimensions =
+      schema.FieldNamesWithRole(storage::FieldRole::kDimension);
+  workload.categorical_dimensions =
+      schema.FieldNamesWithRole(storage::FieldRole::kCategoricalDimension);
+  workload.measures = schema.FieldNamesWithRole(storage::FieldRole::kMeasure);
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg,
+                        storage::AggregateFunction::kCount};
+  if ((workload.dimensions.empty() &&
+       workload.categorical_dimensions.empty()) ||
+      workload.measures.empty()) {
     return common::Status::InvalidArgument(
         "table '" + stmt.table_name +
         "' has no dimension/measure role annotations; RECOMMEND needs a "
         "schema with FieldRole::kDimension and kMeasure fields");
   }
-  dataset.query_predicate_sql = stmt.where->ToString();
-  // Setup accounting: the predicate scan selecting D_Q runs through the
-  // selection-vector kernels; its eliminated-row count and wall-clock are
-  // reported on the recommendation's ExecStats as one-off setup cost.
-  common::Stopwatch filter_timer;
-  storage::FilterStats filter_stats;
+  // The snapshot is pinned by the dataset: a concurrent append publishes
+  // a new version without perturbing this recommendation.
   MUVE_ASSIGN_OR_RETURN(
-      dataset.target_rows,
-      storage::Filter(*table, stmt.where.get(), nullptr, &filter_stats));
-  dataset.predicate_rows_filtered =
-      filter_stats.rows_in - filter_stats.rows_out;
-  dataset.chunks_skipped = filter_stats.chunks_skipped;
-  dataset.setup_time_ms = filter_timer.ElapsedMillis();
-  dataset.all_rows = storage::AllRows(table->num_rows());
-  if (dataset.target_rows.empty()) {
-    return common::Status::InvalidArgument(
-        "RECOMMEND predicate selects no rows");
-  }
-
+      data::Dataset dataset,
+      data::Bind(stmt.table_name, snap.table, workload, stmt.where_sql));
   MUVE_ASSIGN_OR_RETURN(const SearchOptions options,
                         OptionsFromStatement(stmt));
   MUVE_ASSIGN_OR_RETURN(Recommender recommender,
@@ -101,7 +70,7 @@ common::Result<Recommendation> ExecuteRecommend(sql::RecommendStatement& stmt,
 }
 
 common::Result<Recommendation> RecommendSql(const std::string& sql,
-                                            const sql::Catalog& catalog) {
+                                            const storage::Catalog& catalog) {
   MUVE_ASSIGN_OR_RETURN(sql::Statement stmt, sql::Parse(sql));
   if (stmt.kind != sql::Statement::Kind::kRecommend) {
     return common::Status::InvalidArgument("statement is not RECOMMEND");

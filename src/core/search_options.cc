@@ -1,5 +1,7 @@
 #include "core/search_options.h"
 
+#include "common/string_util.h"
+
 namespace muve::core {
 
 const char* HorizontalStrategyName(HorizontalStrategy s) {
@@ -22,6 +24,33 @@ const char* VerticalStrategyName(VerticalStrategy s) {
       return "MuVE";
   }
   return "?";
+}
+
+std::optional<Scheme> SchemeFromName(std::string_view name) {
+  using H = HorizontalStrategy;
+  using V = VerticalStrategy;
+  const std::string lower = common::ToLower(name);
+  if (lower == "linear-linear" || lower == "linear") {
+    return Scheme{H::kLinear, V::kLinear};
+  }
+  if (lower == "hc-linear" || lower == "hc") {
+    return Scheme{H::kHillClimbing, V::kLinear};
+  }
+  if (lower == "muve-linear" || lower == "muve_linear") {
+    return Scheme{H::kMuve, V::kLinear};
+  }
+  if (lower == "muve-muve" || lower == "muve") {
+    return Scheme{H::kMuve, V::kMuve};
+  }
+  return std::nullopt;
+}
+
+std::optional<ProbeOrderPolicy> ProbeOrderFromName(std::string_view name) {
+  const std::string lower = common::ToLower(name);
+  if (lower == "priority") return ProbeOrderPolicy::kPriorityRule;
+  if (lower == "deviation-first") return ProbeOrderPolicy::kDeviationFirst;
+  if (lower == "accuracy-first") return ProbeOrderPolicy::kAccuracyFirst;
+  return std::nullopt;
 }
 
 common::Status SearchOptions::Validate() const {

@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/exec_context.h"
 #include "common/status.h"
@@ -36,6 +38,21 @@ enum class ProbeOrderPolicy { kPriorityRule, kDeviationFirst, kAccuracyFirst };
 
 const char* HorizontalStrategyName(HorizontalStrategy s);
 const char* VerticalStrategyName(VerticalStrategy s);
+
+// A SearchH-SearchV combination.
+struct Scheme {
+  HorizontalStrategy horizontal;
+  VerticalStrategy vertical;
+};
+
+// The one scheme-name table, case-insensitive: linear-linear, hc-linear,
+// muve-linear and muve-muve, with the SQL RECOMMEND spellings LINEAR,
+// HC, MUVE_LINEAR and MUVE as aliases.  nullopt for any other name; each
+// front end words its own error.
+std::optional<Scheme> SchemeFromName(std::string_view name);
+
+// priority | deviation-first | accuracy-first, case-insensitive.
+std::optional<ProbeOrderPolicy> ProbeOrderFromName(std::string_view name);
 
 // The bin-domain range partitioning (Section IV-C3).
 struct PartitionSpec {

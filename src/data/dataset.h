@@ -2,6 +2,10 @@
 // experiments assume — which attributes are dimensions, which are
 // measures, which aggregate functions are in play, and the analyst's
 // query predicate T that selects the subset D_Q.
+//
+// Bind is the one place a Dataset's selection is built: every front end
+// (the bundled loaders, muved's registry, SQL RECOMMEND, muve_cli --csv,
+// the scale bench) hands it (table, workload, predicate text).
 
 #ifndef MUVE_DATA_DATASET_H_
 #define MUVE_DATA_DATASET_H_
@@ -16,6 +20,17 @@
 #include "storage/table.h"
 
 namespace muve::data {
+
+// The exploration workload attached to a table: which columns are
+// dimensions/measures, the aggregate functions in play, and the table's
+// default analyst predicate ("" = none).
+struct Workload {
+  std::vector<std::string> dimensions;
+  std::vector<std::string> measures;
+  std::vector<storage::AggregateFunction> functions;
+  std::vector<std::string> categorical_dimensions;
+  std::string default_predicate;
+};
 
 // A fully-specified exploration workload over one table.
 struct Dataset {
@@ -50,6 +65,21 @@ struct Dataset {
   int64_t chunks_skipped = 0;
   double setup_time_ms = 0.0;
 };
+
+// Binds `workload` over `table` under `predicate_sql`, a bare WHERE
+// condition (sql::ParseWhere): D_Q is the rows it selects, D_B every
+// row, and the setup accounting (rows filtered, chunks skipped, parse +
+// filter wall-clock) is filled in.  Parse and bind errors pass through;
+// a predicate selecting no rows is InvalidArgument, since there would be
+// no deviation to measure.
+common::Result<Dataset> Bind(std::string name,
+                             std::shared_ptr<const storage::Table> table,
+                             const Workload& workload,
+                             const std::string& predicate_sql);
+
+// The workload `dataset` was bound with; its predicate becomes the
+// default.
+Workload WorkloadOf(const Dataset& dataset);
 
 // Restricts `dataset`'s workload to the first `num_dimensions` dimensions /
 // `num_measures` measures / `num_functions` functions (for the paper's

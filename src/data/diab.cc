@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "storage/predicate.h"
 
 namespace muve::data {
 
@@ -93,27 +92,19 @@ Dataset MakeDiabDataset(uint64_t seed) {
     MUVE_CHECK(st.ok()) << st.ToString();
   }
 
-  Dataset out;
-  out.name = "DIAB";
-  out.table = table;
-  out.dimensions = {"Age", "BloodPressure", "Pregnancies", "BMI"};
-  out.measures = {"Glucose", "Insulin", "SkinThickness", "DiabetesPedigree"};
-  out.functions = {storage::AggregateFunction::kSum,
-                   storage::AggregateFunction::kAvg,
-                   storage::AggregateFunction::kCount};
-  out.query_predicate_sql = "Outcome = 1";
-
-  auto pred = storage::MakeComparison("Outcome", storage::CompareOp::kEq,
-                                      Value(static_cast<int64_t>(1)));
-  storage::FilterStats filter_stats;
-  auto rows = storage::Filter(*table, pred.get(), nullptr, &filter_stats);
-  MUVE_CHECK(rows.ok()) << rows.status().ToString();
-  out.target_rows = std::move(rows).value();
-  out.all_rows = storage::AllRows(table->num_rows());
-  out.predicate_rows_filtered = filter_stats.rows_in - filter_stats.rows_out;
-  out.chunks_skipped = filter_stats.chunks_skipped;
-  out.setup_time_ms = setup_timer.ElapsedMillis();
-  return out;
+  Workload workload;
+  workload.dimensions = {"Age", "BloodPressure", "Pregnancies", "BMI"};
+  workload.measures = {"Glucose", "Insulin", "SkinThickness",
+                       "DiabetesPedigree"};
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg,
+                        storage::AggregateFunction::kCount};
+  workload.default_predicate = "Outcome = 1";
+  auto out = Bind("DIAB", std::move(table), workload,
+                  workload.default_predicate);
+  MUVE_CHECK(out.ok()) << out.status().ToString();
+  out->setup_time_ms = setup_timer.ElapsedMillis();
+  return *std::move(out);
 }
 
 }  // namespace muve::data

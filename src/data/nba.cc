@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "storage/predicate.h"
 
 namespace muve::data {
 
@@ -170,31 +169,23 @@ Dataset MakeNbaDataset(uint64_t seed) {
     MUVE_CHECK(st.ok()) << st.ToString();
   }
 
-  Dataset out;
-  out.name = "NBA";
-  out.table = table;
-  out.dimensions = {"MP", "G", "Age"};
+  Workload workload;
+  workload.dimensions = {"MP", "G", "Age"};
   // First three are the default workload; the full list supports the
   // paper's 3..13-measure scalability sweep (Figure 8).
-  out.measures = {"3PAr",    "PER",     "TS_pct",  "FTr",     "TRB_pct",
-                  "AST_pct", "STL_pct", "BLK_pct", "TOV_pct", "USG_pct",
-                  "WS",      "DWS",     "OWS"};
-  out.functions = {storage::AggregateFunction::kSum,
-                   storage::AggregateFunction::kAvg,
-                   storage::AggregateFunction::kCount};
-  out.query_predicate_sql = "Team = 'GSW'";
-
-  auto pred = storage::MakeComparison("Team", storage::CompareOp::kEq,
-                                      Value("GSW"));
-  storage::FilterStats filter_stats;
-  auto rows = storage::Filter(*table, pred.get(), nullptr, &filter_stats);
-  MUVE_CHECK(rows.ok()) << rows.status().ToString();
-  out.target_rows = std::move(rows).value();
-  out.all_rows = storage::AllRows(table->num_rows());
-  out.predicate_rows_filtered = filter_stats.rows_in - filter_stats.rows_out;
-  out.chunks_skipped = filter_stats.chunks_skipped;
-  out.setup_time_ms = setup_timer.ElapsedMillis();
-  return out;
+  workload.measures = {"3PAr",    "PER",     "TS_pct",  "FTr",
+                       "TRB_pct", "AST_pct", "STL_pct", "BLK_pct",
+                       "TOV_pct", "USG_pct", "WS",      "DWS",
+                       "OWS"};
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg,
+                        storage::AggregateFunction::kCount};
+  workload.default_predicate = "Team = 'GSW'";
+  auto out = Bind("NBA", std::move(table), workload,
+                  workload.default_predicate);
+  MUVE_CHECK(out.ok()) << out.status().ToString();
+  out->setup_time_ms = setup_timer.ElapsedMillis();
+  return *std::move(out);
 }
 
 }  // namespace muve::data

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "storage/predicate.h"
 
 namespace muve::data {
 
@@ -97,26 +96,17 @@ std::string ScalePredicateSql(const ScaleSpec& spec) {
 
 Dataset MakeScaleDataset(const ScaleSpec& spec, size_t chunk_rows) {
   common::Stopwatch setup_timer;
-  Dataset ds;
-  ds.name = "scale";
-  ds.table = MakeScaleTable(spec, 0, spec.rows, chunk_rows);
-  ds.dimensions = {"x", "y"};
-  ds.measures = {"m1", "m2"};
-  ds.functions = {storage::AggregateFunction::kSum,
-                  storage::AggregateFunction::kAvg};
-  ds.query_predicate_sql = ScalePredicateSql(spec);
-  const int64_t threshold = (MaxDay(spec) + 1) * 3 / 4;
-  auto pred = storage::MakeComparison("day", storage::CompareOp::kGe,
-                                      Value(threshold));
-  storage::FilterStats filter_stats;
-  auto rows = storage::Filter(*ds.table, pred.get(), nullptr, &filter_stats);
-  MUVE_CHECK(rows.ok()) << rows.status().ToString();
-  ds.target_rows = std::move(rows).value();
-  ds.all_rows = storage::AllRows(ds.table->num_rows());
-  ds.predicate_rows_filtered = filter_stats.rows_in - filter_stats.rows_out;
-  ds.chunks_skipped = filter_stats.chunks_skipped;
-  ds.setup_time_ms = setup_timer.ElapsedMillis();
-  return ds;
+  Workload workload;
+  workload.dimensions = {"x", "y"};
+  workload.measures = {"m1", "m2"};
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg};
+  workload.default_predicate = ScalePredicateSql(spec);
+  auto ds = Bind("scale", MakeScaleTable(spec, 0, spec.rows, chunk_rows),
+                 workload, workload.default_predicate);
+  MUVE_CHECK(ds.ok()) << ds.status().ToString();
+  ds->setup_time_ms = setup_timer.ElapsedMillis();
+  return *std::move(ds);
 }
 
 void WriteScaleCsv(std::ostream& out, const ScaleSpec& spec, size_t begin,

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "storage/predicate.h"
 
 namespace muve::data {
 
@@ -35,25 +34,17 @@ Dataset MakeToyDataset() {
     MUVE_CHECK(st.ok()) << st.ToString();
   }
 
-  Dataset ds;
-  ds.name = "toy";
-  ds.table = table;
-  ds.dimensions = {"x", "y"};
-  ds.measures = {"m1", "m2"};
-  ds.functions = {storage::AggregateFunction::kSum,
-                  storage::AggregateFunction::kAvg};
-  ds.query_predicate_sql = "grp = 'a'";
-  auto pred = storage::MakeComparison("grp", storage::CompareOp::kEq,
-                                      storage::Value("a"));
-  storage::FilterStats filter_stats;
-  auto rows = storage::Filter(*table, pred.get(), nullptr, &filter_stats);
-  MUVE_CHECK(rows.ok()) << rows.status().ToString();
-  ds.target_rows = std::move(rows).value();
-  ds.all_rows = storage::AllRows(table->num_rows());
-  ds.predicate_rows_filtered = filter_stats.rows_in - filter_stats.rows_out;
-  ds.chunks_skipped = filter_stats.chunks_skipped;
-  ds.setup_time_ms = setup_timer.ElapsedMillis();
-  return ds;
+  Workload workload;
+  workload.dimensions = {"x", "y"};
+  workload.measures = {"m1", "m2"};
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg};
+  workload.default_predicate = "grp = 'a'";
+  auto ds = Bind("toy", std::move(table), workload,
+                 workload.default_predicate);
+  MUVE_CHECK(ds.ok()) << ds.status().ToString();
+  ds->setup_time_ms = setup_timer.ElapsedMillis();
+  return *std::move(ds);
 }
 
 }  // namespace muve::data

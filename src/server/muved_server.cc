@@ -149,37 +149,10 @@ Status GetWeights(const JsonValue& request, std::string_view name,
   return Status::OK();
 }
 
-Result<core::SearchOptions> SchemeByName(const std::string& scheme) {
-  core::SearchOptions options;
-  const std::string lower = common::ToLower(scheme);
-  if (lower == "linear-linear") {
-    options.horizontal = core::HorizontalStrategy::kLinear;
-    options.vertical = core::VerticalStrategy::kLinear;
-  } else if (lower == "hc-linear") {
-    options.horizontal = core::HorizontalStrategy::kHillClimbing;
-    options.vertical = core::VerticalStrategy::kLinear;
-  } else if (lower == "muve-linear") {
-    options.horizontal = core::HorizontalStrategy::kMuve;
-    options.vertical = core::VerticalStrategy::kLinear;
-  } else if (lower == "muve-muve") {
-    options.horizontal = core::HorizontalStrategy::kMuve;
-    options.vertical = core::VerticalStrategy::kMuve;
-  } else {
-    return Status::InvalidArgument("scheme: unknown \"" + scheme + "\"");
-  }
-  return options;
-}
-
-Result<core::ProbeOrderPolicy> ProbeOrderByName(const std::string& name) {
-  const std::string lower = common::ToLower(name);
-  if (lower == "priority") return core::ProbeOrderPolicy::kPriorityRule;
-  if (lower == "deviation-first") {
-    return core::ProbeOrderPolicy::kDeviationFirst;
-  }
-  if (lower == "accuracy-first") {
-    return core::ProbeOrderPolicy::kAccuracyFirst;
-  }
-  return Status::InvalidArgument("probe_order: unknown \"" + name + "\"");
+// The error for a name missing from core's scheme / probe-order tables.
+Status UnknownName(const char* field, const std::string& name) {
+  return Status::InvalidArgument(std::string(field) + ": unknown \"" + name +
+                                 "\"");
 }
 
 JsonValue SerializeViews(const std::vector<core::ScoredView>& views) {
@@ -300,7 +273,7 @@ MuvedServer::MuvedServer(ServerOptions options)
       registry_(Registry::Options{options_.max_recommenders,
                                   options_.result_cache_entries}) {
   // The built-ins enter the catalog like any created table, carrying
-  // their paper workloads as specs.  Table::Clone shares chunks, so the
+  // their paper workloads.  Table::Clone shares chunks, so the
   // registrations cost O(columns), not O(rows).
   const std::pair<const char*, data::Dataset> builtins[] = {
       {"toy", data::MakeToyDataset()},
@@ -308,14 +281,8 @@ MuvedServer::MuvedServer(ServerOptions options)
       {"diab", data::MakeDiabDataset()},
   };
   for (const auto& [name, ds] : builtins) {
-    WorkloadSpec spec;
-    spec.dimensions = ds.dimensions;
-    spec.measures = ds.measures;
-    spec.functions = ds.functions;
-    spec.categorical_dimensions = ds.categorical_dimensions;
-    spec.default_predicate = ds.query_predicate_sql;
     const Status st =
-        registry_.Create(name, ds.table->Clone(), std::move(spec));
+        registry_.Create(name, ds.table->Clone(), data::WorkloadOf(ds));
     MUVE_CHECK(st.ok()) << st.ToString();
   }
 }
@@ -644,8 +611,8 @@ JsonValue MuvedServer::HandleDefaults(const JsonValue& request,
   if (Status st = GetString(request, "scheme", &scheme); !st.ok()) {
     return ErrorResponse(st);
   }
-  if (auto probe = SchemeByName(scheme); !probe.ok()) {
-    return ErrorResponse(probe.status());
+  if (!core::SchemeFromName(scheme)) {
+    return ErrorResponse(UnknownName("scheme", scheme));
   }
   session->default_k = k;
   session->default_weights = weights;
@@ -697,11 +664,14 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   if (Status st = GetString(request, "scheme", &scheme); !st.ok()) {
     return ErrorResponse(st);
   }
-  auto options = SchemeByName(scheme);
-  if (!options.ok()) return ErrorResponse(options.status());
+  const std::optional<core::Scheme> named = core::SchemeFromName(scheme);
+  if (!named) return ErrorResponse(UnknownName("scheme", scheme));
+  core::SearchOptions options;
+  options.horizontal = named->horizontal;
+  options.vertical = named->vertical;
 
-  options->weights = session->default_weights;
-  if (Status st = GetWeights(request, "weights", &options->weights, nullptr);
+  options.weights = session->default_weights;
+  if (Status st = GetWeights(request, "weights", &options.weights, nullptr);
       !st.ok()) {
     return ErrorResponse(st);
   }
@@ -709,7 +679,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   if (Status st = GetInt64(request, "k", &k, 1, 1000000); !st.ok()) {
     return ErrorResponse(st);
   }
-  options->k = static_cast<int>(k);
+  options.k = static_cast<int>(k);
 
   std::string distance;
   if (Status st = GetString(request, "distance", &distance); !st.ok()) {
@@ -718,37 +688,37 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   if (!distance.empty()) {
     auto kind = core::DistanceKindFromName(distance);
     if (!kind.ok()) return ErrorResponse(kind.status());
-    options->distance = *kind;
+    options.distance = *kind;
   }
   std::string probe_order;
   if (Status st = GetString(request, "probe_order", &probe_order); !st.ok()) {
     return ErrorResponse(st);
   }
   if (!probe_order.empty()) {
-    auto policy = ProbeOrderByName(probe_order);
-    if (!policy.ok()) return ErrorResponse(policy.status());
-    options->probe_order = *policy;
+    const auto policy = core::ProbeOrderFromName(probe_order);
+    if (!policy) return ErrorResponse(UnknownName("probe_order", probe_order));
+    options.probe_order = *policy;
   }
   double deadline_ms = -1.0;
   if (Status st = GetDouble(request, "deadline_ms", &deadline_ms, 0.0, 1e12);
       !st.ok()) {
     return ErrorResponse(st);
   }
-  options->deadline_ms = deadline_ms;
+  options.deadline_ms = deadline_ms;
   int64_t max_rows = 0;
   if (Status st = GetInt64(request, "max_rows", &max_rows, 0,
                            std::numeric_limits<int64_t>::max());
       !st.ok()) {
     return ErrorResponse(st);
   }
-  options->max_rows_scanned = max_rows;
+  options.max_rows_scanned = max_rows;
   int64_t threads = 1;
   if (Status st = GetInt64(request, "threads", &threads, 1,
                            options_.max_request_threads);
       !st.ok()) {
     return ErrorResponse(st);
   }
-  options->num_threads = static_cast<int>(threads);
+  options.num_threads = static_cast<int>(threads);
   bool include_timings = false;
   if (Status st = GetBool(request, "include_timings", &include_timings);
       !st.ok()) {
@@ -768,7 +738,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
                          max_rows == 0 && !include_timings;
   std::string result_key;
   if (cacheable) {
-    result_key = Registry::ResultKey(*entry, *options, k, threads);
+    result_key = Registry::ResultKey(*entry, options, k, threads);
     JsonValue cached;
     if (registry_.LookupResult(result_key, &cached)) {
       std::lock_guard<std::mutex> lock(counters_mu_);
@@ -779,7 +749,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
 
   // Every request on this registry entry probes identical row sets, so
   // they share one base-histogram store.
-  options->shared_base_cache = entry->base_cache;
+  options.shared_base_cache = entry->base_cache;
 
   // Bounded, deadline-aware admission (DESIGN.md §14).  The remaining
   // budget is what is left of deadline_ms after decode/registry work; a
@@ -817,15 +787,15 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   // RAII guard — a throw anywhere below (failpoint-injected or real)
   // releases it on unwind instead of wedging the gate one slot smaller
   // forever.
-  if (options->deadline_ms >= 0.0) {
-    options->deadline_ms =
+  if (options.deadline_ms >= 0.0) {
+    options.deadline_ms =
         std::max(0.0, deadline_ms - request_timer.ElapsedMillis());
   }
 
   // Shutdown must not wait out a long deadline: every in-flight request
   // carries a token Stop() can trip.
   auto cancel = std::make_shared<common::CancellationToken>();
-  options->cancel_token = cancel;
+  options.cancel_token = cancel;
   {
     std::lock_guard<std::mutex> lock(conn->cancel_mu);
     conn->active_cancel = cancel;
@@ -847,7 +817,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
         break;
       default: {
         common::Stopwatch exec_timer;
-        rec = entry->recommender->Recommend(*options);
+        rec = entry->recommender->Recommend(options);
         exec_ms = exec_timer.ElapsedMillis();
         break;
       }
@@ -1072,29 +1042,29 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   if (csv.empty()) {
     return ErrorResponse(Status::InvalidArgument("create: csv is required"));
   }
-  WorkloadSpec spec;
-  if (Status st = GetStringArray(request, "dims", &spec.dimensions);
+  data::Workload workload;
+  if (Status st = GetStringArray(request, "dims", &workload.dimensions);
       !st.ok()) {
     return ErrorResponse(st);
   }
-  if (Status st = GetStringArray(request, "measures", &spec.measures);
+  if (Status st = GetStringArray(request, "measures", &workload.measures);
       !st.ok()) {
     return ErrorResponse(st);
   }
-  spec.functions = {storage::AggregateFunction::kSum,
-                    storage::AggregateFunction::kAvg};
-  spec.default_predicate = predicate;
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg};
+  workload.default_predicate = predicate;
   // Validate the default predicate's syntax now, at create time — a
   // typo must not surface only on the first recommend.
   if (!predicate.empty()) {
-    auto parsed = sql::ParseSelect("SELECT * FROM t WHERE " + predicate);
+    auto parsed = sql::ParseWhere(predicate);
     if (!parsed.ok()) return ErrorResponse(parsed.status());
   }
   auto parsed_table = storage::ReadCsvString(csv);
   if (!parsed_table.ok()) return ErrorResponse(parsed_table.status());
   // Dimensions and measures must name numeric columns: views bin
   // dimensions and aggregate measure moments.
-  for (const std::string& dim : spec.dimensions) {
+  for (const std::string& dim : workload.dimensions) {
     auto col = parsed_table->ColumnByName(dim);
     if (!col.ok()) return ErrorResponse(col.status());
     if ((*col)->type() == storage::ValueType::kString) {
@@ -1102,7 +1072,7 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
           "dims: column '" + dim + "' is a string column"));
     }
   }
-  for (const std::string& mea : spec.measures) {
+  for (const std::string& mea : workload.measures) {
     auto col = parsed_table->ColumnByName(mea);
     if (!col.ok()) return ErrorResponse(col.status());
     if ((*col)->type() == storage::ValueType::kString) {
@@ -1113,7 +1083,7 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   const int64_t rows = static_cast<int64_t>(parsed_table->num_rows());
   const int64_t cols = static_cast<int64_t>(parsed_table->num_columns());
   if (Status st = registry_.Create(table_name, std::move(*parsed_table),
-                                   std::move(spec));
+                                   std::move(workload));
       !st.ok()) {
     return ErrorResponse(st);
   }

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/stopwatch.h"
 #include "sql/parser.h"
 #include "storage/csv.h"
 #include "storage/predicate.h"
@@ -24,26 +23,22 @@ std::string EpochKey(const std::string& dataset, uint64_t epoch,
   return dataset + '\x01' + std::to_string(epoch) + '\x01' + canonical;
 }
 
-Result<sql::SelectStatement> ParseWhere(const std::string& predicate) {
-  return sql::ParseSelect("SELECT * FROM t WHERE " + predicate);
-}
-
 }  // namespace
 
 Registry::Registry(Options options) : options_(options) {}
 
 Status Registry::Create(const std::string& name, storage::Table table,
-                        WorkloadSpec spec) {
+                        data::Workload workload) {
   std::lock_guard<std::mutex> lock(mu_);
   MUVE_RETURN_IF_ERROR(catalog_.Create(name, std::move(table)));
-  specs_[name] = std::move(spec);
+  workloads_[name] = std::move(workload);
   return Status::OK();
 }
 
 Status Registry::Drop(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   MUVE_RETURN_IF_ERROR(catalog_.Drop(name));
-  specs_.erase(name);
+  workloads_.erase(name);
   PurgeLocked(name, /*keep_stores=*/false);
   return Status::OK();
 }
@@ -99,15 +94,15 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
 
   // data_epoch-keyed state is stale now; the stores stay, because they
   // are patched below under the preserved base_epoch.
-  WorkloadSpec spec;
+  data::Workload workload;
   std::vector<std::pair<std::string, Store>> targets;
   {
     std::lock_guard<std::mutex> lock(mu_);
     PurgeLocked(name, /*keep_stores=*/true);
-    auto it = specs_.find(name);
+    auto it = workloads_.find(name);
     // A racing drop leaves nothing to patch.
-    if (it == specs_.end()) return outcome;
-    spec = it->second;
+    if (it == workloads_.end()) return outcome;
+    workload = it->second;
     for (const auto& [key, store] : stores_) {
       if (store.dataset == name) targets.emplace_back(key, store);
     }
@@ -119,22 +114,22 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
 
   std::vector<std::string> failed;
   for (const auto& [key, store] : targets) {
-    sql::SelectStatement stmt;
+    storage::PredicatePtr where;
     storage::IngestDeltaRequest delta;
     delta.table = appended.snapshot.table.get();
     delta.rows_before = appended.rows_before;
     delta.rows_appended = appended.rows_appended;
-    delta.dimensions = spec.dimensions;
-    delta.measures = spec.measures;
+    delta.dimensions = workload.dimensions;
+    delta.measures = workload.measures;
     if (!store.predicate_sql.empty()) {
-      auto parsed = ParseWhere(store.predicate_sql);
+      auto parsed = sql::ParseWhere(store.predicate_sql);
       if (!parsed.ok() ||
-          !parsed->where->Bind(appended.snapshot.table->schema()).ok()) {
+          !(*parsed)->Bind(appended.snapshot.table->schema()).ok()) {
         failed.push_back(key);
         continue;
       }
-      stmt = std::move(*parsed);
-      delta.target_predicate = stmt.where.get();
+      where = std::move(*parsed);
+      delta.target_predicate = where.get();
     }
     delta.cache = store.cache.get();
     if (!storage::ApplyAppendDeltas(delta, &outcome.ingest).ok()) {
@@ -160,25 +155,25 @@ Result<Registry::Entry> Registry::Resolve(const std::string& dataset,
   // spellings of one WHERE clause share a recommender and its caches.
   // "" (the table's default workload) keys as the empty canonical.
   std::string canonical;
-  sql::SelectStatement stmt;
   if (!predicate.empty()) {
-    MUVE_ASSIGN_OR_RETURN(stmt, ParseWhere(predicate));
-    canonical = storage::CanonicalPredicateKey(*stmt.where);
+    MUVE_ASSIGN_OR_RETURN(const storage::PredicatePtr where,
+                          sql::ParseWhere(predicate));
+    canonical = storage::CanonicalPredicateKey(*where);
   }
   Entry entry;
   entry.key = EpochKey(dataset, snap.data_epoch, canonical);
   entry.dataset = dataset;
-  WorkloadSpec spec;
+  data::Workload workload;
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const Entry& existing : entries_) {
       if (existing.key == entry.key) return existing;
     }
-    auto it = specs_.find(dataset);
-    if (it == specs_.end()) {  // dropped since the snapshot
+    auto it = workloads_.find(dataset);
+    if (it == workloads_.end()) {  // dropped since the snapshot
       return Status::NotFound("no table named '" + dataset + "'");
     }
-    spec = it->second;
+    workload = it->second;
   }
 
   // Cold build, outside the lock: it must not block a concurrent
@@ -187,41 +182,16 @@ Result<Registry::Entry> Registry::Resolve(const std::string& dataset,
   // holds a build here, after its snapshot was read.
   (void)MUVE_FAILPOINT("registry.build");
   const std::string effective_predicate =
-      predicate.empty() ? spec.default_predicate : predicate;
+      predicate.empty() ? workload.default_predicate : predicate;
   if (effective_predicate.empty()) {
     return Status::InvalidArgument(
         "table '" + dataset +
         "' has no default predicate; pass \"predicate\"");
   }
-  if (predicate.empty()) {
-    MUVE_ASSIGN_OR_RETURN(stmt, ParseWhere(effective_predicate));
-  }
-  data::Dataset base;
-  base.name = dataset;
-  base.table = snap.table;
-  base.dimensions = std::move(spec.dimensions);
-  base.measures = std::move(spec.measures);
-  base.functions = std::move(spec.functions);
-  base.categorical_dimensions = std::move(spec.categorical_dimensions);
-  base.query_predicate_sql = effective_predicate;
-  {
-    common::Stopwatch setup_timer;
-    storage::FilterStats filter_stats;
-    MUVE_ASSIGN_OR_RETURN(base.target_rows,
-                          storage::Filter(*base.table, stmt.where.get(),
-                                          nullptr, &filter_stats));
-    if (base.target_rows.empty()) {
-      return Status::InvalidArgument("predicate selects no rows: " +
-                                     effective_predicate);
-    }
-    base.chunks_skipped = filter_stats.chunks_skipped;
-    base.all_rows = storage::AllRows(base.table->num_rows());
-    base.predicate_rows_filtered =
-        static_cast<int64_t>(base.table->num_rows()) -
-        static_cast<int64_t>(base.target_rows.size());
-    base.setup_time_ms = setup_timer.ElapsedMillis();
-  }
-  if (!predicate.empty()) base.name += " WHERE " + predicate;
+  MUVE_ASSIGN_OR_RETURN(
+      data::Dataset base,
+      data::Bind(predicate.empty() ? dataset : dataset + " WHERE " + predicate,
+                 snap.table, workload, effective_predicate));
   MUVE_ASSIGN_OR_RETURN(core::Recommender built,
                         core::Recommender::Create(std::move(base)));
   entry.recommender =

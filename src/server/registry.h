@@ -34,24 +34,13 @@
 #include "common/status.h"
 #include "core/recommender.h"
 #include "core/search_options.h"
+#include "data/dataset.h"
 #include "server/json.h"
-#include "storage/aggregate.h"
 #include "storage/base_histogram_cache.h"
 #include "storage/catalog.h"
 #include "storage/ingest.h"
 
 namespace muve::server {
-
-// The exploration workload attached to a catalog table: which columns are
-// dimensions/measures, the aggregate functions in play, and the table's
-// default analyst predicate ("" = none; recommends must then pass one).
-struct WorkloadSpec {
-  std::vector<std::string> dimensions;
-  std::vector<std::string> measures;
-  std::vector<storage::AggregateFunction> functions;
-  std::vector<std::string> categorical_dimensions;
-  std::string default_predicate;
-};
 
 class Registry {
  public:
@@ -91,9 +80,10 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  // Adds `table` to the catalog under `name` with its workload.
+  // Adds `table` to the catalog under `name` with its workload.  A
+  // workload without a default predicate makes recommends pass one.
   common::Status Create(const std::string& name, storage::Table table,
-                        WorkloadSpec spec);
+                        data::Workload workload);
 
   // Removes `name` and everything derived from it.
   common::Status Drop(const std::string& name);
@@ -156,7 +146,7 @@ class Registry {
 
   // Guards everything below.
   mutable std::mutex mu_;
-  std::unordered_map<std::string, WorkloadSpec> specs_;
+  std::unordered_map<std::string, data::Workload> workloads_;
   std::vector<Entry> entries_;  // insertion order = eviction order
   // Keyed dataset \x01 base_epoch \x01 canonical predicate.
   std::unordered_map<std::string, Store> stores_;

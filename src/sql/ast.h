@@ -73,6 +73,7 @@ struct RecommendStatement {
   int top_k = 5;
   std::string table_name;
   storage::PredicatePtr where;  // the exploration query's T predicate
+  std::string where_sql;        // its source text, for data::Bind
   std::string scheme = "MUVE";  // MUVE | LINEAR | HC (horizontal-vertical
                                 // combos resolved by the recommender glue)
   // alpha_D, alpha_A, alpha_S; defaults to the paper's default setting.

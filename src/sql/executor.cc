@@ -301,9 +301,16 @@ Result<Table> ApplyOrderAndLimit(const SelectStatement& stmt, Table result) {
 
 }  // namespace
 
+common::Result<storage::Catalog::Snapshot> GetTable(
+    const storage::Catalog& catalog, const std::string& name) {
+  return catalog.Get(common::ToLower(name));
+}
+
 common::Result<storage::Table> Execute(SelectStatement& stmt,
-                                       const Catalog& catalog) {
-  MUVE_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(stmt.table_name));
+                                       const storage::Catalog& catalog) {
+  MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot snap,
+                        GetTable(catalog, stmt.table_name));
+  const Table* table = snap.table.get();
   if (stmt.items.empty()) {
     return Status::InvalidArgument("empty select list");
   }
@@ -338,7 +345,7 @@ common::Result<storage::Table> Execute(SelectStatement& stmt,
 }
 
 common::Result<StatementResult> ExecuteStatement(Statement& stmt,
-                                                 Catalog& catalog) {
+                                                 storage::Catalog& catalog) {
   StatementResult result;
   switch (stmt.kind) {
     case Statement::Kind::kSelect: {
@@ -353,49 +360,44 @@ common::Result<StatementResult> ExecuteStatement(Statement& stmt,
       if (stmt.create_table.schema.num_fields() == 0) {
         return Status::InvalidArgument("CREATE TABLE needs columns");
       }
-      MUVE_RETURN_IF_ERROR(catalog.RegisterTable(
-          stmt.create_table.table_name,
-          storage::Table(stmt.create_table.schema)));
+      MUVE_RETURN_IF_ERROR(
+          catalog.Create(common::ToLower(stmt.create_table.table_name),
+                         storage::Table(stmt.create_table.schema)));
       result.message = "created table " + stmt.create_table.table_name;
       return result;
     }
     case Statement::Kind::kInsert: {
-      MUVE_ASSIGN_OR_RETURN(storage::Table * table,
-                            catalog.GetMutableTable(stmt.insert.table_name));
-      // Validate every row against a scratch table first so a bad row
-      // leaves the target untouched (atomic insert).
-      storage::Table scratch(table->schema());
+      MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot snap,
+                            GetTable(catalog, stmt.insert.table_name));
+      // The VALUES rows form one batch under the table's schema; a bad
+      // row fails here, before anything publishes.
+      storage::Table batch(snap.table->schema());
       for (size_t r = 0; r < stmt.insert.rows.size(); ++r) {
-        if (const Status st = scratch.AppendRow(stmt.insert.rows[r]);
+        if (const Status st = batch.AppendRow(stmt.insert.rows[r]);
             !st.ok()) {
           return Status::InvalidArgument(
               "row " + std::to_string(r + 1) + ": " + st.message());
         }
       }
-      for (const auto& row : stmt.insert.rows) {
-        MUVE_RETURN_IF_ERROR(table->AppendRow(row));
-      }
+      MUVE_RETURN_IF_ERROR(
+          catalog.Append(common::ToLower(stmt.insert.table_name), batch)
+              .status());
       result.message = "inserted " +
                        std::to_string(stmt.insert.rows.size()) +
                        " rows into " + stmt.insert.table_name;
       return result;
     }
     case Statement::Kind::kLoadCsv: {
-      MUVE_ASSIGN_OR_RETURN(
-          storage::Table * table,
-          catalog.GetMutableTable(stmt.load_csv.table_name));
+      MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot snap,
+                            GetTable(catalog, stmt.load_csv.table_name));
       storage::CsvOptions options;
-      options.schema = table->schema();
+      options.schema = snap.table->schema();
       MUVE_ASSIGN_OR_RETURN(const storage::Table loaded,
                             storage::ReadCsvFile(stmt.load_csv.path,
                                                  options));
-      std::vector<Value> row(loaded.num_columns());
-      for (size_t r = 0; r < loaded.num_rows(); ++r) {
-        for (size_t c = 0; c < loaded.num_columns(); ++c) {
-          row[c] = loaded.At(r, c);
-        }
-        MUVE_RETURN_IF_ERROR(table->AppendRow(row));
-      }
+      MUVE_RETURN_IF_ERROR(
+          catalog.Append(common::ToLower(stmt.load_csv.table_name), loaded)
+              .status());
       result.message = "loaded " + std::to_string(loaded.num_rows()) +
                        " rows from '" + stmt.load_csv.path + "' into " +
                        stmt.load_csv.table_name;
@@ -410,7 +412,7 @@ common::Result<StatementResult> ExecuteStatement(Statement& stmt,
 }
 
 common::Result<storage::Table> ExecuteSql(const std::string& sql,
-                                          const Catalog& catalog) {
+                                          const storage::Catalog& catalog) {
   MUVE_ASSIGN_OR_RETURN(Statement stmt, Parse(sql));
   if (stmt.kind != Statement::Kind::kSelect) {
     return Status::InvalidArgument(

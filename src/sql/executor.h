@@ -1,4 +1,8 @@
-// Executes SELECT statements against a Catalog, producing result tables.
+// Executes SQL statements against a storage::Catalog, the same MVCC
+// catalog muved serves from.  SELECT reads one snapshot and produces a
+// result table; INSERT and LOAD CSV publish through Catalog::Append.
+// Table names are case-insensitive: CREATE TABLE stores the lowercased
+// name and every lookup lowercases too.
 //
 // Supported shapes:
 //   * projection + filtering:      SELECT a, b FROM t WHERE p
@@ -20,18 +24,23 @@
 
 #include "common/status.h"
 #include "sql/ast.h"
-#include "sql/catalog.h"
+#include "storage/catalog.h"
 #include "storage/table.h"
 
 namespace muve::sql {
 
+// The current snapshot of the table SQL calls `name`; NotFound when
+// absent.
+common::Result<storage::Catalog::Snapshot> GetTable(
+    const storage::Catalog& catalog, const std::string& name);
+
 // Executes `stmt` (whose WHERE predicate gets bound in the process).
 common::Result<storage::Table> Execute(SelectStatement& stmt,
-                                       const Catalog& catalog);
+                                       const storage::Catalog& catalog);
 
 // Parses and executes in one call.
 common::Result<storage::Table> ExecuteSql(const std::string& sql,
-                                          const Catalog& catalog);
+                                          const storage::Catalog& catalog);
 
 // Result of a general statement: SELECT carries a result table, DDL/DML
 // carry a human-readable confirmation.
@@ -42,11 +51,16 @@ struct StatementResult {
 
 // Executes any statement kind except RECOMMEND (which needs the
 // recommendation engine; see core/recommend_sql.h).  DDL/DML semantics:
-//   CREATE TABLE — registers an empty table with the given schema/roles;
-//   INSERT — appends rows atomically (all rows validate or none land);
-//   LOAD CSV — appends a CSV file whose header matches the table schema.
+//   CREATE TABLE — Catalog::Create of an empty table with the given
+//                  schema/roles (AlreadyExists when the name is taken);
+//   INSERT — one all-or-nothing Catalog::Append of the VALUES rows;
+//   LOAD CSV — one all-or-nothing Catalog::Append of a CSV file parsed
+//              under the table's schema (header names and cell types
+//              enforced).
+// Each append publishes a new snapshot; readers holding the old one
+// are not perturbed.
 common::Result<StatementResult> ExecuteStatement(Statement& stmt,
-                                                 Catalog& catalog);
+                                                 storage::Catalog& catalog);
 
 }  // namespace muve::sql
 

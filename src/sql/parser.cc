@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <string_view>
 #include <utility>
 
 #include "common/string_util.h"
@@ -17,7 +18,8 @@ using storage::Value;
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(std::vector<Token> tokens, std::string_view source)
+      : tokens_(std::move(tokens)), source_(source) {}
 
   Result<Statement> ParseStatement() {
     Statement stmt;
@@ -450,7 +452,10 @@ class Parser {
     MUVE_RETURN_IF_ERROR(ExpectKeyword("FROM"));
     MUVE_ASSIGN_OR_RETURN(stmt.table_name, ExpectIdentifier());
     if (ConsumeKeyword("WHERE")) {
+      const size_t begin = Peek().position;
       MUVE_ASSIGN_OR_RETURN(stmt.where, ParseOrExpr());
+      stmt.where_sql = std::string(
+          common::Trim(source_.substr(begin, Peek().position - begin)));
     }
     if (ConsumeKeyword("USING")) {
       MUVE_ASSIGN_OR_RETURN(stmt.scheme, ExpectIdentifier());
@@ -471,6 +476,7 @@ class Parser {
   }
 
   std::vector<Token> tokens_;
+  std::string_view source_;
   size_t pos_ = 0;
 };
 
@@ -478,7 +484,7 @@ class Parser {
 
 common::Result<Statement> Parse(const std::string& sql) {
   MUVE_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(std::move(tokens), sql);
   return parser.ParseStatement();
 }
 
@@ -488,6 +494,21 @@ common::Result<SelectStatement> ParseSelect(const std::string& sql) {
     return common::Status::InvalidArgument("statement is not a SELECT");
   }
   return std::move(stmt.select);
+}
+
+common::Result<storage::PredicatePtr> ParseWhere(const std::string& text) {
+  MUVE_ASSIGN_OR_RETURN(SelectStatement stmt,
+                        ParseSelect("SELECT * FROM t WHERE " + text));
+  const char* trailing = stmt.group_by.has_value()   ? "GROUP BY"
+                         : stmt.order_by.has_value() ? "ORDER BY"
+                         : stmt.limit.has_value()    ? "LIMIT"
+                                                     : nullptr;
+  if (trailing != nullptr) {
+    return common::Status::InvalidArgument(
+        std::string("predicate: trailing ") + trailing +
+        " is not part of a WHERE condition");
+  }
+  return std::move(stmt.where);
 }
 
 }  // namespace muve::sql

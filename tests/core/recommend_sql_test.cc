@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/catalog.h"
 #include "storage/csv.h"
 
 namespace muve::core {
@@ -28,11 +29,10 @@ class RecommendSqlTest : public ::testing::Test {
     }
     auto table = storage::ReadCsvString(csv, options);
     EXPECT_TRUE(table.ok());
-    EXPECT_TRUE(
-        catalog_.RegisterTable("sales", std::move(table).value()).ok());
+    EXPECT_TRUE(catalog_.Create("sales", std::move(table).value()).ok());
   }
 
-  sql::Catalog catalog_;
+  storage::Catalog catalog_;
 };
 
 TEST_F(RecommendSqlTest, EndToEndMuve) {
@@ -131,8 +131,7 @@ TEST_F(RecommendSqlTest, Errors) {
 TEST_F(RecommendSqlTest, TableWithoutRolesRejected) {
   auto plain = storage::ReadCsvString("a,b\n1,2\n3,4\n");
   ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(
-      catalog_.RegisterTable("plain", std::move(plain).value()).ok());
+  ASSERT_TRUE(catalog_.Create("plain", std::move(plain).value()).ok());
   EXPECT_FALSE(
       RecommendSql("RECOMMEND VIEWS FROM plain WHERE a = 1", catalog_).ok());
 }

@@ -9,6 +9,7 @@
 #include "data/diab.h"
 #include "data/nba.h"
 #include "sql/executor.h"
+#include "storage/catalog.h"
 #include "storage/csv.h"
 #include "storage/predicate.h"
 
@@ -59,8 +60,8 @@ TEST(PipelineTest, CsvRoundTripPreservesRecommendations) {
 // the paper's V_{i,b} query shape.
 TEST(PipelineTest, SqlBinnedViewMatchesEngineKernel) {
   const data::Dataset nba = data::MakeNbaDataset();
-  sql::Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterTable("players", nba.table->Clone()).ok());
+  storage::Catalog catalog;
+  ASSERT_TRUE(catalog.Create("players", nba.table->Clone()).ok());
 
   auto via_sql = sql::ExecuteSql(
       "SELECT MP, SUM(3PAr) FROM players WHERE Team = 'GSW' "
@@ -125,8 +126,8 @@ TEST(PipelineTest, GoldenNbaExampleOneViewWins) {
 // workload definition.
 TEST(PipelineTest, SqlRecommendMatchesProgrammaticApi) {
   const data::Dataset nba = data::MakeNbaDataset();
-  sql::Catalog catalog;
-  ASSERT_TRUE(catalog.RegisterTable("players", nba.table->Clone()).ok());
+  storage::Catalog catalog;
+  ASSERT_TRUE(catalog.Create("players", nba.table->Clone()).ok());
   auto via_sql = core::RecommendSql(
       "RECOMMEND TOP 4 VIEWS FROM players WHERE Team = 'GSW' USING MUVE "
       "WEIGHTS (0.6, 0.2, 0.2)",

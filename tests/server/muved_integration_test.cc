@@ -386,6 +386,50 @@ TEST_F(MuvedIntegrationTest, PredicateFiltersAndValidates) {
   ::close(fd);
 }
 
+// A predicate is a bare WHERE condition: trailing clauses get a typed
+// invalid_argument frame on recommend and on create (where the default
+// predicate is validated), instead of being dropped from the selection
+// and from the canonical key.
+TEST_F(MuvedIntegrationTest, PredicateWithTrailingClausesIsRejected) {
+  StartServer();
+  const int fd = Dial();
+  for (const char* predicate :
+       {"Age >= 30 ORDER BY Age", "Age >= 30 LIMIT 1",
+        "Age >= 30 GROUP BY Age NUMBER OF BINS 3"}) {
+    JsonValue request = Request("recommend");
+    request.Set("dataset", JsonValue::String("nba"));
+    request.Set("predicate", JsonValue::String(predicate));
+    request.Set("scheme", JsonValue::String("linear-linear"));
+    const JsonValue response = Call(fd, request);
+    EXPECT_FALSE(IsOk(response)) << predicate;
+    EXPECT_EQ(ErrorCode(response), "invalid_argument") << response.Write();
+    EXPECT_NE(ErrorMessage(response).find("trailing"), std::string::npos)
+        << response.Write();
+  }
+
+  JsonValue create = Request("create");
+  create.Set("table", JsonValue::String("t"));
+  create.Set("csv", JsonValue::String("a,x,m\n1,1,2\n2,3,4\n"));
+  JsonValue cols = JsonValue::Array();
+  cols.Append(JsonValue::String("x"));
+  create.Set("dims", cols);
+  JsonValue measures = JsonValue::Array();
+  measures.Append(JsonValue::String("m"));
+  create.Set("measures", measures);
+  create.Set("predicate", JsonValue::String("a = 1 LIMIT 1"));
+  JsonValue response = Call(fd, create);
+  EXPECT_EQ(ErrorCode(response), "invalid_argument") << response.Write();
+
+  // The session survives and the bare condition still works.
+  JsonValue bare = Request("recommend");
+  bare.Set("dataset", JsonValue::String("nba"));
+  bare.Set("predicate", JsonValue::String("Age >= 30"));
+  bare.Set("scheme", JsonValue::String("linear-linear"));
+  response = Call(fd, bare);
+  EXPECT_TRUE(IsOk(response)) << response.Write();
+  ::close(fd);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-request shared execution (DESIGN.md §13).
 // ---------------------------------------------------------------------------

@@ -38,20 +38,20 @@ std::string SmallCsv(int begin, int end) {
   return csv;
 }
 
-WorkloadSpec SmallSpec() {
-  WorkloadSpec spec;
-  spec.dimensions = {"x"};
-  spec.measures = {"m"};
-  spec.functions = {storage::AggregateFunction::kSum,
-                    storage::AggregateFunction::kAvg};
-  spec.default_predicate = "day >= 1";
-  return spec;
+data::Workload SmallWorkload() {
+  data::Workload workload;
+  workload.dimensions = {"x"};
+  workload.measures = {"m"};
+  workload.functions = {storage::AggregateFunction::kSum,
+                        storage::AggregateFunction::kAvg};
+  workload.default_predicate = "day >= 1";
+  return workload;
 }
 
 common::Status CreateSmall(Registry* registry) {
   MUVE_ASSIGN_OR_RETURN(storage::Table table,
                         storage::ReadCsvString(SmallCsv(0, 40)));
-  return registry->Create("t", std::move(table), SmallSpec());
+  return registry->Create("t", std::move(table), SmallWorkload());
 }
 
 void ExpectConsistent(const Registry::Stats& stats,

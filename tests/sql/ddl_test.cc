@@ -1,16 +1,21 @@
 // DDL / DML statements: CREATE TABLE (with recommendation roles),
-// INSERT INTO ... VALUES, and LOAD CSV.
+// INSERT INTO ... VALUES, and LOAD CSV, run on a storage::Catalog where
+// each INSERT / LOAD CSV is one all-or-nothing MVCC append.
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <memory>
 
 #include "core/recommend_sql.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "storage/catalog.h"
 
 namespace muve::sql {
 namespace {
+
+using storage::Catalog;
 
 common::Result<StatementResult> RunSql(const std::string& sql,
                                     Catalog& catalog) {
@@ -25,16 +30,29 @@ StatementResult MustRun(const std::string& sql, Catalog& catalog) {
   return result.ok() ? std::move(result).value() : StatementResult{};
 }
 
+// The current snapshot of the table SQL calls `name`.
+storage::Catalog::Snapshot SnapshotOf(const Catalog& catalog,
+                                      const std::string& name) {
+  auto snap = GetTable(catalog, name);
+  EXPECT_TRUE(snap.ok()) << name << " -> " << snap.status().ToString();
+  return snap.ok() ? *snap : storage::Catalog::Snapshot{};
+}
+
+size_t RowsOf(const Catalog& catalog, const std::string& name) {
+  const auto snap = SnapshotOf(catalog, name);
+  return snap.table == nullptr ? 0 : snap.table->num_rows();
+}
+
 TEST(CreateTableTest, RegistersSchemaWithRoles) {
   Catalog catalog;
   MustRun(
       "CREATE TABLE sales (day INT DIMENSION, region TEXT CATEGORICAL, "
       "revenue DOUBLE MEASURE, note TEXT)",
       catalog);
-  auto table = catalog.GetTable("sales");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->num_rows(), 0u);
-  const storage::Schema& schema = (*table)->schema();
+  const auto table = SnapshotOf(catalog, "sales").table;
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->num_rows(), 0u);
+  const storage::Schema& schema = table->schema();
   EXPECT_EQ(schema.field(0).type, storage::ValueType::kInt64);
   EXPECT_EQ(schema.field(0).role, storage::FieldRole::kDimension);
   EXPECT_EQ(schema.field(1).role,
@@ -50,11 +68,11 @@ TEST(CreateTableTest, TypeAliases) {
       "CREATE TABLE t (a INTEGER, b BIGINT, c FLOAT, d REAL, e STRING, "
       "f VARCHAR)",
       catalog);
-  auto table = catalog.GetTable("t");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->schema().field(1).type, storage::ValueType::kInt64);
-  EXPECT_EQ((*table)->schema().field(3).type, storage::ValueType::kDouble);
-  EXPECT_EQ((*table)->schema().field(5).type, storage::ValueType::kString);
+  const auto table = SnapshotOf(catalog, "t").table;
+  ASSERT_NE(table, nullptr);
+  EXPECT_EQ(table->schema().field(1).type, storage::ValueType::kInt64);
+  EXPECT_EQ(table->schema().field(3).type, storage::ValueType::kDouble);
+  EXPECT_EQ(table->schema().field(5).type, storage::ValueType::kString);
 }
 
 TEST(CreateTableTest, Errors) {
@@ -64,7 +82,25 @@ TEST(CreateTableTest, Errors) {
   EXPECT_FALSE(RunSql("CREATE TABLE t ()", catalog).ok());
   EXPECT_FALSE(RunSql("CREATE TABLE t (a INT, a INT)", catalog).ok());
   MustRun("CREATE TABLE t (a INT)", catalog);
-  EXPECT_FALSE(RunSql("CREATE TABLE t (b INT)", catalog).ok());  // duplicate
+  MustRun("INSERT INTO t VALUES (1)", catalog);
+  // A duplicate name — in any case — is AlreadyExists and leaves the
+  // existing table alone.
+  EXPECT_EQ(RunSql("CREATE TABLE t (b INT)", catalog).status().code(),
+            common::StatusCode::kAlreadyExists);
+  EXPECT_EQ(RunSql("CREATE TABLE T (b INT)", catalog).status().code(),
+            common::StatusCode::kAlreadyExists);
+  EXPECT_EQ(SnapshotOf(catalog, "t").table->schema().field(0).name, "a");
+  EXPECT_EQ(RowsOf(catalog, "t"), 1u);
+}
+
+TEST(CreateTableTest, NamesAreCaseInsensitive) {
+  Catalog catalog;
+  MustRun("CREATE TABLE Sales (a INT)", catalog);
+  EXPECT_TRUE(catalog.Contains("sales"));
+  MustRun("INSERT INTO SALES VALUES (1), (2)", catalog);
+  auto result = MustRun("SELECT COUNT(*) FROM sAlEs", catalog);
+  ASSERT_TRUE(result.table.has_value());
+  EXPECT_EQ(result.table->At(0, 0), storage::Value(int64_t{2}));
 }
 
 TEST(InsertTest, AppendsRows) {
@@ -73,24 +109,47 @@ TEST(InsertTest, AppendsRows) {
   MustRun("INSERT INTO t VALUES (1, 2.5, 'x'), (-3, -0.5, 'y'), "
           "(4, 7, NULL)",
           catalog);
-  auto table = catalog.GetTable("t");
-  ASSERT_TRUE(table.ok());
-  ASSERT_EQ((*table)->num_rows(), 3u);
-  EXPECT_EQ((*table)->At(1, 0), storage::Value(int64_t{-3}));
-  EXPECT_EQ((*table)->At(1, 1), storage::Value(-0.5));
-  EXPECT_EQ((*table)->At(2, 1), storage::Value(7.0));  // int coerces
-  EXPECT_TRUE((*table)->At(2, 2).is_null());
+  const auto table = SnapshotOf(catalog, "t").table;
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->num_rows(), 3u);
+  EXPECT_EQ(table->At(1, 0), storage::Value(int64_t{-3}));
+  EXPECT_EQ(table->At(1, 1), storage::Value(-0.5));
+  EXPECT_EQ(table->At(2, 1), storage::Value(7.0));  // int coerces
+  EXPECT_TRUE(table->At(2, 2).is_null());
+}
+
+// Each INSERT publishes one new version: a snapshot taken before it keeps
+// its rows, and the data epoch moves by one per statement.
+TEST(InsertTest, PublishesOneSnapshotPerStatement) {
+  Catalog catalog;
+  MustRun("CREATE TABLE t (a INT)", catalog);
+  const auto before = SnapshotOf(catalog, "t");
+  MustRun("INSERT INTO t VALUES (1), (2), (3)", catalog);
+  const auto after = SnapshotOf(catalog, "t");
+  EXPECT_EQ(before.table->num_rows(), 0u);
+  EXPECT_EQ(after.table->num_rows(), 3u);
+  EXPECT_EQ(after.data_epoch, before.data_epoch + 1);
+  EXPECT_EQ(after.base_epoch, before.base_epoch);
 }
 
 TEST(InsertTest, AtomicOnBadRow) {
   Catalog catalog;
   MustRun("CREATE TABLE t (a INT)", catalog);
+  MustRun("INSERT INTO t VALUES (7)", catalog);
+  const auto good = SnapshotOf(catalog, "t");
   // Second row has wrong arity: nothing lands.
   EXPECT_FALSE(RunSql("INSERT INTO t VALUES (1), (2, 3)", catalog).ok());
-  EXPECT_EQ((*catalog.GetTable("t"))->num_rows(), 0u);
-  // Type error in second row: nothing lands either.
-  EXPECT_FALSE(RunSql("INSERT INTO t VALUES (1), ('oops')", catalog).ok());
-  EXPECT_EQ((*catalog.GetTable("t"))->num_rows(), 0u);
+  EXPECT_EQ(RowsOf(catalog, "t"), 1u);
+  // Type error in second row: nothing lands either, and nothing
+  // publishes — the table is the same version as before.
+  auto bad = RunSql("INSERT INTO t VALUES (1), ('oops')", catalog);
+  EXPECT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().message().find("row 2"), std::string::npos)
+      << bad.status().ToString();
+  const auto after = SnapshotOf(catalog, "t");
+  EXPECT_EQ(after.table, good.table);
+  EXPECT_EQ(after.data_epoch, good.data_epoch);
+  EXPECT_EQ(after.table->At(0, 0), storage::Value(int64_t{7}));
 }
 
 TEST(InsertTest, UnknownTableFails) {
@@ -109,10 +168,10 @@ TEST(LoadCsvTest, AppendsCsvRows) {
   const StatementResult result =
       MustRun("LOAD CSV '" + path + "' INTO t", catalog);
   EXPECT_NE(result.message.find("2 rows"), std::string::npos);
-  EXPECT_EQ((*catalog.GetTable("t"))->num_rows(), 2u);
+  EXPECT_EQ(RowsOf(catalog, "t"), 2u);
   // Loading again appends.
-  MustRun("LOAD CSV '" + path + "' INTO t", catalog);
-  EXPECT_EQ((*catalog.GetTable("t"))->num_rows(), 4u);
+  MustRun("LOAD CSV '" + path + "' INTO T", catalog);
+  EXPECT_EQ(RowsOf(catalog, "t"), 4u);
 }
 
 TEST(LoadCsvTest, HeaderMismatchFails) {
@@ -125,6 +184,25 @@ TEST(LoadCsvTest, HeaderMismatchFails) {
   }
   EXPECT_FALSE(RunSql("LOAD CSV '" + path + "' INTO t", catalog).ok());
   EXPECT_FALSE(RunSql("LOAD CSV '/no/such/file.csv' INTO t", catalog).ok());
+  EXPECT_EQ(RowsOf(catalog, "t"), 0u);
+}
+
+// LOAD CSV parses under the table's schema: a cell that does not fit its
+// column's type fails the whole file, and nothing publishes.
+TEST(LoadCsvTest, CellTypesFollowTheTableSchema) {
+  Catalog catalog;
+  MustRun("CREATE TABLE t (a INT, b TEXT)", catalog);
+  MustRun("INSERT INTO t VALUES (1, 'x')", catalog);
+  const auto before = SnapshotOf(catalog, "t");
+  const std::string path = ::testing::TempDir() + "/muve_ddl_types.csv";
+  {
+    std::ofstream out(path);
+    out << "a,b\n2,y\nnot_an_int,z\n";
+  }
+  EXPECT_FALSE(RunSql("LOAD CSV '" + path + "' INTO t", catalog).ok());
+  const auto after = SnapshotOf(catalog, "t");
+  EXPECT_EQ(after.table, before.table);
+  EXPECT_EQ(after.data_epoch, before.data_epoch);
 }
 
 TEST(DdlEndToEndTest, CreateInsertRecommend) {

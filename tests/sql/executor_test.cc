@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "sql/catalog.h"
+#include <string>
+#include <vector>
+
+#include "sql/parser.h"
+#include "storage/catalog.h"
 #include "storage/csv.h"
 
 namespace muve::sql {
@@ -25,8 +29,7 @@ class ExecutorTest : public ::testing::Test {
         "7,south,70\n"
         "8,north,80\n");
     EXPECT_TRUE(table.ok());
-    EXPECT_TRUE(
-        catalog_.RegisterTable("sales", std::move(table).value()).ok());
+    EXPECT_TRUE(catalog_.Create("sales", std::move(table).value()).ok());
   }
 
   Table Run(const std::string& sql) {
@@ -36,7 +39,7 @@ class ExecutorTest : public ::testing::Test {
     return Table(storage::Schema());
   }
 
-  Catalog catalog_;
+  storage::Catalog catalog_;
 };
 
 TEST_F(ExecutorTest, ProjectionAndFilter) {
@@ -211,13 +214,20 @@ TEST_F(ExecutorTest, Errors) {
                    .ok());  // wrong entry point
 }
 
+// SQL table names are case-insensitive on lookup and on create, and a
+// duplicate CREATE TABLE is AlreadyExists without touching the table.
 TEST_F(ExecutorTest, CatalogBasics) {
-  EXPECT_TRUE(catalog_.HasTable("SALES"));  // case-insensitive
-  EXPECT_FALSE(catalog_.HasTable("nope"));
-  EXPECT_FALSE(catalog_
-                   .RegisterTable("sales", Table(storage::Schema()))
-                   .ok());  // duplicate
-  EXPECT_EQ(catalog_.TableNames().size(), 1u);
+  EXPECT_EQ(Run("SELECT COUNT(*) FROM SALES").At(0, 0), Value(int64_t{8}));
+  EXPECT_EQ(Run("SELECT COUNT(*) FROM Sales").At(0, 0), Value(int64_t{8}));
+  auto missing = ExecuteSql("SELECT * FROM nope", catalog_);
+  EXPECT_EQ(missing.status().code(), common::StatusCode::kNotFound);
+
+  auto duplicate = Parse("CREATE TABLE SALES (a INT)");
+  ASSERT_TRUE(duplicate.ok());
+  EXPECT_EQ(ExecuteStatement(*duplicate, catalog_).status().code(),
+            common::StatusCode::kAlreadyExists);
+  EXPECT_EQ(catalog_.List(), std::vector<std::string>{"sales"});
+  EXPECT_EQ(Run("SELECT COUNT(*) FROM sales").At(0, 0), Value(int64_t{8}));
 }
 
 }  // namespace

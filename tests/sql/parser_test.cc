@@ -150,6 +150,55 @@ TEST(ParserTest, RecommendDefaults) {
   ASSERT_NE(rec.where, nullptr);
 }
 
+TEST(ParserTest, RecommendKeepsWhereSourceText) {
+  auto result = Parse(
+      "RECOMMEND TOP 3 VIEWS FROM t WHERE  team = 'GSW' AND (mp >= 10 OR "
+      "age < 30)  USING MUVE;");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->recommend.where_sql,
+            "team = 'GSW' AND (mp >= 10 OR age < 30)");
+  auto at_end = Parse("RECOMMEND VIEWS FROM t WHERE name = 'it''s' ;");
+  ASSERT_TRUE(at_end.ok()) << at_end.status().ToString();
+  EXPECT_EQ(at_end->recommend.where_sql, "name = 'it''s'");
+  // The captured text parses back to the same tree.
+  auto reparsed = ParseWhere(at_end->recommend.where_sql);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(storage::CanonicalPredicateKey(**reparsed),
+            storage::CanonicalPredicateKey(*at_end->recommend.where));
+}
+
+TEST(ParserTest, ParseWhereAcceptsBarePredicates) {
+  for (const char* text :
+       {"a = 1", "team = 'GSW' AND mp >= 10", "x BETWEEN 1 AND 2;",
+        "NOT (a IN (1, 2)) OR b IS NULL"}) {
+    auto where = ParseWhere(text);
+    ASSERT_TRUE(where.ok()) << text << " -> " << where.status().ToString();
+    EXPECT_NE(*where, nullptr);
+  }
+}
+
+TEST(ParserTest, ParseWhereRejectsTrailingClauses) {
+  for (const char* text :
+       {"a >= 2 ORDER BY a", "a >= 2 ORDER BY a LIMIT 1", "a >= 2 LIMIT 1",
+        "a >= 2 GROUP BY a", "a >= 2 GROUP BY a NUMBER OF BINS 3",
+        "a >= 2 GROUP BY a HAVING a > 1"}) {
+    auto where = ParseWhere(text);
+    ASSERT_FALSE(where.ok()) << text;
+    EXPECT_EQ(where.status().code(), common::StatusCode::kInvalidArgument)
+        << text << " -> " << where.status().ToString();
+    EXPECT_NE(where.status().message().find("trailing"), std::string::npos)
+        << where.status().ToString();
+  }
+}
+
+TEST(ParserTest, ParseWhereKeepsParseErrors) {
+  for (const char* text : {"", "a >>= 2", "a = 1 garbage", "a = 1 HAVING b"}) {
+    auto where = ParseWhere(text);
+    EXPECT_EQ(where.status().code(), common::StatusCode::kParseError)
+        << "'" << text << "' -> " << where.status().ToString();
+  }
+}
+
 TEST(ParserTest, RecommendFullForm) {
   auto result = Parse(
       "RECOMMEND TOP 3 VIEWS FROM diab WHERE Outcome = 1 "

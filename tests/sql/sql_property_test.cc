@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sql/catalog.h"
 #include "sql/executor.h"
 #include "sql/parser.h"
+#include "storage/catalog.h"
 #include "storage/csv.h"
 
 namespace muve::sql {
@@ -27,10 +27,10 @@ class SqlPropertyTest : public ::testing::Test {
     }
     auto table = storage::ReadCsvString(csv);
     EXPECT_TRUE(table.ok());
-    EXPECT_TRUE(catalog_.RegisterTable("t", std::move(table).value()).ok());
+    EXPECT_TRUE(catalog_.Create("t", std::move(table).value()).ok());
   }
 
-  Catalog catalog_;
+  storage::Catalog catalog_;
 };
 
 TEST_F(SqlPropertyTest, RenderedSelectsReParseToSameRendering) {

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,30 @@ TEST(CliFlags, ValidBoundaryValuesStillWork) {
   const std::string plus = RunCommand(
       std::string(MUVE_CLI_BINARY) + " --dataset=toy --k=+2", &exit_code);
   EXPECT_EQ(exit_code, 0) << plus;
+}
+
+// --predicate is a bare WHERE condition: a trailing ORDER BY / LIMIT /
+// GROUP BY is rejected (exit 2) instead of silently dropped, while the
+// bare condition over the same CSV still runs.
+TEST(CliFlags, PredicateWithTrailingClausesExitsTwo) {
+  const std::string path = ::testing::TempDir() + "/muve_cli_trailing.csv";
+  {
+    std::ofstream out(path);
+    out << "a,x,m\n1,1,10\n2,2,20\n3,3,30\n4,4,40\n1,5,15\n";
+  }
+  const std::string base = std::string(MUVE_CLI_BINARY) + " --csv=" + path +
+                           " --dims=x --measures=m --scheme=linear-linear";
+  int exit_code = -1;
+  const std::string bare = RunCommand(base + " --predicate='a >= 2'",
+                                      &exit_code);
+  EXPECT_EQ(exit_code, 0) << bare;
+  EXPECT_NE(bare.find("3 in D_Q"), std::string::npos) << bare;
+  for (const char* clause : {"ORDER BY a LIMIT 1", "LIMIT 1", "GROUP BY a"}) {
+    const std::string output = RunCommand(
+        base + " --predicate='a >= 2 " + clause + "'", &exit_code);
+    EXPECT_EQ(exit_code, 2) << clause << "\n" << output;
+    EXPECT_NE(output.find("trailing"), std::string::npos) << output;
+  }
 }
 
 }  // namespace

@@ -61,17 +61,14 @@
 #include "common/parse.h"
 #include "common/simd/simd.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/fidelity.h"
 #include "core/recommender.h"
 #include "data/diab.h"
 #include "data/nba.h"
 #include "data/toy.h"
-#include "sql/parser.h"
 #include "storage/binned_group_by.h"
 #include "storage/csv.h"
-#include "storage/predicate.h"
 #include "viz/bar_chart.h"
 #include "viz/svg_chart.h"
 
@@ -221,21 +218,12 @@ Status ParseFlags(int argc, char** argv, Flags* flags) {
 
 Result<muve::core::SearchOptions> BuildOptions(const Flags& flags) {
   muve::core::SearchOptions options;
-  if (flags.scheme == "linear-linear") {
-    options.horizontal = muve::core::HorizontalStrategy::kLinear;
-    options.vertical = muve::core::VerticalStrategy::kLinear;
-  } else if (flags.scheme == "hc-linear") {
-    options.horizontal = muve::core::HorizontalStrategy::kHillClimbing;
-    options.vertical = muve::core::VerticalStrategy::kLinear;
-  } else if (flags.scheme == "muve-linear") {
-    options.horizontal = muve::core::HorizontalStrategy::kMuve;
-    options.vertical = muve::core::VerticalStrategy::kLinear;
-  } else if (flags.scheme == "muve-muve") {
-    options.horizontal = muve::core::HorizontalStrategy::kMuve;
-    options.vertical = muve::core::VerticalStrategy::kMuve;
-  } else {
+  const auto scheme = muve::core::SchemeFromName(flags.scheme);
+  if (!scheme) {
     return Status::InvalidArgument("unknown --scheme: " + flags.scheme);
   }
+  options.horizontal = scheme->horizontal;
+  options.vertical = scheme->vertical;
 
   const auto parts = muve::common::Split(flags.weights, ',');
   if (parts.size() != 3) {
@@ -266,14 +254,12 @@ Result<muve::core::SearchOptions> BuildOptions(const Flags& flags) {
   }
   options.refinement_default_bins = flags.def_bins;
   options.num_threads = flags.threads;
-  if (flags.probe_order == "deviation-first") {
-    options.probe_order = muve::core::ProbeOrderPolicy::kDeviationFirst;
-  } else if (flags.probe_order == "accuracy-first") {
-    options.probe_order = muve::core::ProbeOrderPolicy::kAccuracyFirst;
-  } else if (flags.probe_order != "priority") {
+  const auto probe_order = muve::core::ProbeOrderFromName(flags.probe_order);
+  if (!probe_order) {
     return Status::InvalidArgument("unknown --probe-order: " +
                                    flags.probe_order);
   }
+  options.probe_order = *probe_order;
   options.deadline_ms = flags.deadline_ms;
   options.max_rows_scanned = flags.max_rows > 0 ? flags.max_rows : 0;
   if (flags.max_cache_mb > 0) {
@@ -294,43 +280,29 @@ Result<muve::data::Dataset> BuildDataset(const Flags& flags) {
     MUVE_ASSIGN_OR_RETURN(
         muve::storage::Table table,
         muve::storage::ReadCsvFile(flags.csv_path, {}, &load_stats));
-    muve::data::Dataset ds;
-    ds.name = flags.csv_path;
-    auto shared = std::make_shared<muve::storage::Table>(std::move(table));
-    ds.table = shared;
+    muve::data::Workload workload;
     for (const auto& d : muve::common::Split(flags.dims, ',')) {
-      ds.dimensions.push_back(std::string(muve::common::Trim(d)));
+      workload.dimensions.push_back(std::string(muve::common::Trim(d)));
     }
     if (!flags.cat_dims.empty()) {
       for (const auto& d : muve::common::Split(flags.cat_dims, ',')) {
-        ds.categorical_dimensions.push_back(
+        workload.categorical_dimensions.push_back(
             std::string(muve::common::Trim(d)));
       }
     }
     for (const auto& m : muve::common::Split(flags.measures, ',')) {
-      ds.measures.push_back(std::string(muve::common::Trim(m)));
+      workload.measures.push_back(std::string(muve::common::Trim(m)));
     }
-    ds.functions = {muve::storage::AggregateFunction::kSum,
-                    muve::storage::AggregateFunction::kAvg,
-                    muve::storage::AggregateFunction::kCount};
-    ds.query_predicate_sql = flags.predicate;
-    // Parse the predicate through the SQL front end.
+    workload.functions = {muve::storage::AggregateFunction::kSum,
+                          muve::storage::AggregateFunction::kAvg,
+                          muve::storage::AggregateFunction::kCount};
     MUVE_ASSIGN_OR_RETURN(
-        muve::sql::SelectStatement stmt,
-        muve::sql::ParseSelect("SELECT * FROM t WHERE " + flags.predicate));
-    muve::common::Stopwatch filter_timer;
-    muve::storage::FilterStats filter_stats;
-    MUVE_ASSIGN_OR_RETURN(
-        ds.target_rows,
-        muve::storage::Filter(*shared, stmt.where.get(), nullptr,
-                              &filter_stats));
-    if (ds.target_rows.empty()) {
-      return Status::InvalidArgument("--predicate selects no rows");
-    }
-    ds.all_rows = muve::storage::AllRows(shared->num_rows());
-    ds.predicate_rows_filtered =
-        filter_stats.rows_in - filter_stats.rows_out;
-    ds.setup_time_ms = load_stats.parse_ms + filter_timer.ElapsedMillis();
+        muve::data::Dataset ds,
+        muve::data::Bind(
+            flags.csv_path,
+            std::make_shared<muve::storage::Table>(std::move(table)),
+            workload, flags.predicate));
+    ds.setup_time_ms += load_stats.parse_ms;
     return ds;
   }
 
