@@ -4,8 +4,8 @@
 //
 //   1. Row-scan savings, at storage level.  Building every eligible
 //      (dimension, measure) base histogram of a side one pair at a time
-//      (BuildBaseHistogram per pair) costs |A| x |M| traversals of the
-//      row set; one FusedBuildBaseHistograms call builds all of them in
+//      (a one-pair, one-morsel build each) costs |A| x |M| traversals of
+//      the row set; one FusedBuildBaseHistograms call builds all of them in
 //      a single traversal — the pass the Recommender's prewarm runs.
 //      The bench times both on NBA and DIAB for the target and
 //      comparison sides, checks the histograms agree pair for pair, and
@@ -92,16 +92,10 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
   MUVE_CHECK(recommender.ok()) << recommender.status().ToString();
   const muve::storage::Table& table = *dataset.table;
 
-  // Every (A, M) pair a base histogram serves: numeric dimension,
-  // numeric measure.
+  // Every (A, M) pair a base histogram serves.
   std::vector<muve::storage::FusedScanPair> pairs;
-  for (const std::string& dim : dataset.dimensions) {
-    for (const std::string& measure : dataset.measures) {
-      auto column = table.ColumnByName(measure);
-      MUVE_CHECK(column.ok()) << column.status().ToString();
-      if ((*column)->type() == muve::storage::ValueType::kString) continue;
-      pairs.push_back({dim, measure});
-    }
+  for (const muve::core::BasePair& pair : recommender->space().base_pairs()) {
+    pairs.push_back({pair.dimension, pair.measure});
   }
   MUVE_CHECK(!pairs.empty()) << dataset.name << ": no base-servable pairs";
 
@@ -122,10 +116,11 @@ void RunDataset(const muve::data::Dataset& dataset, bool smoke,
     for (int rep = 0; rep < reps; ++rep) {
       per_pair.clear();
       for (const auto& pair : pairs) {
-        auto built = muve::storage::BuildBaseHistogram(
-            table, rows, pair.dimension, pair.measure);
+        auto built = muve::storage::FusedBuildBaseHistograms(
+            table, rows, {pair}, /*pool=*/nullptr,
+            std::max<size_t>(rows.size(), 1));
         MUVE_CHECK(built.ok()) << built.status().ToString();
-        per_pair.push_back(std::move(built).value());
+        per_pair.push_back(std::move(built->front()));
       }
     }
     const double pair_ms = pair_timer.ElapsedMillis() / reps;

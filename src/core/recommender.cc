@@ -96,7 +96,7 @@ std::vector<ScoredView> VerticalLinear(WorkerSet& workers,
         ViewEvaluator& evaluator = workers.evaluator(worker);
         ExecCompleteness& comp = evaluator.stats().completeness;
         const View& view = views[i];
-        const DimensionInfo& dim = space.dimension_info(view.dimension);
+        const DimensionInfo& dim = space.dimensions()[view.dimension_index];
         const std::vector<int> domain =
             BinDomain(options.partition, dim.max_bins);
         // Boundary poll: an expired run skips whole views (the cheapest
@@ -137,7 +137,7 @@ std::vector<ScoredView> VerticalMuve(WorkerSet& workers,
   domains.reserve(views.size());
   size_t max_len = 0;
   for (const View& view : views) {
-    const DimensionInfo& dim = space.dimension_info(view.dimension);
+    const DimensionInfo& dim = space.dimensions()[view.dimension_index];
     domains.push_back(BinDomain(options.partition, dim.max_bins));
     max_len = std::max(max_len, domains.back().size());
     ++workers.main().stats().views_searched;
@@ -234,7 +234,7 @@ std::vector<ScoredView> VerticalRefinement(WorkerSet& workers,
           ++comp.bins_pruned_by_deadline;
           return;
         }
-        const DimensionInfo& dim = space.dimension_info(views[i].dimension);
+        const DimensionInfo& dim = space.dimensions()[views[i].dimension_index];
         const int def = std::min(options.refinement_default_bins, dim.max_bins);
         const CandidateResult cand = EvaluateCandidate(
             evaluator, views[i], def, options,
@@ -249,7 +249,7 @@ std::vector<ScoredView> VerticalRefinement(WorkerSet& workers,
   refined.reserve(selected.size());
   ExecCompleteness& main_comp = workers.main().stats().completeness;
   for (const ScoredView& sv : selected) {
-    const DimensionInfo& dim = space.dimension_info(sv.view.dimension);
+    const DimensionInfo& dim = space.dimensions()[sv.view.dimension_index];
     const std::vector<int> domain = BinDomain(options.partition, dim.max_bins);
     // Boundary poll per refinement: an expired run keeps the first-pass
     // def-bin score for the remaining selections — still a valid
@@ -305,7 +305,8 @@ std::vector<ScoredView> VerticalSkipping(WorkerSet& workers,
         ViewEvaluator& evaluator = workers.evaluator(worker);
         ExecCompleteness& comp = evaluator.stats().completeness;
         const std::vector<size_t>& group = groups[dimension_order[d]];
-        const DimensionInfo& dim = space.dimension_info(dimension_order[d]);
+        const DimensionInfo& dim =
+            space.dimensions()[views[group.front()].dimension_index];
         const std::vector<int> domain =
             BinDomain(options.partition, dim.max_bins);
 

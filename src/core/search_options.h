@@ -123,7 +123,9 @@ struct SearchOptions {
   // tests/storage/cross_query_cache_test.cc), so the top-k does not
   // change; only the stats blocks' build/hit split does.  Concurrent
   // identical fused passes on the store coalesce into one single-flight
-  // scan (ExecStats::fused_coalesced counts the parked sides).  nullptr
+  // scan (ExecStats::fused_coalesced counts the parked sides).  Worker
+  // evaluators pin the bases they read, so a run reads the store once
+  // per (pair, side, worker) and no probe takes its lock.  nullptr
   // (default) = no sharing.
   std::shared_ptr<storage::BaseHistogramCache> shared_base_cache;
 

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "storage/base_histogram_cache.h"
 
 namespace muve::core {
 
@@ -104,26 +105,49 @@ common::Result<ViewSpace> ViewSpace::Create(const data::Dataset& dataset) {
     space.dims_.push_back(std::move(info));
   }
 
+  // String measures only pair with COUNT on the direct path; a base
+  // histogram stores measure moments.
+  std::vector<bool> numeric_measure;
   for (const std::string& measure : dataset.measures) {
-    if (!table.schema().HasField(measure)) {
+    auto col = table.ColumnByName(measure);
+    if (!col.ok()) {
       return common::Status::NotFound("measure '" + measure +
                                       "' not in table schema");
     }
+    numeric_measure.push_back((*col)->type() != storage::ValueType::kString);
   }
 
-  std::vector<std::string> all_dims = dataset.dimensions;
-  all_dims.insert(all_dims.end(), dataset.categorical_dimensions.begin(),
-                  dataset.categorical_dimensions.end());
-  for (const std::string& dim : all_dims) {
-    for (const std::string& measure : dataset.measures) {
+  for (size_t d = 0; d < space.dims_.size(); ++d) {
+    for (size_t m = 0; m < dataset.measures.size(); ++m) {
+      const std::string& dim = space.dims_[d].name;
+      const std::string& measure = dataset.measures[m];
       for (const storage::AggregateFunction f : dataset.functions) {
-        space.views_.push_back(View{dim, measure, f});
+        View view{dim, measure, f};
+        view.index = static_cast<int>(space.views_.size());
+        view.dimension_index = static_cast<int>(d);
+        if (!space.dims_[d].categorical && numeric_measure[m] &&
+            storage::BaseServableFunction(f)) {
+          view.base_pair = space.BasePairIndex(dim, measure);
+        }
+        space.views_.push_back(std::move(view));
       }
     }
   }
   space.measures_per_dimension_ =
       dataset.measures.size() * dataset.functions.size();
   return space;
+}
+
+int ViewSpace::BasePairIndex(const std::string& dimension,
+                             const std::string& measure) {
+  for (size_t i = 0; i < base_pairs_.size(); ++i) {
+    if (base_pairs_[i].dimension == dimension &&
+        base_pairs_[i].measure == measure) {
+      return static_cast<int>(i);
+    }
+  }
+  base_pairs_.push_back({dimension, measure});
+  return static_cast<int>(base_pairs_.size() - 1);
 }
 
 const DimensionInfo& ViewSpace::dimension_info(const std::string& name) const {

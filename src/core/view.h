@@ -27,6 +27,14 @@ struct View {
   std::string measure;
   storage::AggregateFunction function = storage::AggregateFunction::kSum;
 
+  // Routing resolved once by ViewSpace::Create, so probes read by index:
+  // the view's position in views(), its dimension's in dimensions(), and
+  // its (A, M) pair's in base_pairs() — -1 when no base histogram can
+  // serve it.  A hand-built view carries -1s and cannot be probed.
+  int index = -1;
+  int dimension_index = -1;
+  int base_pair = -1;
+
   // "SUM(3PAr) BY MP" — used in logs, examples, and test failure messages.
   std::string Label() const;
 
@@ -53,16 +61,29 @@ struct DimensionInfo {
   double range() const { return hi - lo; }
 };
 
+// An (A, M) pair whose base histogram (storage/base_histogram_cache.h)
+// serves every view over it with a moment-servable function.
+struct BasePair {
+  std::string dimension;
+  std::string measure;
+};
+
 // The enumerated candidate-view space of a dataset workload.
 class ViewSpace {
  public:
   // Enumerates |A| x |M| x |F| views in (dimension, measure, function)
-  // lexicographic workload order, and computes each dimension's binning
-  // range from the dataset's full table.
+  // lexicographic workload order, computes each dimension's binning
+  // range from the dataset's full table, and resolves every view's
+  // indices.  A view gets a base pair exactly when a base histogram can
+  // serve it: numeric dimension, BaseServableFunction(F), non-string
+  // measure.  MIN/MAX, categorical dimensions and COUNT over a string
+  // measure scan rows directly.
   static common::Result<ViewSpace> Create(const data::Dataset& dataset);
 
   const std::vector<View>& views() const { return views_; }
   const std::vector<DimensionInfo>& dimensions() const { return dims_; }
+  // The distinct (A, M) pairs of base-served views, in view order.
+  const std::vector<BasePair>& base_pairs() const { return base_pairs_; }
 
   const DimensionInfo& dimension_info(const std::string& name) const;
 
@@ -74,8 +95,13 @@ class ViewSpace {
   int64_t TotalBinnedViews() const;
 
  private:
+  // The index of (dimension, measure) in base_pairs_, appending it first
+  // when new.
+  int BasePairIndex(const std::string& dimension, const std::string& measure);
+
   std::vector<View> views_;
   std::vector<DimensionInfo> dims_;
+  std::vector<BasePair> base_pairs_;
   std::unordered_map<std::string, size_t> dim_index_;
   size_t measures_per_dimension_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "core/view_evaluator.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -55,7 +54,10 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
       space_(space),
       options_(options),
       target_rows_(&dataset.target_rows),
-      all_rows_(&dataset.all_rows) {
+      all_rows_(&dataset.all_rows),
+      raw_series_(space.views().size()),
+      target_pins_(space.base_pairs().size()),
+      comparison_pins_(space.base_pairs().size()) {
   MUVE_CHECK(options_.sample_fraction > 0.0 &&
              options_.sample_fraction <= 1.0)
       << "sample_fraction must lie in (0, 1]";
@@ -86,33 +88,6 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
   }
 }
 
-bool ViewEvaluator::CacheEligible(const View& view) const {
-  if (space_.dimension_info(view.dimension).categorical) return false;
-  if (!storage::BaseServableFunction(view.function)) return false;
-  // String measures only pair with COUNT on the direct path; the base
-  // histogram stores measure moments, so they stay direct.
-  auto measure = dataset_.table->ColumnByName(view.measure);
-  return measure.ok() &&
-         (*measure)->type() != storage::ValueType::kString;
-}
-
-std::vector<storage::BaseHistogramCache::FusedPairRequest>
-ViewEvaluator::MissingPairs(bool target_side) const {
-  std::vector<storage::BaseHistogramCache::FusedPairRequest> pairs;
-  const int64_t expected_rows = static_cast<int64_t>(
-      (target_side ? target_rows() : all_rows()).size());
-  std::unordered_set<std::string> seen;
-  for (const View& view : space_.views()) {
-    if (!CacheEligible(view)) continue;
-    std::string key = (target_side ? "t|" : "c|") + view.dimension + "|" +
-                      view.measure;
-    if (!seen.insert(key).second) continue;  // one request per (A, M)
-    if (base_cache_->Contains(key, expected_rows)) continue;
-    pairs.push_back({std::move(key), view.dimension, view.measure});
-  }
-  return pairs;
-}
-
 void ViewEvaluator::ChargeProbeRows(int64_t rows) {
   stats_.rows_scanned += rows;
   stats_.probe_rows_scanned += rows;
@@ -126,15 +101,20 @@ void ViewEvaluator::ChargeBuildRows(int64_t rows) {
 }
 
 void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
+  if (space_.base_pairs().empty()) return;
   for (const bool target_side : {true, false}) {
     // A bounded run that is already out of time skips prewarm entirely:
     // demand-path probes (if any still run) build exactly what they need.
     if (common::Expired(options_.exec)) return;
-    storage::BaseHistogramCache::FusedHistogramBuildRequest request;
-    request.pairs = MissingPairs(target_side);
-    if (request.pairs.empty()) continue;
     common::Stopwatch timer;
+    storage::BaseHistogramCache::FusedHistogramBuildRequest request;
     request.rows = target_side ? target_rows_ : all_rows_;
+    for (const BasePair& pair : space_.base_pairs()) {
+      request.pairs.push_back(
+          {storage::BaseHistogramKey(target_side, pair.dimension,
+                                     pair.measure),
+           pair.dimension, pair.measure});
+    }
     request.pool = pool;
     request.morsel_size = options_.fused_morsel_size;
     request.exec = options_.exec;
@@ -144,15 +124,16 @@ void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
         *dataset_.table, request, &outcome, &fused_scratch_);
     stats_.fused_coalesced += outcome.coalesced;
     // An aborted pass (expired context or injected fault) cached nothing
-    // and is charged nothing; BaseFor's GetOrBuild then builds each pair
-    // a probe needs directly.  One pass = one row-set traversal, whatever
-    // the number of pairs it builds; `passes` is 0 when a concurrent
-    // builder beat us to all of them.
+    // and is charged nothing; probes then fill their pins one pair at a
+    // time.  One pass = one row-set traversal, whatever the number of
+    // pairs it builds; `passes` is 0 when every pair was cached already.
     if (status.ok()) {
       stats_.base_builds += outcome.passes;
       stats_.fused_builds += outcome.passes;
       ChargeBuildRows(outcome.rows_scanned);
       stats_.morsels_dispatched += outcome.morsels;
+      std::move(outcome.histograms.begin(), outcome.histograms.end(),
+                (target_side ? target_pins_ : comparison_pins_).begin());
     }
     // The pass's wall-clock lands on the side it prepaid (C_t or C_c);
     // no CostModel observation — a whole-space fused pass is not a
@@ -166,60 +147,64 @@ void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
   }
 }
 
-std::shared_ptr<const storage::BaseHistogram> ViewEvaluator::BaseFor(
-    const View& view, bool target_side) {
-  // Key is F-agnostic: one histogram serves every servable aggregate of
-  // the (A, M) pair.  '|' cannot occur in column names ('\x1f' separates
-  // View::Key fields; '|' keeps these keys grep-able in logs).
-  const std::string key = (target_side ? "t|" : "c|") + view.dimension +
-                          "|" + view.measure;
+bool ViewEvaluator::FillPin(int pair, bool target_side, BasePin* pin) {
+  const BasePair& p = space_.base_pairs()[pair];
   const storage::RowSet& rows = target_side ? target_rows() : all_rows();
-  // The prewarm built every eligible pair; a miss here means it was
-  // skipped or aborted (bounded run, injected fault) or the entry was
-  // evicted since, and this probe builds its one pair directly.
-  bool built = false;
-  auto result = base_cache_->GetOrBuild(
-      key,
-      [&]() {
-        return storage::BuildBaseHistogram(*dataset_.table, rows,
-                                           view.dimension, view.measure,
-                                           &fused_scratch_);
-      },
-      &built, static_cast<int64_t>(rows.size()));
-  if (!result.ok()) {
-    // The single-pair build failed (injected fault or real
-    // I/O error).  BaseFor's callers return values, not Results, so the
-    // Status rides a StatusError up to Recommender::Recommend — possibly
-    // across the thread pool, whose ParallelFor rethrows caller-side —
-    // where it is unwrapped back into the original error Status.  A
-    // scan fault must fail the call gracefully, never abort the process.
-    throw common::StatusError(result.status());
+  storage::BaseHistogramCache::FusedHistogramBuildRequest request;
+  request.rows = &rows;
+  request.pairs.push_back(
+      {storage::BaseHistogramKey(target_side, p.dimension, p.measure),
+       p.dimension, p.measure});
+  // One morsel: per-fine-bin sums accumulate in row order, the bits the
+  // single-pair builder has always produced.
+  request.morsel_size = std::max<size_t>(rows.size(), 1);
+  request.coalesce = true;
+  storage::BaseHistogramCache::FusedBuildOutcome outcome;
+  const common::Status status = base_cache_->FusedBuild(
+      *dataset_.table, request, &outcome, &fused_scratch_);
+  if (!status.ok()) {
+    // The build failed (injected fault or real I/O error).  Probes
+    // return values, not Results, so the Status rides a StatusError up
+    // to Recommender::Recommend — possibly across the thread pool, whose
+    // ParallelFor rethrows caller-side — where it is unwrapped back into
+    // the original error Status.  A scan fault must fail the call
+    // gracefully, never abort the process.
+    throw common::StatusError(status);
   }
-  if (built) {
-    ++stats_.base_builds;
-    ChargeBuildRows(static_cast<int64_t>(rows.size()));
-  } else {
-    // Probes served from an already-built histogram touch zero rows.
-    ++stats_.base_cache_hits;
+  *pin = std::move(outcome.histograms[0]);
+  if (outcome.passes == 0) return false;
+  ++stats_.base_builds;
+  ChargeBuildRows(outcome.rows_scanned);
+  return true;
+}
+
+const storage::BaseHistogram& ViewEvaluator::PinnedBase(const View& view,
+                                                        bool target_side) {
+  BasePin& pin =
+      (target_side ? target_pins_ : comparison_pins_)[view.base_pair];
+  if (pin == nullptr && FillPin(view.base_pair, target_side, &pin)) {
+    return *pin;
   }
-  return std::move(result).value();
+  // Probes served from an already-built histogram touch zero rows.
+  ++stats_.base_cache_hits;
+  return *pin;
 }
 
 storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
                                                          int bins) {
   if (cached_target_.has_value() && cached_target_bins_ == bins &&
-      cached_target_key_ == view.Key()) {
+      cached_target_view_ == view.index) {
     return *cached_target_;
   }
-  const DimensionInfo& dim = space_.dimension_info(view.dimension);
+  const DimensionInfo& dim = space_.dimensions()[view.dimension_index];
   common::Stopwatch timer;
   common::Result<storage::BinnedResult> result = [&] {
-    if (CacheEligible(view)) {
-      // Build (first touch) + coarsen; the whole probe's wall-clock is
-      // charged to C_t below, so the cost model sees the true per-probe
-      // cost including amortized builds.
+    if (view.base_pair >= 0) {
+      // Pin fill (first touch) + coarsen; the whole probe's wall-clock
+      // is charged to C_t below, so the cost model sees the true
+      // per-probe cost including amortized builds.
       return common::Result<storage::BinnedResult>(CoarsenBaseHistogram(
-          *BaseFor(view, /*target_side=*/true), view.function, bins,
+          PinnedBase(view, /*target_side=*/true), view.function, bins,
           dim.lo, dim.hi));
     }
     ChargeProbeRows(static_cast<int64_t>(target_rows().size()));
@@ -232,7 +217,7 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
   stats_.target_time_ms += ms;
   ++stats_.target_queries;
   cost_model_.Observe(CostKind::kTargetQuery, ms);
-  cached_target_key_ = view.Key();
+  cached_target_view_ = view.index;
   cached_target_bins_ = bins;
   cached_target_ = result.value();
   return std::move(result).value();
@@ -240,12 +225,12 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
 
 storage::BinnedResult ViewEvaluator::ExecuteBinnedComparison(const View& view,
                                                              int bins) {
-  const DimensionInfo& dim = space_.dimension_info(view.dimension);
+  const DimensionInfo& dim = space_.dimensions()[view.dimension_index];
   common::Stopwatch timer;
   common::Result<storage::BinnedResult> result = [&] {
-    if (CacheEligible(view)) {
+    if (view.base_pair >= 0) {
       return common::Result<storage::BinnedResult>(CoarsenBaseHistogram(
-          *BaseFor(view, /*target_side=*/false), view.function, bins,
+          PinnedBase(view, /*target_side=*/false), view.function, bins,
           dim.lo, dim.hi));
     }
     ChargeProbeRows(static_cast<int64_t>(all_rows().size()));
@@ -263,16 +248,15 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedComparison(const View& view,
 
 const ViewEvaluator::RawSeries& ViewEvaluator::RawTargetSeries(
     const View& view) {
-  const std::string key = view.Key();
-  const auto it = raw_cache_.find(key);
-  if (it != raw_cache_.end()) return it->second;
+  std::optional<RawSeries>& slot = raw_series_[view.index];
+  if (slot.has_value()) return *slot;
 
   common::Stopwatch timer;
   RawSeries series;
-  if (CacheEligible(view)) {
+  if (view.base_pair >= 0) {
     // The raw series IS the base histogram finished per fine bin: same
     // keys, same per-group association, zero rows touched on a hit.
-    BaseRawSeries(*BaseFor(view, /*target_side=*/true), view.function,
+    BaseRawSeries(PinnedBase(view, /*target_side=*/true), view.function,
                   &series.keys, &series.aggregates);
   } else {
     auto grouped = storage::GroupByAggregate(*dataset_.table, target_rows(),
@@ -293,7 +277,7 @@ const ViewEvaluator::RawSeries& ViewEvaluator::RawTargetSeries(
   // computation is charged to C_a.
   stats_.accuracy_time_ms += ms;
   cost_model_.Observe(CostKind::kAccuracy, ms);
-  return raw_cache_.emplace(key, std::move(series)).first->second;
+  return slot.emplace(std::move(series));
 }
 
 double ViewEvaluator::NormalizedSeriesDistance(
@@ -312,7 +296,11 @@ double ViewEvaluator::NormalizedSeriesDistance(
 }
 
 double ViewEvaluator::EvaluateDeviation(const View& view, int bins) {
-  if (space_.dimension_info(view.dimension).categorical) {
+  MUVE_DCHECK(view.index >= 0 &&
+              static_cast<size_t>(view.index) < space_.views().size() &&
+              space_.views()[view.index] == view)
+      << "view not from this evaluator's space";
+  if (space_.dimensions()[view.dimension_index].categorical) {
     return EvaluateCategoricalDeviation(view);
   }
   const storage::BinnedResult target = ExecuteBinnedTarget(view, bins);
@@ -395,7 +383,11 @@ double ViewEvaluator::EvaluateCategoricalDeviation(const View& view) {
 }
 
 double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
-  if (space_.dimension_info(view.dimension).categorical) {
+  MUVE_DCHECK(view.index >= 0 &&
+              static_cast<size_t>(view.index) < space_.views().size() &&
+              space_.views()[view.index] == view)
+      << "view not from this evaluator's space";
+  if (space_.dimensions()[view.dimension_index].categorical) {
     // No binning approximation: the view shows every group exactly.
     ++stats_.accuracy_evals;
     return 1.0;
@@ -414,7 +406,7 @@ double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
 }
 
 double ViewEvaluator::CandidateUsability(const View& view, int bins) const {
-  const DimensionInfo& info = space_.dimension_info(view.dimension);
+  const DimensionInfo& info = space_.dimensions()[view.dimension_index];
   if (info.categorical) {
     return 1.0 / static_cast<double>(info.distinct_values);
   }
@@ -440,18 +432,6 @@ bool ViewEvaluator::AccuracyFirst(const Weights& weights) const {
 void ViewEvaluator::ResetAccounting() {
   stats_ = ExecStats();
   cost_model_ = CostModel(cost_model_.beta());
-}
-
-void ViewEvaluator::ResetAll() {
-  ResetAccounting();
-  raw_cache_.clear();
-  cached_target_.reset();
-  cached_target_key_.clear();
-  cached_target_bins_ = -1;
-  // Note: clears the SHARED store when Options::base_cache was handed
-  // in — ResetAll means "cold-cache run", and a shared cache that kept
-  // entries would silently serve them to this evaluator again.
-  base_cache_->Clear();
 }
 
 }  // namespace muve::core

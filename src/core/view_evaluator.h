@@ -11,13 +11,20 @@
 //     exact schemes (Linear, MuVE) provably return identical top-k sets.
 //
 // How a probe is served follows from the view alone, never from an
-// option:
-//   * A numeric dimension with a moment-servable F (SUM/COUNT/AVG/STD/
-//     VAR) over a numeric measure reads the (A, M) side's base histogram
+// option: ViewSpace::Create resolved each view's dimension index and
+// base pair once.
+//   * A view with a base pair (numeric dimension, SUM/COUNT/AVG/STD/VAR,
+//     numeric measure) reads the (A, M) side's base histogram
 //     (storage/base_histogram_cache.h) and coarsens it to b bins without
-//     touching rows.  The prewarm builds every side's histograms in one
-//     fused pass; a probe that still misses (the prewarm was skipped or
-//     aborted, or the entry was evicted) builds its one pair directly.
+//     touching rows.  The evaluator pins each base it reads in a slot
+//     indexed by pair, for its whole life: tables are immutable and its
+//     row sets fixed, so a pin never goes stale, and a pinned read takes
+//     no lock and builds no string.  The prewarm's fused pass fills the
+//     shared store and this evaluator's pins; an empty pin (another
+//     worker's first read, a prewarm that was skipped or aborted, an
+//     entry the store evicted or refused) reads the store through a
+//     one-pair FusedBuild, which builds the pair with one morsel when the
+//     store lacks it.
 //   * Everything else — MIN/MAX, categorical dimensions, COUNT over a
 //     string measure — scans the rows directly (BinnedAggregate /
 //     GroupByAggregate).
@@ -29,14 +36,14 @@
 //   * Within one candidate (view, bins), the binned target result is
 //     reused between the deviation and accuracy probes.  This is a strict
 //     optimization that cannot change any objective value.
+//
+// Views passed in must come from the evaluator's ViewSpace.
 
 #ifndef MUVE_CORE_VIEW_EVALUATOR_H_
 #define MUVE_CORE_VIEW_EVALUATOR_H_
 
 #include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -74,8 +81,8 @@ struct ViewEvaluatorOptions {
   // gives it to every pool worker's evaluator — safe because all those
   // evaluators probe identical row sets (same dataset, same sampling
   // draw).  When null the evaluator creates a private cache of default
-  // size.  Concurrent identical fused passes on the store coalesce into
-  // one single-flight scan, charged as ExecStats::fused_coalesced.
+  // size.  Concurrent identical prewarm passes on the store coalesce
+  // into one single-flight scan, charged as ExecStats::fused_coalesced.
   std::shared_ptr<storage::BaseHistogramCache> base_cache;
 
   // Rows per morsel for fused builds through this evaluator; 0 = engine
@@ -87,8 +94,9 @@ struct ViewEvaluatorOptions {
   // — in-flight work completes so results stay well-formed — but it (a)
   // charges every row-set traversal into the context's row budget, (b)
   // skips prewarm sides once expired, and (c) lets an expired context
-  // abort *fused* builds between morsels (the probe then falls back to a
-  // direct single-pair build, so the answer is still produced).  The
+  // abort the prewarm's fused pass between morsels (a probe then fills
+  // its pin with an unbounded one-pair build, so the answer is still
+  // produced).  The
   // strategies poll the same context at their own boundaries; see
   // common/exec_context.h.  Must outlive the evaluator.
   common::ExecContext* exec = nullptr;
@@ -139,9 +147,10 @@ class ViewEvaluator {
   const CostModel& cost_model() const { return cost_model_; }
 
   // Fused cache prewarm: ONE fused pass per side (target rows, then
-  // comparison rows) builds the base histogram of every cache-eligible
-  // (A, M) pair that is not cached yet — the whole candidate space costs
-  // two row-set traversals instead of |A| x |M| per-pair build scans.
+  // comparison rows) builds the base histogram of every base pair that
+  // is not cached yet — the whole candidate space costs two row-set
+  // traversals instead of |A| x |M| per-pair build scans — and pins every
+  // pair's histogram in this evaluator.
   // The pass splits into morsels on `pool` when provided (must not be
   // mid-ParallelFor; the Recommender calls this before any strategy
   // fan-out).  Wall-clock is charged to C_t / C_c respectively and rows
@@ -154,9 +163,6 @@ class ViewEvaluator {
   // data, not accounting state).  Used between benchmark repetitions.
   void ResetAccounting();
 
-  // Drops all caches as well; used when a fresh cold-cache run is needed.
-  void ResetAll();
-
   // Row sets all probes scan: the dataset's own when sample_fraction is
   // 1, deterministic samples otherwise.  Exposed (read-only) so tests can
   // assert the sampling invariant sample(D_Q) = D_Q ∩ sample(D_B).
@@ -168,6 +174,7 @@ class ViewEvaluator {
     std::vector<double> keys;
     std::vector<double> aggregates;
   };
+  using BasePin = std::shared_ptr<const storage::BaseHistogram>;
 
   storage::BinnedResult ExecuteBinnedTarget(const View& view, int bins);
   storage::BinnedResult ExecuteBinnedComparison(const View& view, int bins);
@@ -179,22 +186,17 @@ class ViewEvaluator {
   double NormalizedSeriesDistance(const std::vector<double>& target_aggs,
                                   const std::vector<double>& comparison_aggs);
 
-  // Whether (view, any b) probes can be served by prefix-sum coarsening:
-  // numeric dimension, moment-servable function, numeric measure.
-  // Ineligible probes (MIN/MAX, categorical, string measures) scan
-  // directly.
-  bool CacheEligible(const View& view) const;
-  // The base histogram of `view`'s (A, M) pair over the target or
-  // comparison row set, built through the shared cache.  Charges the
-  // build's row scan into rows_scanned / base_builds on a miss and
-  // base_cache_hits otherwise; wall-clock is charged by the caller (the
-  // whole probe, build included, lands on the triggering cost kind).
-  std::shared_ptr<const storage::BaseHistogram> BaseFor(const View& view,
-                                                        bool target_side);
-  // The cache-eligible (A, M) pairs of one side that are NOT cached yet,
-  // as the prewarm's fused build requests.
-  std::vector<storage::BaseHistogramCache::FusedPairRequest> MissingPairs(
-      bool target_side) const;
+  // The base histogram of `view`'s pair over the target or comparison
+  // row set, from this evaluator's pin.  Every read counts one
+  // base_cache_hits, except a read whose pin fill built the base, which
+  // counts base_builds and its rows instead; wall-clock is charged by
+  // the caller (the whole probe lands on the triggering cost kind).
+  const storage::BaseHistogram& PinnedBase(const View& view,
+                                           bool target_side);
+  // Fills an empty pin through a one-pair FusedBuild: one morsel, no
+  // ExecContext (a probe that has started completes).  Returns whether
+  // the call built the base.  A failed build throws StatusError.
+  bool FillPin(int pair, bool target_side, BasePin* pin);
   // Row-scan charging: stats counters plus the exec context's budget.
   void ChargeProbeRows(int64_t rows);
   void ChargeBuildRows(int64_t rows);
@@ -211,11 +213,15 @@ class ViewEvaluator {
   ExecStats stats_;
   CostModel cost_model_;
 
-  // Per-view raw target series cache (accuracy objective input).
-  std::unordered_map<std::string, RawSeries> raw_cache_;
+  // Per-view raw target series (accuracy objective input), indexed like
+  // ViewSpace::views().
+  std::vector<std::optional<RawSeries>> raw_series_;
   // Base-histogram store (shared across workers when handed in via
   // Options::base_cache; private otherwise).  Never null.
   std::shared_ptr<storage::BaseHistogramCache> base_cache_;
+  // Pinned bases per side, indexed like ViewSpace::base_pairs().
+  std::vector<BasePin> target_pins_;
+  std::vector<BasePin> comparison_pins_;
   // Reusable fused-scan arena (dictionaries, key arrays, morsel
   // partials): builds through this evaluator stop allocating per build.
   storage::FusedScanScratch fused_scratch_;
@@ -224,8 +230,9 @@ class ViewEvaluator {
   // seen, never shrunk.
   common::simd::AlignedVector<double> dist_p_;
   common::simd::AlignedVector<double> dist_q_;
-  // One-entry binned-target cache for within-candidate reuse.
-  std::string cached_target_key_;
+  // One-entry binned-target cache for within-candidate reuse, keyed by
+  // (view index, bins).
+  int cached_target_view_ = -1;
   int cached_target_bins_ = -1;
   std::optional<storage::BinnedResult> cached_target_;
 };

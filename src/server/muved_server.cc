@@ -1054,14 +1054,22 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   workload.functions = {storage::AggregateFunction::kSum,
                         storage::AggregateFunction::kAvg};
   workload.default_predicate = predicate;
-  // Validate the default predicate's syntax now, at create time — a
-  // typo must not surface only on the first recommend.
+  // Validate the default predicate now, at create time — a typo in its
+  // syntax or a column name must not surface only on the first
+  // recommend.
+  storage::PredicatePtr where;
   if (!predicate.empty()) {
     auto parsed = sql::ParseWhere(predicate);
     if (!parsed.ok()) return ErrorResponse(parsed.status());
+    where = std::move(*parsed);
   }
   auto parsed_table = storage::ReadCsvString(csv);
   if (!parsed_table.ok()) return ErrorResponse(parsed_table.status());
+  if (where != nullptr) {
+    if (Status st = where->Bind(parsed_table->schema()); !st.ok()) {
+      return ErrorResponse(st);
+    }
+  }
   // Dimensions and measures must name numeric columns: views bin
   // dimensions and aggregate measure moments.
   for (const std::string& dim : workload.dimensions) {

@@ -114,23 +114,13 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
 
   std::vector<std::string> failed;
   for (const auto& [key, store] : targets) {
-    storage::PredicatePtr where;
     storage::IngestDeltaRequest delta;
     delta.table = appended.snapshot.table.get();
     delta.rows_before = appended.rows_before;
     delta.rows_appended = appended.rows_appended;
     delta.dimensions = workload.dimensions;
     delta.measures = workload.measures;
-    if (!store.predicate_sql.empty()) {
-      auto parsed = sql::ParseWhere(store.predicate_sql);
-      if (!parsed.ok() ||
-          !(*parsed)->Bind(appended.snapshot.table->schema()).ok()) {
-        failed.push_back(key);
-        continue;
-      }
-      where = std::move(*parsed);
-      delta.target_predicate = where.get();
-    }
+    delta.target_predicate = store.target_predicate.get();
     delta.cache = store.cache.get();
     if (!storage::ApplyAppendDeltas(delta, &outcome.ingest).ok()) {
       // The store may now mix patched and unpatched entries; drop it
@@ -211,13 +201,20 @@ Result<Registry::Entry> Registry::Resolve(const std::string& dataset,
   }
   // Keyed under base_epoch, not data_epoch: an append retires the entry
   // but not the store, so the rebuilt entry adopts the patched store.
-  Store& store = stores_[EpochKey(dataset, snap.base_epoch, canonical)];
-  if (store.cache == nullptr) {
-    store.dataset = dataset;
-    store.predicate_sql = effective_predicate;
-    store.cache = std::make_shared<storage::BaseHistogramCache>();
+  // A new store binds its target predicate once, for every append.
+  const std::string store_key = EpochKey(dataset, snap.base_epoch, canonical);
+  auto store = stores_.find(store_key);
+  if (store == stores_.end()) {
+    MUVE_ASSIGN_OR_RETURN(storage::PredicatePtr where,
+                          sql::ParseWhere(effective_predicate));
+    MUVE_RETURN_IF_ERROR(where->Bind(snap.table->schema()));
+    store = stores_
+                .emplace(store_key,
+                         Store{dataset, std::move(where),
+                               std::make_shared<storage::BaseHistogramCache>()})
+                .first;
   }
-  entry.base_cache = store.cache;
+  entry.base_cache = store->second.cache;
   entries_.push_back(entry);
   if (entries_.size() > options_.max_recommenders) {
     entries_.erase(entries_.begin());  // oldest first

@@ -124,7 +124,9 @@ class Registry {
  private:
   struct Store {
     std::string dataset;
-    std::string predicate_sql;  // "" = no target-side predicate
+    // The target predicate, bound to the table's schema when the store
+    // was created; appends keep the schema, so the binding stays valid.
+    std::shared_ptr<const storage::Predicate> target_predicate;
     std::shared_ptr<storage::BaseHistogramCache> cache;
   };
   struct CachedResponse {

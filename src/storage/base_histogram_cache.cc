@@ -68,26 +68,6 @@ double FinishFromMoments(AggregateFunction function, int64_t count, double sum,
   return 0.0;
 }
 
-common::Result<BaseHistogram> BuildBaseHistogram(const Table& table,
-                                                 const RowSet& rows,
-                                                 std::string_view dimension,
-                                                 std::string_view measure,
-                                                 FusedScanScratch* scratch) {
-  // Single-pair fused build with ONE morsel: per-fine-bin sums accumulate
-  // in row order, bit-identical to the historical sort-based builder (and
-  // to GroupByAggregate's association).  The old builder's per-build
-  // (value, measure) pair vector + stable sort are gone; `scratch` reuses
-  // the engine's arenas across builds.
-  std::vector<FusedScanPair> pairs{
-      {std::string(dimension), std::string(measure)}};
-  const size_t one_morsel = std::max<size_t>(rows.size(), 1);
-  MUVE_ASSIGN_OR_RETURN(
-      std::vector<BaseHistogram> built,
-      FusedBuildBaseHistograms(table, rows, pairs, /*pool=*/nullptr,
-                               one_morsel, /*stats=*/nullptr, scratch));
-  return std::move(built[0]);
-}
-
 BinnedResult CoarsenBaseHistogram(const BaseHistogram& base,
                                   AggregateFunction function, int num_bins,
                                   double lo, double hi) {
@@ -208,113 +188,59 @@ BaseHistogram MergeBaseHistograms(const BaseHistogram& a,
   return out;
 }
 
+std::string BaseHistogramKey(bool target_side, std::string_view dimension,
+                             std::string_view measure) {
+  // '|' cannot occur in column names, and keeps keys grep-able in logs.
+  std::string key = target_side ? "t|" : "c|";
+  key.append(dimension);
+  key += '|';
+  key.append(measure);
+  return key;
+}
+
 BaseHistogramCache::BaseHistogramCache() : BaseHistogramCache(Options()) {}
 
-BaseHistogramCache::BaseHistogramCache(Options options)
-    : options_(options) {
-  if (options_.num_shards == 0) options_.num_shards = 1;
-  per_shard_budget_ =
-      std::max<size_t>(1, options_.max_bytes / options_.num_shards);
-  shards_.reserve(options_.num_shards);
-  for (size_t i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
-BaseHistogramCache::Shard& BaseHistogramCache::ShardFor(
-    const std::string& key) {
-  const size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
-}
-
-const BaseHistogramCache::Shard& BaseHistogramCache::ShardFor(
-    const std::string& key) const {
-  const size_t h = std::hash<std::string>{}(key);
-  return *shards_[h % shards_.size()];
-}
+BaseHistogramCache::BaseHistogramCache(Options options) : options_(options) {}
 
 void BaseHistogramCache::InsertLocked(
-    Shard& shard, const std::string& key,
-    std::shared_ptr<const BaseHistogram> histogram) {
+    const std::string& key, std::shared_ptr<const BaseHistogram> histogram) {
   // Injected allocation refusal: behave as if caching the entry failed.
-  // The histogram the caller already holds stays usable — the cache
-  // simply "forgets", so later probes of this key rebuild directly.
-  // This is the OOM degradation contract: losing the cache costs rescans,
-  // never correctness.
+  // The caller still gets the histogram through its outcome — the store
+  // simply "forgets", so a later build of this key scans again.  This is
+  // the OOM degradation contract: losing the cache costs rescans, never
+  // correctness.
   if (MUVE_FAILPOINT("cache.insert") == common::FailpointAction::kOom) {
     return;
   }
   const size_t bytes = histogram->ApproxBytes();
-  shard.lru.push_front(key);
-  Shard::Entry entry;
-  entry.histogram = std::move(histogram);
-  entry.lru_it = shard.lru.begin();
-  entry.bytes = bytes;
-  shard.entries.emplace(key, std::move(entry));
-  shard.bytes += bytes;
-  ++shard.builds;
-  // The entry just inserted (LRU front) is never evicted, so an
-  // oversized histogram still serves the probes that triggered its build.
-  EvictLocked(shard);
+  lru_.push_front(key);
+  entries_.emplace(key, Entry{std::move(histogram), lru_.begin(), bytes});
+  stats_.bytes += static_cast<int64_t>(bytes);
+  ++stats_.builds;
+  EvictLocked();
 }
 
-void BaseHistogramCache::EvictLocked(Shard& shard) {
-  while (shard.bytes > per_shard_budget_ && shard.entries.size() > 1) {
-    const auto victim = shard.entries.find(shard.lru.back());
-    MUVE_CHECK(victim != shard.entries.end());
-    EraseLocked(shard, victim);
-    ++shard.evictions;
+void BaseHistogramCache::EvictLocked() {
+  while (stats_.bytes > static_cast<int64_t>(options_.max_bytes) &&
+         entries_.size() > 1) {
+    const auto victim = entries_.find(lru_.back());
+    MUVE_CHECK(victim != entries_.end());
+    EraseLocked(victim);
+    ++stats_.evictions;
   }
 }
 
-void BaseHistogramCache::EraseLocked(
-    Shard& shard, std::unordered_map<std::string, Shard::Entry>::iterator it) {
-  shard.bytes -= it->second.bytes;
-  shard.lru.erase(it->second.lru_it);
-  shard.entries.erase(it);
-}
-
-common::Result<std::shared_ptr<const BaseHistogram>>
-BaseHistogramCache::GetOrBuild(const std::string& key, const Builder& builder,
-                               bool* built,
-                               int64_t expected_source_rows) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.lookups;
-  const auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    if (expected_source_rows < 0 ||
-        it->second.histogram->source_rows == expected_source_rows) {
-      ++shard.hits;
-      if (built != nullptr) *built = false;
-      // Move to LRU front.
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-      return it->second.histogram;
-    }
-    // Stale: the entry covers a different row count than this caller's
-    // (append-only) row set.  Drop it and rebuild as a miss.
-    EraseLocked(shard, it);
-  }
-  ++shard.misses;
-
-  // Build under the shard lock: concurrent requests for one key build
-  // once (the second requester blocks and then hits).  Builds are row
-  // scans — expensive relative to any lock hold we could save.
-  common::Result<BaseHistogram> result = builder();
-  if (!result.ok()) return result.status();
-  auto histogram =
-      std::make_shared<const BaseHistogram>(std::move(result).value());
-  InsertLocked(shard, key, histogram);
-  if (built != nullptr) *built = true;
-  return histogram;
+void BaseHistogramCache::EraseLocked(EntryMap::iterator it) {
+  stats_.bytes -= static_cast<int64_t>(it->second.bytes);
+  lru_.erase(it->second.lru_it);
+  entries_.erase(it);
 }
 
 bool BaseHistogramCache::Contains(const std::string& key,
                                   int64_t expected_source_rows) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
   return expected_source_rows < 0 ||
          it->second.histogram->source_rows == expected_source_rows;
 }
@@ -325,174 +251,162 @@ common::Status BaseHistogramCache::FusedBuild(
   MUVE_CHECK(request.rows != nullptr);
   FusedBuildOutcome local;
   FusedBuildOutcome* result = outcome != nullptr ? outcome : &local;
+  const int64_t expected_rows = static_cast<int64_t>(request.rows->size());
+  result->histograms.assign(request.pairs.size(), nullptr);
 
-  // The retry loop only ever iterates when coalescing makes this call
-  // wait out another thread's pass; each iteration re-snapshots and
-  // either finds everything cached, waits again, or leads a pass itself
-  // — every iteration follows a completed pass, so the loop terminates.
-  for (;;) {
-    // Snapshot which pairs are still missing.  A concurrent builder may
-    // insert one of them before we do — handled first-wins below, so the
-    // worst case is redundant work, never inconsistency.  `cached_now`
-    // folds into the outcome only on the iteration that completes, so a
-    // coalesced retry does not double-count.
-    const int64_t expected_rows =
-        static_cast<int64_t>(request.rows->size());
-    std::vector<size_t> missing;
-    missing.reserve(request.pairs.size());
-    int64_t cached_now = 0;
-    for (size_t i = 0; i < request.pairs.size(); ++i) {
-      if (Contains(request.pairs[i].key, expected_rows)) {
-        ++cached_now;
-      } else {
-        missing.push_back(i);
+  std::vector<size_t> missing;
+  std::string flight_key;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    // The loop only iterates when coalescing makes this call wait out
+    // another thread's pass; each iteration follows a completed pass and
+    // either finds everything cached, waits again, or leads a pass.
+    for (;;) {
+      // Snapshot what is missing; hits are read (and refreshed in LRU
+      // order) now.  Snapshot and flight registration share the lock, so
+      // a flight that is no longer registered has already inserted.
+      missing.clear();
+      for (size_t i = 0; i < request.pairs.size(); ++i) {
+        const auto it = entries_.find(request.pairs[i].key);
+        if (it != entries_.end() &&
+            it->second.histogram->source_rows == expected_rows) {
+          result->histograms[i] = it->second.histogram;
+          lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        } else {
+          missing.push_back(i);
+        }
       }
-    }
-    if (missing.empty()) {
-      result->already_cached += cached_now;
-      return common::Status::OK();
-    }
+      if (missing.empty() || !request.coalesce) break;
 
-    // Single-flight admission: the pass's identity is its sorted set of
-    // missing cache keys.  First thread in registers the flight and
-    // scans; threads arriving with the SAME set wait for it and then
-    // re-snapshot (normally all hits — zero rows scanned).  A waiter
-    // polls its own ExecContext between time-boxed waits, so a tripped
-    // deadline abandons the wait without touching the shared pass.
-    std::string flight_key;
-    if (request.coalesce) {
-      std::vector<size_t> order = missing;
-      std::sort(order.begin(), order.end(),
-                [&request](size_t a, size_t b) {
-                  return request.pairs[a].key < request.pairs[b].key;
-                });
-      for (const size_t i : order) {
-        flight_key += request.pairs[i].key;
+      // Single-flight admission: the pass's identity is its sorted set
+      // of missing keys.  The first thread registers the flight and
+      // scans; threads arriving with the SAME set wait for it, polling
+      // their own ExecContext between time-boxed waits, so a tripped
+      // deadline abandons the wait without touching the shared pass.
+      std::vector<std::string_view> keys;
+      keys.reserve(missing.size());
+      for (const size_t i : missing) keys.push_back(request.pairs[i].key);
+      std::sort(keys.begin(), keys.end());
+      flight_key.clear();
+      for (const std::string_view key : keys) {
+        flight_key.append(key);
         flight_key += '\n';
       }
-      std::unique_lock<std::mutex> lock(flights_mu_);
-      if (!flights_.insert(flight_key).second) {
-        ++result->coalesced;
-        while (flights_.count(flight_key) != 0) {
-          if (request.exec != nullptr && request.exec->Expired()) {
-            return request.exec->ExpiryStatus();
-          }
-          flights_cv_.wait_for(lock, std::chrono::milliseconds(2));
+      if (flights_.insert(flight_key).second) break;  // leader
+      ++result->coalesced;
+      while (flights_.count(flight_key) != 0) {
+        if (request.exec != nullptr && request.exec->Expired()) {
+          return request.exec->ExpiryStatus();
         }
-        continue;  // the pass landed: hits now, or lead a retry
+        flights_cv_.wait_for(lock, std::chrono::milliseconds(2));
       }
+      flight_key.clear();
     }
-    // Leader (or coalescing off): deregister the flight on EVERY exit,
-    // success or error, and wake waiters.
-    struct FlightGuard {
-      BaseHistogramCache* cache;
-      const std::string* key;
-      ~FlightGuard() {
-        if (key->empty()) return;
-        {
-          std::lock_guard<std::mutex> lock(cache->flights_mu_);
-          cache->flights_.erase(*key);
-        }
-        cache->flights_cv_.notify_all();
-      }
-    } flight_guard{this, &flight_key};
-
-    std::vector<FusedScanPair> pairs;
-    pairs.reserve(missing.size());
-    for (const size_t i : missing) {
-      pairs.push_back(
-          {request.pairs[i].dimension, request.pairs[i].measure});
-    }
-
-    // ONE pass over the row set builds every missing pair; the scan runs
-    // outside any shard lock (it may fan out over the thread pool).
-    FusedScanStats scan_stats;
-    MUVE_ASSIGN_OR_RETURN(
-        std::vector<BaseHistogram> built,
-        FusedBuildBaseHistograms(table, *request.rows, pairs, request.pool,
-                                 request.morsel_size, &scan_stats, scratch,
-                                 request.exec));
-    ++result->passes;
-    result->rows_scanned += static_cast<int64_t>(request.rows->size());
-    result->morsels += scan_stats.morsels;
-    result->already_cached += cached_now;
-
-    for (size_t j = 0; j < missing.size(); ++j) {
-      const std::string& key = request.pairs[missing[j]].key;
-      Shard& shard = ShardFor(key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const auto it = shard.entries.find(key);
-      if (it != shard.entries.end()) {
-        if (it->second.histogram->source_rows == expected_rows) {
-          // First-wins: a concurrent build landed this key already; both
-          // histograms cover identical row sets, keep the cached one.
-          ++result->already_cached;
-          continue;
-        }
-        // A stale entry (different row count) raced in; replace it with
-        // the histogram just built over the current row set.
-        EraseLocked(shard, it);
-      }
-      InsertLocked(shard, key,
-                   std::make_shared<const BaseHistogram>(std::move(built[j])));
-      ++result->histograms_built;
-    }
-    return common::Status::OK();
+    const int64_t cached =
+        static_cast<int64_t>(request.pairs.size() - missing.size());
+    stats_.lookups += static_cast<int64_t>(request.pairs.size());
+    stats_.hits += cached;
+    stats_.misses += static_cast<int64_t>(missing.size());
+    result->already_cached += cached;
   }
+  if (missing.empty()) return common::Status::OK();
+
+  // Leader (or coalescing off): deregister the flight on EVERY exit,
+  // success or error, and wake waiters.
+  struct FlightGuard {
+    BaseHistogramCache* cache;
+    const std::string* key;
+    ~FlightGuard() {
+      if (key->empty()) return;
+      {
+        std::lock_guard<std::mutex> lock(cache->mu_);
+        cache->flights_.erase(*key);
+      }
+      cache->flights_cv_.notify_all();
+    }
+  } flight_guard{this, &flight_key};
+
+  std::vector<FusedScanPair> pairs;
+  pairs.reserve(missing.size());
+  for (const size_t i : missing) {
+    pairs.push_back({request.pairs[i].dimension, request.pairs[i].measure});
+  }
+  // ONE pass over the row set builds every missing pair, outside the
+  // lock (it may fan out over the thread pool).
+  FusedScanStats scan_stats;
+  MUVE_ASSIGN_OR_RETURN(
+      std::vector<BaseHistogram> built,
+      FusedBuildBaseHistograms(table, *request.rows, pairs, request.pool,
+                               request.morsel_size, &scan_stats, scratch,
+                               request.exec));
+  ++result->passes;
+  result->rows_scanned += expected_rows;
+  result->morsels += scan_stats.morsels;
+
+  std::lock_guard<std::mutex> lock(mu_);
+  for (size_t j = 0; j < missing.size(); ++j) {
+    const size_t i = missing[j];
+    const std::string& key = request.pairs[i].key;
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if (it->second.histogram->source_rows == expected_rows) {
+        // First-wins: a concurrent build landed this key already; both
+        // histograms cover identical row sets, keep the cached one.
+        result->histograms[i] = it->second.histogram;
+        ++result->already_cached;
+        continue;
+      }
+      // A stale entry (different row count) raced in; replace it with
+      // the histogram just built over the current row set.
+      EraseLocked(it);
+    }
+    result->histograms[i] =
+        std::make_shared<const BaseHistogram>(std::move(built[j]));
+    InsertLocked(key, result->histograms[i]);
+    ++result->histograms_built;
+  }
+  return common::Status::OK();
 }
 
 bool BaseHistogramCache::MergeDelta(const std::string& key,
                                     const BaseHistogram& delta,
                                     int64_t table_rows_before) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) return false;
   const int64_t stamp = it->second.histogram->table_rows;
   if (stamp != table_rows_before) {
     // A post-append reader already rebuilt this entry over the appended
     // table: patching it would count the delta twice.  An entry of any
     // other version is wrong for the post-append table either way.
-    if (stamp != delta.table_rows) EraseLocked(shard, it);
+    if (stamp != delta.table_rows) EraseLocked(it);
     return false;
   }
   auto merged = std::make_shared<const BaseHistogram>(
       MergeBaseHistograms(*it->second.histogram, delta));
   const size_t new_bytes = merged->ApproxBytes();
-  shard.bytes -= it->second.bytes;
-  shard.bytes += new_bytes;
+  stats_.bytes += static_cast<int64_t>(new_bytes) -
+                  static_cast<int64_t>(it->second.bytes);
   it->second.bytes = new_bytes;
   it->second.histogram = std::move(merged);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-  ++shard.delta_merges;
-  // A patched entry can push the shard over budget; the entry just
+  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+  ++stats_.delta_merges;
+  // A patched entry can push the store over budget; the entry just
   // refreshed is LRU front, so it survives.
-  EvictLocked(shard);
+  EvictLocked();
   return true;
 }
 
 void BaseHistogramCache::Clear() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->entries.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  entries_.clear();
+  lru_.clear();
+  stats_.bytes = 0;
 }
 
 BaseHistogramCache::CacheStats BaseHistogramCache::TotalStats() const {
-  CacheStats total;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total.lookups += shard->lookups;
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.builds += shard->builds;
-    total.evictions += shard->evictions;
-    total.delta_merges += shard->delta_merges;
-    total.bytes += static_cast<int64_t>(shard->bytes);
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 }  // namespace muve::storage

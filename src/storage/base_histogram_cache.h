@@ -32,20 +32,21 @@
 //     the direct path's Welford recurrence; equal within FP tolerance,
 //     with the same "0 for fewer than two observations" convention.
 //   * MIN / MAX — NOT servable from prefix sums; callers fall back to the
-//     direct scan (ViewEvaluator gates on BaseServableFunction).
+//     direct scan (ViewSpace::Create gives such views no base pair).
 //
-// `BaseHistogramCache` is the shared, size-bounded store: shard-locked
-// (16-way by default) so every ThreadPool worker of a recommendation run
-// can probe concurrently, with per-shard LRU eviction under a byte budget.
-// Entries are immutable once built and handed out as shared_ptr<const>,
-// so eviction never invalidates a histogram a worker is still coarsening.
+// `BaseHistogramCache` is the shared, size-bounded store: one mutex, one
+// LRU list and one byte budget.  Probes do not read it: each
+// ViewEvaluator pins the histograms it uses (core/view_evaluator.h), so
+// the store sees one lookup per (pair, side, evaluator) — it is filled
+// and read through FusedBuild only.  Entries are immutable once built
+// and handed out as shared_ptr<const>, so eviction never invalidates a
+// histogram a worker is still coarsening.
 
 #ifndef MUVE_STORAGE_BASE_HISTOGRAM_CACHE_H_
 #define MUVE_STORAGE_BASE_HISTOGRAM_CACHE_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -109,18 +110,6 @@ bool BaseServableFunction(AggregateFunction function);
 double FinishFromMoments(AggregateFunction function, int64_t count,
                          double sum, double sum_sq);
 
-// Builds the base histogram in one scan of `rows`.  Errors mirror
-// BinnedAggregate's: unknown columns, string dimension, or string measure
-// (string measures are only aggregatable with COUNT, which the direct
-// path keeps serving).  Since the fused scan engine landed this is a
-// thin single-pair wrapper over FusedBuildBaseHistograms with one morsel
-// (bit-identical to the historical sort-based builder: per-fine-bin sums
-// accumulate in row order).  `scratch`, when provided, reuses the
-// engine's dictionaries / key arrays / partial arenas across builds.
-common::Result<BaseHistogram> BuildBaseHistogram(
-    const Table& table, const RowSet& rows, std::string_view dimension,
-    std::string_view measure, FusedScanScratch* scratch = nullptr);
-
 // Derives the `num_bins`-bin equi-width view over [lo, hi] by prefix-sum
 // differences.  Bin boundaries are located by binary search with the same
 // BinIndexFor the direct scan uses, so every row lands in the same bin as
@@ -153,28 +142,31 @@ void BaseRawSeries(const BaseHistogram& base, AggregateFunction function,
 BaseHistogram MergeBaseHistograms(const BaseHistogram& a,
                                   const BaseHistogram& delta);
 
+// The store key of the (dimension, measure) pair's base histogram over
+// the target ("t|A|M") or comparison ("c|A|M") row set.  The key is
+// F-agnostic: one histogram serves every servable aggregate of the pair.
+std::string BaseHistogramKey(bool target_side, std::string_view dimension,
+                             std::string_view measure);
+
 // Thread-safe, size-bounded store of BaseHistograms keyed by caller
-// strings (ViewEvaluator uses "t|<dim>|<measure>" / "c|<dim>|<measure>"
-// for the target / comparison side).  One cache instance must only be
-// shared by evaluators probing the SAME row sets (the Recommender creates
-// one per Recommend() call and hands it to every pool worker).
+// strings (BaseHistogramKey, optionally behind a caller prefix).  One
+// store must only be shared by evaluators probing the SAME row sets (the
+// Recommender creates one per Recommend() call and hands it to every pool
+// worker; muved keeps one per registry key).
 class BaseHistogramCache {
  public:
   struct Options {
-    // Total byte budget across shards; per-shard LRU eviction keeps each
-    // shard under its slice.  The most recently built entry of a shard is
-    // never evicted (a histogram larger than the slice still serves the
-    // probes that triggered it).
+    // Byte budget; LRU eviction keeps the store under it.  The most
+    // recently inserted entry is never evicted (a histogram larger than
+    // the budget still serves the run that built it).
     size_t max_bytes = size_t{64} << 20;  // 64 MiB
-    size_t num_shards = 16;
   };
 
   struct CacheStats {
-    // GetOrBuild probes: every call counts one lookup and exactly one of
-    // hit / miss (hits + misses == lookups — pinned by the cross-query
-    // differential suite).  `builds` counts entries inserted, which can
-    // exceed `misses`: fused passes insert histograms no GetOrBuild ever
-    // probed for.
+    // FusedBuild reads: every requested pair counts one lookup and
+    // exactly one of hit / miss (hits + misses == lookups — pinned by
+    // the cross-query differential suite).  `builds` counts entries
+    // inserted.
     int64_t lookups = 0;
     int64_t hits = 0;
     int64_t misses = 0;
@@ -191,31 +183,10 @@ class BaseHistogramCache {
   BaseHistogramCache();
   explicit BaseHistogramCache(Options options);
 
-  using Builder = std::function<common::Result<BaseHistogram>()>;
-
-  // Returns the cached histogram for `key`, invoking `builder` under the
-  // shard lock on a miss (concurrent requests for one key build once).
-  // `built`, when non-null, reports whether THIS call performed the
-  // build — callers charge scan costs only then.  Builder errors are
-  // propagated and nothing is cached.
-  //
-  // `expected_source_rows`, when >= 0, is a staleness guard for caches
-  // shared across table versions: an entry whose source_rows differs is
-  // dropped and rebuilt as a miss.  The row sets this cache sees are
-  // append-only (a post-append set is a superset of its pre-append
-  // version), so equal size implies equal set — the check never rejects
-  // a current entry and always rejects one a concurrent pre-append
-  // reader raced in after the append's delta patch.
-  common::Result<std::shared_ptr<const BaseHistogram>> GetOrBuild(
-      const std::string& key, const Builder& builder, bool* built,
-      int64_t expected_source_rows = -1);
-
-  // Whether `key` currently has an entry.  Does not touch LRU order —
-  // callers use it to assemble a fused build of the still-missing pairs
-  // without perturbing eviction priority.  `expected_source_rows`
-  // >= 0 additionally requires the entry to cover exactly that many
-  // rows (the GetOrBuild staleness guard); a mismatched entry reads as
-  // absent.
+  // Whether `key` currently has an entry.  Does not touch LRU order or
+  // the lookup counters.  `expected_source_rows` >= 0 additionally
+  // requires the entry to cover exactly that many rows (FusedBuild's
+  // staleness guard); a mismatched entry reads as absent.
   bool Contains(const std::string& key,
                 int64_t expected_source_rows = -1) const;
 
@@ -228,10 +199,10 @@ class BaseHistogramCache {
   };
 
   // A fused build: ONE pass over `*rows` produces the base histograms of
-  // every still-missing pair (pairs already cached are skipped), split
-  // into ~`morsel_size`-row morsels on `pool` when provided.  This is
-  // how ViewEvaluator prewarms the cache at recommendation start: one
-  // traversal instead of |A| x |M|.
+  // every still-missing pair (pairs already cached are served as they
+  // are), split into ~`morsel_size`-row morsels on `pool` when provided.
+  // The prewarm asks for every pair of a side at recommendation start;
+  // an evaluator whose pin is empty asks for one pair, with one morsel.
   struct FusedHistogramBuildRequest {
     const RowSet* rows = nullptr;
     std::vector<FusedPairRequest> pairs;
@@ -250,7 +221,7 @@ class BaseHistogramCache {
     // whose entries were already evicted simply becomes the next leader.
     // Only concurrent IDENTICAL builds coalesce — overlapping-but-
     // different pair sets run independently (first-wins insert keeps
-    // that correct, as today).
+    // that correct).
     bool coalesce = false;
   };
 
@@ -266,15 +237,20 @@ class BaseHistogramCache {
     // Times this call waited on another thread's identical in-flight
     // pass instead of scanning (ExecStats::fused_coalesced).
     int64_t coalesced = 0;
+    // On success, every requested pair's histogram in request order,
+    // whether it was cached or built — also when the store refused to
+    // keep it (an injected `cache.insert=oom`).
+    std::vector<std::shared_ptr<const BaseHistogram>> histograms;
   };
 
   // Executes the fused build.  Histograms are inserted first-wins: a
   // concurrent builder of the same key keeps the existing entry when it
   // covers the same rows.  An entry covering a DIFFERENT row count than
   // `request.rows` — a stale base raced in by a pre-append reader — is
-  // treated as missing and replaced (see GetOrBuild's staleness guard).
-  // Errors from the scan engine are propagated; nothing is cached on
-  // error.
+  // treated as missing and replaced.  The row sets a store sees are
+  // append-only (a post-append set is a superset of its pre-append
+  // version), so equal size implies equal set.  Errors from the scan
+  // engine are propagated; nothing is cached on error.
   common::Status FusedBuild(const Table& table,
                             const FusedHistogramBuildRequest& request,
                             FusedBuildOutcome* outcome = nullptr,
@@ -289,8 +265,8 @@ class BaseHistogramCache {
   // delta.table_rows was rebuilt by a post-append reader and is current,
   // so it is left alone; any other entry describes neither version and
   // is dropped.  Those cases, and an absent entry, return false — the
-  // next probe then builds from the full row set, which is correct, just
-  // not incremental.  Outstanding shared_ptrs to the old histogram stay
+  // next build then covers the full row set, which is correct, just not
+  // incremental.  Outstanding shared_ptrs to the old histogram stay
   // valid (readers pinned to the pre-append snapshot keep consistent
   // bases).
   bool MergeDelta(const std::string& key, const BaseHistogram& delta,
@@ -300,55 +276,39 @@ class BaseHistogramCache {
   // stay valid.
   void Clear();
 
-  // Aggregated across shards; `bytes` is the current retained footprint.
+  // `bytes` is the current retained footprint.
   CacheStats TotalStats() const;
 
-  size_t max_bytes() const { return options_.max_bytes; }
-
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    // Front = most recently used.
-    std::list<std::string> lru;
-    struct Entry {
-      std::shared_ptr<const BaseHistogram> histogram;
-      std::list<std::string>::iterator lru_it;
-      size_t bytes = 0;
-    };
-    std::unordered_map<std::string, Entry> entries;
+  struct Entry {
+    std::shared_ptr<const BaseHistogram> histogram;
+    std::list<std::string>::iterator lru_it;
     size_t bytes = 0;
-    int64_t lookups = 0;
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t builds = 0;
-    int64_t evictions = 0;
-    int64_t delta_merges = 0;
   };
+  using EntryMap = std::unordered_map<std::string, Entry>;
 
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
-  // Inserts under the shard lock (caller holds it): LRU front, byte
-  // accounting, build counter, budget eviction.
-  void InsertLocked(Shard& shard, const std::string& key,
+  // The helpers below require mu_.
+  // Inserts at LRU front with byte accounting, then evicts to budget.
+  void InsertLocked(const std::string& key,
                     std::shared_ptr<const BaseHistogram> histogram);
-  // Drops the LRU tail until the shard fits its budget, never evicting
-  // the front entry (caller holds the lock).
-  void EvictLocked(Shard& shard);
-  // Removes `it` from `shard` (caller holds the lock).
-  static void EraseLocked(
-      Shard& shard,
-      std::unordered_map<std::string, Shard::Entry>::iterator it);
+  // Drops the LRU tail until the store fits its budget, never evicting
+  // the front entry.
+  void EvictLocked();
+  void EraseLocked(EntryMap::iterator it);
 
-  Options options_;
-  size_t per_shard_budget_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const Options options_;
 
-  // Single-flight registry for coalesced fused builds: the set of
-  // missing-pair-set keys with a pass in flight.  One cv for all flights
-  // — coalescing events are rare and short-lived, so waiters tolerate
-  // spurious wakes from unrelated flights; they also time-box each wait
-  // to poll their own ExecContext.
-  std::mutex flights_mu_;
+  // Guards everything below, the single-flight registry included.
+  mutable std::mutex mu_;
+  std::list<std::string> lru_;  // front = most recently used
+  EntryMap entries_;
+  // Counters; `bytes` is the retained footprint.
+  CacheStats stats_;
+  // Single-flight registry for coalesced fused builds: the missing-pair
+  // set keys with a pass in flight.  One cv for all flights — coalescing
+  // events are rare and short-lived, so waiters tolerate spurious wakes
+  // from unrelated flights; they also time-box each wait to poll their
+  // own ExecContext.
   std::condition_variable flights_cv_;
   std::unordered_set<std::string> flights_;
 };

@@ -42,7 +42,7 @@
 //     partitioning, never on the worker schedule.
 //   * With a single morsel (morsel_size >= rows), per-fine-bin sums
 //     accumulate in row order — bit-identical to the legacy per-pair
-//     builder (which BuildBaseHistogram now delegates to).
+//     builder.  An evaluator's one-pair pin-miss build runs this way.
 //   * With multiple morsels, per-bin sums re-associate at morsel
 //     boundaries: still bit-exact for COUNT and for integer-valued
 //     measures, and within ~1e-12 relative error otherwise (the same
@@ -139,8 +139,8 @@ struct FusedScanScratch {
 //     morsel starts and the whole build aborts with the context's expiry
 //     Status.  NOTHING is returned or cached from an aborted pass —
 //     partial histograms must never be mistaken for complete ones — so
-//     callers degrade to direct single-pair builds for the probes they
-//     still run.  Null = unbounded (today's behavior).
+//     evaluators degrade to unbounded one-pair builds for the probes
+//     they still run.  Null = unbounded.
 common::Result<std::vector<BaseHistogram>> FusedBuildBaseHistograms(
     const Table& table, const RowSet& rows,
     const std::vector<FusedScanPair>& pairs,

@@ -8,13 +8,14 @@ namespace muve::storage {
 
 namespace {
 
-// Pairs from the (A, M) grid whose base histogram is cached on `side`
-// ("t|" or "c|").  String-typed dimensions/measures never enter the
-// cache (ViewEvaluator::CacheEligible), so a Contains() hit implies the
-// fused builder accepts the pair; the type probe below is a cheap belt
-// against a caller handing a grid the cache never saw.
+// Pairs from the (A, M) grid whose base histogram is cached on the
+// target or comparison side.  String-typed dimensions/measures never
+// enter the cache (ViewSpace::Create gives them no base pair), so a
+// Contains() hit implies the fused builder accepts the pair; the type
+// probe below is a cheap belt against a caller handing a grid the cache
+// never saw.
 std::vector<FusedScanPair> CachedPairs(const IngestDeltaRequest& request,
-                                       const char* side,
+                                       bool target_side,
                                        std::vector<std::string>* keys) {
   std::vector<FusedScanPair> pairs;
   for (const std::string& dim : request.dimensions) {
@@ -25,7 +26,8 @@ std::vector<FusedScanPair> CachedPairs(const IngestDeltaRequest& request,
       if (!mea_col.ok() || (*mea_col)->type() == ValueType::kString) {
         continue;
       }
-      std::string key = request.key_prefix + side + dim + "|" + mea;
+      std::string key =
+          request.key_prefix + BaseHistogramKey(target_side, dim, mea);
       if (!request.cache->Contains(key)) continue;
       pairs.push_back({dim, mea});
       keys->push_back(std::move(key));
@@ -58,8 +60,8 @@ common::Status PatchSide(const IngestDeltaRequest& request,
   for (size_t i = 0; i < keys.size(); ++i) {
     // A false return means the entry was evicted since the Contains
     // probe, was already rebuilt over the appended table, or described
-    // another version and was dropped — in every case the next probe
-    // reads a current entry or builds one over the full appended table.
+    // another version and was dropped — in every case the next build
+    // reads a current entry or scans the full appended table.
     if (request.cache->MergeDelta(keys[i], (*built)[i],
                                   static_cast<int64_t>(request.rows_before)) &&
         stats != nullptr) {
@@ -82,11 +84,11 @@ common::Status ApplyAppendDeltas(const IngestDeltaRequest& request,
   std::vector<std::string> comparison_keys;
   std::vector<std::string> target_keys;
   const std::vector<FusedScanPair> comparison_pairs =
-      CachedPairs(request, "c|", &comparison_keys);
+      CachedPairs(request, /*target_side=*/false, &comparison_keys);
   const std::vector<FusedScanPair> target_pairs =
       request.target_predicate == nullptr
           ? std::vector<FusedScanPair>{}
-          : CachedPairs(request, "t|", &target_keys);
+          : CachedPairs(request, /*target_side=*/true, &target_keys);
   if (stats != nullptr) {
     stats->pairs_considered +=
         static_cast<int64_t>(comparison_pairs.size() + target_pairs.size());

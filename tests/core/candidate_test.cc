@@ -17,7 +17,8 @@ class CandidateTest : public ::testing::Test {
     auto space = ViewSpace::Create(dataset_);
     EXPECT_TRUE(space.ok());
     space_ = std::make_unique<ViewSpace>(std::move(space).value());
-    view_ = View{"x", "m1", storage::AggregateFunction::kSum};
+    view_ = testutil::ViewOf(*space_, "x", "m1",
+                             storage::AggregateFunction::kSum);
   }
 
   data::Dataset dataset_;

@@ -57,6 +57,12 @@ TEST(CategoricalViewSpaceTest, EnumeratesBothKinds) {
   ASSERT_TRUE(space.ok()) << space.status().ToString();
   // 2 dimensions x 1 measure x 2 functions.
   EXPECT_EQ(space->views().size(), 4u);
+  // Only the numeric dimension's pair has a base; color scans directly.
+  ASSERT_EQ(space->base_pairs().size(), 1u);
+  EXPECT_EQ(space->base_pairs()[0].dimension, "x");
+  for (const View& view : space->views()) {
+    EXPECT_EQ(view.base_pair >= 0, view.dimension == "x") << view.Label();
+  }
   const DimensionInfo& color = space->dimension_info("color");
   EXPECT_TRUE(color.categorical);
   EXPECT_EQ(color.max_bins, 1);
@@ -72,7 +78,8 @@ TEST(CategoricalEvaluatorTest, AccuracyIsAlwaysPerfect) {
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok());
   ViewEvaluator eval(ds, *space);
-  const View view{"color", "m1", storage::AggregateFunction::kSum};
+  const View& view = testutil::ViewOf(*space, "color", "m1",
+                                      storage::AggregateFunction::kSum);
   EXPECT_DOUBLE_EQ(eval.EvaluateAccuracy(view, 1), 1.0);
   EXPECT_EQ(eval.stats().accuracy_evals, 1);
   EXPECT_EQ(eval.stats().target_queries, 0);  // no query needed
@@ -83,9 +90,11 @@ TEST(CategoricalEvaluatorTest, UsabilityIsInverseGroupCount) {
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok());
   ViewEvaluator eval(ds, *space);
-  const View cat{"color", "m1", storage::AggregateFunction::kSum};
+  const View& cat = testutil::ViewOf(*space, "color", "m1",
+                                     storage::AggregateFunction::kSum);
   EXPECT_DOUBLE_EQ(eval.CandidateUsability(cat, 1), 1.0 / 3.0);
-  const View num{"x", "m1", storage::AggregateFunction::kSum};
+  const View& num = testutil::ViewOf(*space, "x", "m1",
+                                     storage::AggregateFunction::kSum);
   EXPECT_DOUBLE_EQ(eval.CandidateUsability(num, 4), 0.25);
 }
 
@@ -95,7 +104,8 @@ TEST(CategoricalEvaluatorTest, DeviationDetectsSkewedTargetGroups) {
   ASSERT_TRUE(space.ok());
   ViewEvaluator eval(ds, *space);
   // Target rows are heavily red: the COUNT view over color deviates.
-  const View view{"color", "m1", storage::AggregateFunction::kCount};
+  const View& view = testutil::ViewOf(*space, "color", "m1",
+                                      storage::AggregateFunction::kCount);
   const double d = eval.EvaluateDeviation(view, 1);
   EXPECT_GT(d, 0.05);
   EXPECT_LE(d, 1.0);

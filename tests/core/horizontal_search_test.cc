@@ -18,7 +18,8 @@ class HorizontalSearchTest : public ::testing::Test {
     auto space = ViewSpace::Create(dataset_);
     EXPECT_TRUE(space.ok());
     space_ = std::make_unique<ViewSpace>(std::move(space).value());
-    view_ = View{"x", "m1", storage::AggregateFunction::kSum};
+    view_ = testutil::ViewOf(*space_, "x", "m1",
+                             storage::AggregateFunction::kSum);
     domain_ = BinDomain(PartitionSpec{}, space_->dimension_info("x").max_bins);
   }
 
@@ -63,7 +64,8 @@ TEST_P(MuveExactnessTest, MuveMatchesLinearOptimum) {
   ASSERT_TRUE(space.ok());
   SearchOptions options;
   options.weights = Weights{alpha_d, std::max(alpha_a, 0.0), alpha_s};
-  const View view{"x", "m2", storage::AggregateFunction::kAvg};
+  const View& view =
+      testutil::ViewOf(*space, "x", "m2", storage::AggregateFunction::kAvg);
   const auto domain =
       BinDomain(PartitionSpec{}, space->dimension_info("x").max_bins);
 

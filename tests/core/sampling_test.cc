@@ -195,7 +195,8 @@ TEST(SamplingTest, CategoricalDeviationSurvivesSampling) {
 
   auto space = ViewSpace::Create(ds);
   ASSERT_TRUE(space.ok()) << space.status().ToString();
-  const View view{"cat", "m", storage::AggregateFunction::kSum};
+  const View& view =
+      testutil::ViewOf(*space, "cat", "m", storage::AggregateFunction::kSum);
 
   ViewEvaluator exact(ds, *space);
   const double exact_dev = exact.EvaluateDeviation(view, 1);

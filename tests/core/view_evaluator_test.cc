@@ -15,8 +15,9 @@ class ViewEvaluatorTest : public ::testing::Test {
     space_ = std::make_unique<ViewSpace>(std::move(space).value());
   }
 
-  View SumM1ByX() const {
-    return View{"x", "m1", storage::AggregateFunction::kSum};
+  const View& SumM1ByX() const {
+    return testutil::ViewOf(*space_, "x", "m1",
+                            storage::AggregateFunction::kSum);
   }
 
   data::Dataset dataset_;

@@ -36,6 +36,37 @@ TEST(ViewSpaceTest, EnumeratesCrossProduct) {
   EXPECT_EQ(space->views()[7].measure, "m2");
 }
 
+// Create resolves each view's routing once: its own index, its
+// dimension's, and the deduplicated (A, M) base pair that serves it —
+// none for MIN/MAX.
+TEST(ViewSpaceTest, ResolvesIndicesAndBasePairs) {
+  data::Dataset ds = testutil::MakeToyDataset();
+  ds.functions = {storage::AggregateFunction::kSum,
+                  storage::AggregateFunction::kMin,
+                  storage::AggregateFunction::kAvg};
+  auto space = ViewSpace::Create(ds);
+  ASSERT_TRUE(space.ok()) << space.status().ToString();
+  // 2 dims x 2 measures, each pair shared by SUM and AVG.
+  ASSERT_EQ(space->base_pairs().size(), 4u);
+  EXPECT_EQ(space->base_pairs()[0].dimension, "x");
+  EXPECT_EQ(space->base_pairs()[0].measure, "m1");
+  for (size_t i = 0; i < space->views().size(); ++i) {
+    const View& view = space->views()[i];
+    SCOPED_TRACE(view.Label());
+    EXPECT_EQ(view.index, static_cast<int>(i));
+    EXPECT_EQ(space->dimensions()[view.dimension_index].name,
+              view.dimension);
+    if (view.function == storage::AggregateFunction::kMin) {
+      EXPECT_EQ(view.base_pair, -1);
+      continue;
+    }
+    ASSERT_GE(view.base_pair, 0);
+    const BasePair& pair = space->base_pairs()[view.base_pair];
+    EXPECT_EQ(pair.dimension, view.dimension);
+    EXPECT_EQ(pair.measure, view.measure);
+  }
+}
+
 TEST(ViewSpaceTest, DimensionInfoRangesAndBins) {
   const data::Dataset ds = testutil::MakeToyDataset();
   auto space = ViewSpace::Create(ds);

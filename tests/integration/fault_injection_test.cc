@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "base_build_util.h"
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "core/recommender.h"
@@ -75,32 +76,23 @@ TEST_F(FaultInjectionTest, CsvReadRecoversOnceFaultClears) {
 // --- cache.insert (allocation refused) ---
 
 TEST_F(FaultInjectionTest, CacheInsertOomServesBuildButForgets) {
+  const data::Dataset ds = data::MakeToyDataset();
   ASSERT_TRUE(common::SetFailpoint("cache.insert", "oom").ok());
   storage::BaseHistogramCache cache;
-  int builds = 0;
-  const auto builder = [&]() -> common::Result<storage::BaseHistogram> {
-    ++builds;
-    storage::BaseHistogram h;
-    h.values = {1.0};
-    h.sums = {2.0};
-    h.sum_sqs = {4.0};
-    h.prefix_counts = {0, 1};
-    h.prefix_sums = {0.0, 2.0};
-    h.prefix_sum_sqs = {0.0, 4.0};
-    return h;
-  };
-  bool built = false;
-  auto first = cache.GetOrBuild("k", builder, &built);
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(built);
-  // The histogram the caller holds stays usable; the cache forgot it.
-  EXPECT_EQ((*first)->num_fine_bins(), 1u);
+  auto first = testutil::FetchOne(cache, "k", *ds.table, ds.target_rows,
+                                  "x", "m1");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_TRUE(first->built);
+  // The outcome still hands the histogram over; the cache forgot it.
+  ASSERT_NE(first->histogram, nullptr);
+  EXPECT_GT(first->histogram->num_fine_bins(), 0u);
   EXPECT_FALSE(cache.Contains("k"));
-  // The next probe rebuilds: OOM costs rescans, never correctness.
-  auto second = cache.GetOrBuild("k", builder, &built);
+  EXPECT_EQ(cache.TotalStats().builds, 0);
+  // The next read rebuilds: OOM costs rescans, never correctness.
+  auto second = testutil::FetchOne(cache, "k", *ds.table, ds.target_rows,
+                                   "x", "m1");
   ASSERT_TRUE(second.ok());
-  EXPECT_TRUE(built);
-  EXPECT_EQ(builds, 2);
+  EXPECT_TRUE(second->built);
 }
 
 TEST_F(FaultInjectionTest, CacheInsertOomKeepsRecommendationExact) {
@@ -113,20 +105,34 @@ TEST_F(FaultInjectionTest, CacheInsertOomKeepsRecommendationExact) {
   auto baseline = recommender->Recommend(options);
   ASSERT_TRUE(baseline.ok());
 
+  // Two runs on one shared store: the second reads every base back and
+  // builds nothing.
+  options.shared_base_cache = std::make_shared<storage::BaseHistogramCache>();
+  ASSERT_TRUE(recommender->Recommend(options).ok());
+  auto cached = recommender->Recommend(options);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(cached->stats.base_builds, 0);
+
+  // The same two runs with every insert refused: each run's prewarm
+  // still serves its own probes, but the store keeps nothing, so the
+  // second run rebuilds.
   ASSERT_TRUE(common::SetFailpoint("cache.insert", "oom").ok());
-  auto degraded = recommender->Recommend(options);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  // Identical recommendation; only the cost accounting may differ.
-  ASSERT_EQ(degraded->views.size(), baseline->views.size());
-  for (size_t i = 0; i < baseline->views.size(); ++i) {
-    EXPECT_EQ(degraded->views[i].view.Key(), baseline->views[i].view.Key());
-    EXPECT_EQ(degraded->views[i].bins, baseline->views[i].bins);
-    EXPECT_EQ(degraded->views[i].utility, baseline->views[i].utility);
+  options.shared_base_cache = std::make_shared<storage::BaseHistogramCache>();
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    auto degraded = recommender->Recommend(options);
+    ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+    // Identical recommendation; only the cost accounting may differ.
+    ASSERT_EQ(degraded->views.size(), baseline->views.size());
+    for (size_t i = 0; i < baseline->views.size(); ++i) {
+      EXPECT_EQ(degraded->views[i].view.Key(),
+                baseline->views[i].view.Key());
+      EXPECT_EQ(degraded->views[i].bins, baseline->views[i].bins);
+      EXPECT_EQ(degraded->views[i].utility, baseline->views[i].utility);
+    }
+    EXPECT_GT(degraded->stats.base_builds, 0);
+    EXPECT_FALSE(degraded->stats.completeness.degraded);
   }
-  // Every refused insert forces the next probe to rebuild: strictly more
-  // build scans than the cached baseline.
-  EXPECT_GT(degraded->stats.base_builds, baseline->stats.base_builds);
-  EXPECT_FALSE(degraded->stats.completeness.degraded);
 }
 
 // --- fused_scan.morsel ---
@@ -256,21 +262,10 @@ TEST_F(FaultInjectionTest, EnvStyleConfigDrivesMultipleSites) {
                   .ok());
   const std::string path = WriteTempCsv("fault_csv_multi.csv");
   EXPECT_FALSE(storage::ReadCsvFile(path).ok());
+  const data::Dataset ds = data::MakeToyDataset();
   storage::BaseHistogramCache cache;
-  bool built = false;
-  auto result = cache.GetOrBuild(
-      "k",
-      []() -> common::Result<storage::BaseHistogram> {
-        storage::BaseHistogram h;
-        h.values = {1.0};
-        h.sums = {1.0};
-        h.sum_sqs = {1.0};
-        h.prefix_counts = {0, 1};
-        h.prefix_sums = {0.0, 1.0};
-        h.prefix_sum_sqs = {0.0, 1.0};
-        return h;
-      },
-      &built);
+  auto result =
+      testutil::FetchOne(cache, "k", *ds.table, ds.target_rows, "x", "m1");
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(cache.Contains("k"));
 }

@@ -1088,6 +1088,38 @@ TEST_F(MuvedIntegrationTest, CreateValidatesInputs) {
   ::close(fd);
 }
 
+// The default predicate binds against the parsed table at create time:
+// an unknown column fails `create` itself and registers no table.
+TEST_F(MuvedIntegrationTest, CreateBindsItsDefaultPredicate) {
+  StartServer();
+  const int fd = Dial();
+  JsonValue create = Request("create");
+  create.Set("table", JsonValue::String("t"));
+  create.Set("csv", JsonValue::String("x,m\n1,2\n3,4\n"));
+  JsonValue cols = JsonValue::Array();
+  cols.Append(JsonValue::String("x"));
+  create.Set("dims", cols);
+  JsonValue measures = JsonValue::Array();
+  measures.Append(JsonValue::String("m"));
+  create.Set("measures", measures);
+  create.Set("predicate", JsonValue::String("nope = 1"));
+  JsonValue response = Call(fd, create);
+  EXPECT_EQ(ErrorCode(response), "not_found") << response.Write();
+  EXPECT_NE(ErrorMessage(response).find("nope"), std::string::npos)
+      << response.Write();
+
+  JsonValue use = Request("use");
+  use.Set("dataset", JsonValue::String("t"));
+  response = Call(fd, use);
+  EXPECT_EQ(ErrorCode(response), "not_found") << response.Write();
+
+  // The same table with a predicate over its own columns is created.
+  create.Set("predicate", JsonValue::String("x >= 3"));
+  response = Call(fd, create);
+  EXPECT_TRUE(IsOk(response)) << response.Write();
+  ::close(fd);
+}
+
 TEST_F(MuvedIntegrationTest, AppendEnforcesTableSchema) {
   StartServer();
   const int fd = Dial();

@@ -1,7 +1,7 @@
 // Unit tests for the base-histogram prefix-sum cache: build correctness
 // against the direct BinnedAggregate scan, coarsening across the whole
 // bin-count domain, raw-series derivation, LRU eviction, and concurrent
-// GetOrBuild (runs under -L tsan).
+// one-pair FusedBuild reads (runs under -L tsan).
 
 #include "storage/base_histogram_cache.h"
 
@@ -13,12 +13,16 @@
 #include <thread>
 #include <vector>
 
+#include "base_build_util.h"
 #include "storage/binned_group_by.h"
 #include "storage/group_by.h"
 #include "storage/table.h"
 
 namespace muve::storage {
 namespace {
+
+using testutil::BuildOne;
+using testutil::FetchOne;
 
 Table MakeTable(uint64_t seed, int num_rows, int num_distinct,
                 bool integer_measures) {
@@ -50,14 +54,14 @@ TEST(BaseHistogramTest, ServableFunctions) {
 
 TEST(BaseHistogramTest, BuildErrorsMirrorBinnedAggregate) {
   Table table = MakeTable(1, 50, 8, true);
-  EXPECT_FALSE(BuildBaseHistogram(table, AllRows(50), "nope", "m").ok());
-  EXPECT_FALSE(BuildBaseHistogram(table, AllRows(50), "s", "m").ok());
-  EXPECT_FALSE(BuildBaseHistogram(table, AllRows(50), "d", "s").ok());
+  EXPECT_FALSE(BuildOne(table, AllRows(50), "nope", "m").ok());
+  EXPECT_FALSE(BuildOne(table, AllRows(50), "s", "m").ok());
+  EXPECT_FALSE(BuildOne(table, AllRows(50), "d", "s").ok());
 }
 
 TEST(BaseHistogramTest, FineBinsAreSortedDistinct) {
   Table table = MakeTable(2, 300, 12, false);
-  auto base = BuildBaseHistogram(table, AllRows(300), "d", "m");
+  auto base = BuildOne(table, AllRows(300), "d", "m");
   ASSERT_TRUE(base.ok());
   for (size_t j = 1; j < base->num_fine_bins(); ++j) {
     EXPECT_LT(base->values[j - 1], base->values[j]);
@@ -73,7 +77,7 @@ TEST(BaseHistogramTest, CoarsenMatchesDirectScanAllBinCounts) {
   for (const bool integral : {true, false}) {
     Table table = MakeTable(integral ? 3 : 4, 500, 20, integral);
     const RowSet rows = AllRows(500);
-    auto base = BuildBaseHistogram(table, rows, "d", "m");
+    auto base = BuildOne(table, rows, "d", "m");
     ASSERT_TRUE(base.ok());
     const double lo = 0.0, hi = 19.0;
     for (const auto function :
@@ -115,7 +119,7 @@ TEST(BaseHistogramTest, CoarsenMatchesDirectScanAllBinCounts) {
 TEST(BaseHistogramTest, CoarsenMatchesDirectScanWithClampedRange) {
   Table table = MakeTable(5, 400, 16, true);
   const RowSet rows = AllRows(400);
-  auto base = BuildBaseHistogram(table, rows, "d", "m");
+  auto base = BuildOne(table, rows, "d", "m");
   ASSERT_TRUE(base.ok());
   for (int bins : {1, 2, 3, 7}) {
     auto direct = BinnedAggregate(table, rows, "d", "m",
@@ -133,7 +137,7 @@ TEST(BaseHistogramTest, CoarsenMatchesDirectScanWithClampedRange) {
 TEST(BaseHistogramTest, RawSeriesMatchesGroupBy) {
   Table table = MakeTable(6, 350, 14, true);
   const RowSet rows = AllRows(350);
-  auto base = BuildBaseHistogram(table, rows, "d", "m");
+  auto base = BuildOne(table, rows, "d", "m");
   ASSERT_TRUE(base.ok());
   for (const auto function :
        {AggregateFunction::kSum, AggregateFunction::kCount,
@@ -156,144 +160,154 @@ TEST(BaseHistogramTest, RawSeriesMatchesGroupBy) {
 
 TEST(BaseHistogramCacheTest, HitAfterBuildAndStats) {
   Table table = MakeTable(7, 100, 10, true);
+  const RowSet rows = AllRows(100);
   BaseHistogramCache cache;
-  int builder_calls = 0;
-  const auto builder = [&]() {
-    ++builder_calls;
-    return BuildBaseHistogram(table, AllRows(100), "d", "m");
-  };
-  bool built = false;
-  auto first = cache.GetOrBuild("t|d|m", builder, &built);
+  auto first = FetchOne(cache, "t|d|m", table, rows, "d", "m");
   ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(built);
-  auto second = cache.GetOrBuild("t|d|m", builder, &built);
+  EXPECT_TRUE(first->built);
+  auto second = FetchOne(cache, "t|d|m", table, rows, "d", "m");
   ASSERT_TRUE(second.ok());
-  EXPECT_FALSE(built);
-  EXPECT_EQ(builder_calls, 1);
-  EXPECT_EQ(first.value().get(), second.value().get());
+  EXPECT_FALSE(second->built);
+  EXPECT_EQ(first->histogram.get(), second->histogram.get());
   const auto stats = cache.TotalStats();
   EXPECT_EQ(stats.builds, 1);
+  EXPECT_EQ(stats.lookups, 2);
   EXPECT_EQ(stats.hits, 1);
+  EXPECT_EQ(stats.misses, 1);
   EXPECT_GT(stats.bytes, 0);
 }
 
 TEST(BaseHistogramCacheTest, BuilderErrorIsPropagatedAndNotCached) {
   Table table = MakeTable(8, 40, 6, true);
+  const RowSet rows = AllRows(40);
   BaseHistogramCache cache;
-  const auto bad = [&]() {
-    return BuildBaseHistogram(table, AllRows(40), "d", "s");
-  };
-  bool built = true;
-  EXPECT_FALSE(cache.GetOrBuild("k", bad, &built).ok());
-  // A later good builder under the same key still runs (nothing cached).
-  const auto good = [&]() {
-    return BuildBaseHistogram(table, AllRows(40), "d", "m");
-  };
-  auto ok = cache.GetOrBuild("k", good, &built);
+  EXPECT_FALSE(FetchOne(cache, "k", table, rows, "d", "s").ok());
+  EXPECT_FALSE(cache.Contains("k"));
+  // A later good build under the same key still runs (nothing cached).
+  auto ok = FetchOne(cache, "k", table, rows, "d", "m");
   ASSERT_TRUE(ok.ok());
-  EXPECT_TRUE(built);
+  EXPECT_TRUE(ok->built);
+}
+
+// An entry covering a different row count than the request's row set is
+// stale: FusedBuild rebuilds it as a miss and replaces it.
+TEST(BaseHistogramCacheTest, EntryOfAnotherRowCountIsRebuilt) {
+  Table table = MakeTable(13, 200, 10, true);
+  BaseHistogramCache cache;
+  ASSERT_TRUE(FetchOne(cache, "k", table, AllRows(150), "d", "m").ok());
+  EXPECT_TRUE(cache.Contains("k", 150));
+  EXPECT_FALSE(cache.Contains("k", 200));
+  auto grown = FetchOne(cache, "k", table, AllRows(200), "d", "m");
+  ASSERT_TRUE(grown.ok());
+  EXPECT_TRUE(grown->built);
+  EXPECT_EQ(grown->histogram->source_rows, 200);
+  EXPECT_TRUE(cache.Contains("k", 200));
+  EXPECT_EQ(cache.TotalStats().builds, 2);
 }
 
 TEST(BaseHistogramCacheTest, LruEvictionUnderByteBudget) {
   Table table = MakeTable(9, 2000, 400, false);
-  auto probe = BuildBaseHistogram(table, AllRows(2000), "d", "m");
+  const RowSet rows = AllRows(2000);
+  auto probe = BuildOne(table, rows, "d", "m");
   ASSERT_TRUE(probe.ok());
   const size_t entry_bytes = probe->ApproxBytes();
 
-  // One shard with room for ~2 entries.
+  // Room for ~2 entries.
   BaseHistogramCache::Options options;
-  options.num_shards = 1;
   options.max_bytes = entry_bytes * 2 + entry_bytes / 2;
   BaseHistogramCache cache(options);
-  const auto builder = [&]() {
-    return BuildBaseHistogram(table, AllRows(2000), "d", "m");
+  auto fetch = [&](const char* key) {
+    return FetchOne(cache, key, table, rows, "d", "m");
   };
-  auto a = cache.GetOrBuild("a", builder, nullptr);
-  auto b = cache.GetOrBuild("b", builder, nullptr);
+  auto a = fetch("a");
+  auto b = fetch("b");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   // Touch "a" so "b" is the LRU victim when "c" lands.
-  ASSERT_TRUE(cache.GetOrBuild("a", builder, nullptr).ok());
-  ASSERT_TRUE(cache.GetOrBuild("c", builder, nullptr).ok());
+  ASSERT_TRUE(fetch("a").ok());
+  ASSERT_TRUE(fetch("c").ok());
   auto stats = cache.TotalStats();
   EXPECT_EQ(stats.evictions, 1);
   EXPECT_LE(stats.bytes, static_cast<int64_t>(options.max_bytes));
   // "a" survives (hit, no rebuild) while "b" rebuilds.
-  bool built = true;
-  ASSERT_TRUE(cache.GetOrBuild("a", builder, &built).ok());
-  EXPECT_FALSE(built);
-  ASSERT_TRUE(cache.GetOrBuild("b", builder, &built).ok());
-  EXPECT_TRUE(built);
+  auto again_a = fetch("a");
+  ASSERT_TRUE(again_a.ok());
+  EXPECT_FALSE(again_a->built);
+  auto again_b = fetch("b");
+  ASSERT_TRUE(again_b.ok());
+  EXPECT_TRUE(again_b->built);
   // Evicted histograms handed out earlier stay valid (immutable entries).
-  EXPECT_EQ(b.value()->num_fine_bins(), probe->num_fine_bins());
+  EXPECT_EQ(b->histogram->num_fine_bins(), probe->num_fine_bins());
 }
 
 TEST(BaseHistogramCacheTest, OversizedEntryStillServesItsProbe) {
   Table table = MakeTable(10, 1000, 300, false);
+  const RowSet rows = AllRows(1000);
   BaseHistogramCache::Options options;
-  options.num_shards = 1;
   options.max_bytes = 16;  // smaller than any histogram
   BaseHistogramCache cache(options);
-  const auto builder = [&]() {
-    return BuildBaseHistogram(table, AllRows(1000), "d", "m");
-  };
-  bool built = false;
-  auto entry = cache.GetOrBuild("big", builder, &built);
+  auto entry = FetchOne(cache, "big", table, rows, "d", "m");
   ASSERT_TRUE(entry.ok());
-  EXPECT_TRUE(built);
+  EXPECT_TRUE(entry->built);
   // The sole (just-inserted) entry is never evicted by its own insert.
-  ASSERT_TRUE(cache.GetOrBuild("big", builder, &built).ok());
-  EXPECT_FALSE(built);
+  auto again = FetchOne(cache, "big", table, rows, "d", "m");
+  ASSERT_TRUE(again.ok());
+  EXPECT_FALSE(again->built);
+  // A second oversized entry evicts the first, never itself.
+  ASSERT_TRUE(FetchOne(cache, "big2", table, rows, "d", "m").ok());
+  EXPECT_TRUE(cache.Contains("big2"));
+  EXPECT_FALSE(cache.Contains("big"));
+  EXPECT_EQ(cache.TotalStats().evictions, 1);
 }
 
 TEST(BaseHistogramCacheTest, ClearForcesRebuild) {
   Table table = MakeTable(11, 60, 8, true);
+  const RowSet rows = AllRows(60);
   BaseHistogramCache cache;
-  const auto builder = [&]() {
-    return BuildBaseHistogram(table, AllRows(60), "d", "m");
-  };
-  ASSERT_TRUE(cache.GetOrBuild("k", builder, nullptr).ok());
+  ASSERT_TRUE(FetchOne(cache, "k", table, rows, "d", "m").ok());
   cache.Clear();
   EXPECT_EQ(cache.TotalStats().bytes, 0);
-  bool built = false;
-  ASSERT_TRUE(cache.GetOrBuild("k", builder, &built).ok());
-  EXPECT_TRUE(built);
+  auto rebuilt = FetchOne(cache, "k", table, rows, "d", "m");
+  ASSERT_TRUE(rebuilt.ok());
+  EXPECT_TRUE(rebuilt->built);
 }
 
-// Many threads racing on overlapping keys: each key builds exactly once,
-// every returned histogram is complete and identical.  Exercised under
-// -DMUVE_SANITIZE=thread via the tsan ctest label.
-TEST(BaseHistogramCacheTest, ConcurrentGetOrBuildBuildsOncePerKey) {
+// Many threads racing one-pair coalesced reads of overlapping keys: each
+// key builds exactly once (a flight that is no longer registered has
+// already inserted), and every thread reads the same histogram.
+// Exercised under -DMUVE_SANITIZE=thread via the tsan ctest label.
+TEST(BaseHistogramCacheTest, ConcurrentFusedBuildsBuildOncePerKey) {
   Table table = MakeTable(12, 800, 25, true);
+  const RowSet rows = AllRows(800);
   BaseHistogramCache cache;
   constexpr int kThreads = 8;
   constexpr int kKeys = 5;
   std::atomic<int> builds{0};
   std::vector<std::thread> threads;
-  std::vector<size_t> fine_bins(kThreads * kKeys, 0);
+  std::vector<const BaseHistogram*> seen(kThreads * kKeys, nullptr);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int k = 0; k < kKeys; ++k) {
         const std::string key = "key-" + std::to_string(k);
-        bool built = false;
-        auto entry = cache.GetOrBuild(
-            key,
-            [&]() {
-              builds.fetch_add(1, std::memory_order_relaxed);
-              return BuildBaseHistogram(table, AllRows(800), "d", "m");
-            },
-            &built);
+        auto entry = FetchOne(cache, key, table, rows, "d", "m");
         ASSERT_TRUE(entry.ok());
-        fine_bins[static_cast<size_t>(t * kKeys + k)] =
-            entry.value()->num_fine_bins();
+        if (entry->built) builds.fetch_add(1, std::memory_order_relaxed);
+        seen[static_cast<size_t>(t * kKeys + k)] = entry->histogram.get();
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(builds.load(), kKeys);
-  EXPECT_EQ(cache.TotalStats().builds, kKeys);
-  EXPECT_EQ(cache.TotalStats().hits, kThreads * kKeys - kKeys);
-  for (size_t f : fine_bins) EXPECT_EQ(f, fine_bins[0]);
+  const auto stats = cache.TotalStats();
+  EXPECT_EQ(stats.builds, kKeys);
+  EXPECT_EQ(stats.hits, kThreads * kKeys - kKeys);
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(seen[static_cast<size_t>(t * kKeys + k)],
+                seen[static_cast<size_t>(k)]);
+    }
+  }
 }
 
 }  // namespace

@@ -13,11 +13,13 @@
 // compared: with a shared store they are history-dependent by design.
 //
 // Also pinned here: the cache's stats contract hits + misses == lookups,
-// exact under concurrency.
+// exact under concurrency, and that probes read pinned bases, not the
+// store.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -27,7 +29,9 @@
 
 #include "core/recommender.h"
 #include "core/search_options.h"
+#include "data/nba.h"
 #include "data/toy.h"
+#include "direct_oracle.h"
 #include "fuzz_util.h"
 #include "sql/parser.h"
 #include "storage/base_histogram_cache.h"
@@ -201,6 +205,55 @@ TEST(CrossQueryCacheTest, FuzzConcurrentRequestsOnOneColdStoreAgree) {
     }
     const auto stats = store->TotalStats();
     EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+  }
+}
+
+// The probe path does not read the store: every worker evaluator pins
+// the bases it reads, so a run looks each pair up at most once per side
+// per evaluator, plus once per side for the prewarm — not once per probe
+// (about 10^5 lookups for NBA Linear-Linear when probes read the store).
+TEST(CrossQueryCacheTest, ProbesReadPinnedBasesNotTheStore) {
+  auto rec = Recommender::Create(data::MakeNbaDataset());
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  const int64_t pairs =
+      static_cast<int64_t>(rec->space().base_pairs().size());
+  ASSERT_GT(pairs, 0);
+
+  SearchOptions linear;
+  linear.horizontal = HorizontalStrategy::kLinear;
+  linear.vertical = VerticalStrategy::kLinear;
+  SearchOptions muve;
+  muve.horizontal = HorizontalStrategy::kMuve;
+  muve.vertical = VerticalStrategy::kMuve;
+  const std::vector<ScoredView> want =
+      testutil::DirectLinearLinear(rec->dataset(), rec->space(), linear)
+          .views;
+
+  for (const SearchOptions& scheme : {linear, muve}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(scheme.SchemeName() + " threads=" +
+                   std::to_string(threads));
+      SearchOptions options = scheme;
+      options.num_threads = threads;
+      options.shared_base_cache =
+          std::make_shared<storage::BaseHistogramCache>();
+      auto got = rec->Recommend(options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+      ASSERT_EQ(got->views.size(), want.size());
+      for (size_t i = 0; i < want.size(); ++i) {
+        SCOPED_TRACE("rank " + std::to_string(i));
+        EXPECT_EQ(got->views[i].view.Key(), want[i].view.Key());
+        EXPECT_EQ(got->views[i].bins, want[i].bins);
+        // NBA measures are fractional: the base path re-associates sums.
+        EXPECT_NEAR(got->views[i].utility, want[i].utility,
+                    1e-9 * (1.0 + std::abs(want[i].utility)));
+      }
+
+      const auto stats = options.shared_base_cache->TotalStats();
+      EXPECT_LE(stats.lookups, 2 * pairs * (threads + 1));
+      EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+    }
   }
 }
 

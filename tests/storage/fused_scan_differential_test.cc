@@ -11,8 +11,8 @@
 //     any morsel size; within 1e-9 relative error otherwise;
 //   * thread-count invariance — for a FIXED morsel size, 1-worker,
 //     8-worker, and inline (no pool) runs are bitwise identical;
-//   * BuildBaseHistogram (the single-pair wrapper) — bit-identical to
-//     the reference, preserving the cache's bit-exactness contract;
+//   * a single-pair, single-morsel build — bit-identical to the
+//     reference, preserving the cache's bit-exactness contract;
 //   * both Phase A paths (merged chunk dictionaries and the sorted
 //     gather) — bit-identical to a reference that accumulates per morsel
 //     in row order and folds the partials in morsel order, at any morsel
@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "base_build_util.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -311,14 +312,16 @@ TEST(FusedScanDifferentialTest, FuzzedFusedMatchesReference) {
   }
 }
 
-TEST(FusedScanDifferentialTest, SinglePairWrapperIsBitIdentical) {
+// One pair, one morsel — the build an evaluator's empty pin runs — is
+// bit-identical to the reference, with the scratch reused across builds.
+TEST(FusedScanDifferentialTest, SinglePairOneMorselBuildIsBitIdentical) {
   for (uint64_t c = 0; c < 20; ++c) {
     const uint64_t seed = testutil::FuzzSeed(c + 1000);
     SCOPED_TRACE(testutil::FuzzTrace(c + 1000, seed));
     FuzzWorkload w = RandomWorkload(seed, /*integral_measures=*/false);
     FusedScanScratch scratch;
     for (const FusedScanPair& p : w.pairs) {
-      auto built = BuildBaseHistogram(*w.table, w.rows, p.dimension,
+      auto built = testutil::BuildOne(*w.table, w.rows, p.dimension,
                                       p.measure, &scratch);
       ASSERT_TRUE(built.ok()) << built.status().ToString();
       ExpectBitIdentical(
@@ -456,30 +459,25 @@ TEST(FusedScanDifferentialTest, ErrorsMirrorPerPairBuilder) {
 }
 
 // Cache-level fused build: one FusedBuild call populates every missing
-// key, skips already-cached keys, and serves subsequent lookups.
+// key, skips already-cached keys, and hands back every pair's histogram.
 TEST(FusedScanDifferentialTest, CacheFusedBuildPopulatesMissingPairs) {
   FuzzWorkload w = RandomWorkload(testutil::FuzzSeed(42), false);
   BaseHistogramCache cache;
 
-  // Pre-populate the first pair through the single-pair path.
+  // Pre-populate the first pair through a one-pair read.
   const std::string pre_key =
-      "t|" + w.pairs[0].dimension + "|" + w.pairs[0].measure;
-  bool built_flag = false;
-  auto pre = cache.GetOrBuild(
-      pre_key,
-      [&] {
-        return BuildBaseHistogram(*w.table, w.rows, w.pairs[0].dimension,
-                                  w.pairs[0].measure);
-      },
-      &built_flag);
+      BaseHistogramKey(true, w.pairs[0].dimension, w.pairs[0].measure);
+  auto pre = testutil::FetchOne(cache, pre_key, *w.table, w.rows,
+                                w.pairs[0].dimension, w.pairs[0].measure);
   ASSERT_TRUE(pre.ok());
-  ASSERT_TRUE(built_flag);
+  ASSERT_TRUE(pre->built);
 
   BaseHistogramCache::FusedHistogramBuildRequest request;
   request.rows = &w.rows;
   for (const FusedScanPair& p : w.pairs) {
     request.pairs.push_back(
-        {"t|" + p.dimension + "|" + p.measure, p.dimension, p.measure});
+        {BaseHistogramKey(true, p.dimension, p.measure), p.dimension,
+         p.measure});
   }
   BaseHistogramCache::FusedBuildOutcome outcome;
   ASSERT_TRUE(cache.FusedBuild(*w.table, request, &outcome).ok());
@@ -488,24 +486,23 @@ TEST(FusedScanDifferentialTest, CacheFusedBuildPopulatesMissingPairs) {
   EXPECT_EQ(outcome.histograms_built,
             static_cast<int64_t>(w.pairs.size()) - 1);
   EXPECT_EQ(outcome.rows_scanned, static_cast<int64_t>(w.rows.size()));
+  ASSERT_EQ(outcome.histograms.size(), w.pairs.size());
+  // The cached pair comes back as the entry it already was.
+  EXPECT_EQ(outcome.histograms[0].get(), pre->histogram.get());
 
-  // Every pair is now resident and matches the reference.
-  for (const FusedScanPair& p : w.pairs) {
-    const std::string key = "t|" + p.dimension + "|" + p.measure;
+  // Every pair is now resident, handed back, and matches the reference.
+  for (size_t i = 0; i < w.pairs.size(); ++i) {
+    const FusedScanPair& p = w.pairs[i];
+    const std::string key = BaseHistogramKey(true, p.dimension, p.measure);
     ASSERT_TRUE(cache.Contains(key));
-    bool rebuilt = false;
-    auto got = cache.GetOrBuild(
-        key,
-        [&] {
-          ADD_FAILURE() << "builder invoked for cached key " << key;
-          return BuildBaseHistogram(*w.table, w.rows, p.dimension,
-                                    p.measure);
-        },
-        &rebuilt);
+    auto got = testutil::FetchOne(cache, key, *w.table, w.rows, p.dimension,
+                                  p.measure);
     ASSERT_TRUE(got.ok());
-    EXPECT_FALSE(rebuilt);
+    EXPECT_FALSE(got->built) << key;
+    EXPECT_EQ(got->histogram.get(), outcome.histograms[i].get()) << key;
     ExpectBitIdentical(
-        **got, ReferenceBuild(*w.table, w.rows, p.dimension, p.measure));
+        *got->histogram,
+        ReferenceBuild(*w.table, w.rows, p.dimension, p.measure));
   }
 
   // A second fused build is a no-op: everything already cached.

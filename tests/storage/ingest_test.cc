@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "base_build_util.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "storage/base_histogram_cache.h"
@@ -22,6 +23,9 @@
 
 namespace muve::storage {
 namespace {
+
+using testutil::BuildOne;
+using testutil::FetchOne;
 
 constexpr size_t kChunkRows = 16;
 
@@ -77,11 +81,9 @@ void ExpectSameHistogram(const BaseHistogram& got,
 TEST(MergeBaseHistogramsTest, PrefixPlusDeltaEqualsFullBuild) {
   auto table = MakeTable(100);
   for (const size_t split : {1u, 13u, 50u, 99u}) {
-    auto prefix =
-        BuildBaseHistogram(*table, Range(0, split), "a", "m");
-    auto delta =
-        BuildBaseHistogram(*table, Range(split, 100), "a", "m");
-    auto full = BuildBaseHistogram(*table, Range(0, 100), "a", "m");
+    auto prefix = BuildOne(*table, Range(0, split), "a", "m");
+    auto delta = BuildOne(*table, Range(split, 100), "a", "m");
+    auto full = BuildOne(*table, Range(0, 100), "a", "m");
     ASSERT_TRUE(prefix.ok() && delta.ok() && full.ok());
 
     const BaseHistogram merged = MergeBaseHistograms(*prefix, *delta);
@@ -100,9 +102,9 @@ TEST(MergeBaseHistogramsTest, DisjointDictionariesUnion) {
     ASSERT_TRUE(
         t.AppendRow({Value(2 * i + 1), Value(10 * i), Value("x")}).ok());
   }
-  auto prefix = BuildBaseHistogram(t, Range(0, 8), "a", "m");
-  auto delta = BuildBaseHistogram(t, Range(8, 16), "a", "m");
-  auto full = BuildBaseHistogram(t, Range(0, 16), "a", "m");
+  auto prefix = BuildOne(t, Range(0, 8), "a", "m");
+  auto delta = BuildOne(t, Range(8, 16), "a", "m");
+  auto full = BuildOne(t, Range(0, 16), "a", "m");
   ASSERT_TRUE(prefix.ok() && delta.ok() && full.ok());
   ASSERT_EQ(prefix->num_fine_bins(), 8u);
   ASSERT_EQ(delta->num_fine_bins(), 8u);
@@ -126,13 +128,10 @@ class ApplyAppendDeltasTest : public ::testing::Test {
     for (const char* side : {"t|", "c|"}) {
       const RowSet& rows =
           side[0] == 't' ? target : Range(0, rows_before);
-      bool built = false;
-      auto result = cache->GetOrBuild(
-          std::string(side) + "a|m",
-          [&]() { return BuildBaseHistogram(table, rows, "a", "m"); },
-          &built);
+      auto result =
+          FetchOne(*cache, std::string(side) + "a|m", table, rows, "a", "m");
       ASSERT_TRUE(result.ok());
-      ASSERT_TRUE(built);
+      ASSERT_TRUE(result->built);
     }
   }
 };
@@ -178,17 +177,13 @@ TEST_F(ApplyAppendDeltasTest, PatchedCacheMatchesColdRebuild) {
     const RowSet rows;
   } sides[] = {{"t|a|m", full_target}, {"c|a|m", Range(0, kTotal)}};
   for (const auto& side : sides) {
-    bool built = false;
-    auto patched = cache.GetOrBuild(
-        side.key,
-        [&]() { return BuildBaseHistogram(*table, side.rows, "a", "m"); },
-        &built, static_cast<int64_t>(side.rows.size()));
+    auto patched = FetchOne(cache, side.key, *table, side.rows, "a", "m");
     ASSERT_TRUE(patched.ok());
     // The staleness guard accepted the patched entry — no rebuild.
-    EXPECT_FALSE(built) << side.key;
-    auto cold = BuildBaseHistogram(*table, side.rows, "a", "m");
+    EXPECT_FALSE(patched->built) << side.key;
+    auto cold = BuildOne(*table, side.rows, "a", "m");
     ASSERT_TRUE(cold.ok());
-    ExpectSameHistogram(**patched, *cold);
+    ExpectSameHistogram(*patched->histogram, *cold);
   }
 }
 
@@ -232,18 +227,12 @@ TEST_F(ApplyAppendDeltasTest, FuzzedAppendSchedules) {
       const RowSet rows;
     } sides[] = {{"t|a|m", full_target}, {"c|a|m", Range(0, total)}};
     for (const auto& side : sides) {
-      bool built = false;
-      auto patched = cache.GetOrBuild(
-          side.key,
-          [&]() {
-            return BuildBaseHistogram(*table, side.rows, "a", "m");
-          },
-          &built, static_cast<int64_t>(side.rows.size()));
+      auto patched = FetchOne(cache, side.key, *table, side.rows, "a", "m");
       ASSERT_TRUE(patched.ok());
-      EXPECT_FALSE(built) << "iter " << iter << " " << side.key;
-      auto cold = BuildBaseHistogram(*table, side.rows, "a", "m");
+      EXPECT_FALSE(patched->built) << "iter " << iter << " " << side.key;
+      auto cold = BuildOne(*table, side.rows, "a", "m");
       ASSERT_TRUE(cold.ok());
-      ExpectSameHistogram(**patched, *cold);
+      ExpectSameHistogram(*patched->histogram, *cold);
     }
   }
 }
@@ -288,15 +277,8 @@ TEST_F(ApplyAppendDeltasTest, DictionaryPathsAgreeAcrossCopyOnWriteAppends) {
   BaseHistogramCache cache;
   for (const std::string& key : keys) {
     const RowSet rows = side_rows(*versions.back(), key);
-    bool built = false;
-    ASSERT_TRUE(cache
-                    .GetOrBuild(
-                        key,
-                        [&]() {
-                          return BuildBaseHistogram(*versions.back(), rows,
-                                                    key.substr(2, 1), "m");
-                        },
-                        &built)
+    ASSERT_TRUE(FetchOne(cache, key, *versions.back(), rows,
+                         key.substr(2, 1), "m")
                     .ok());
   }
 
@@ -330,19 +312,13 @@ TEST_F(ApplyAppendDeltasTest, DictionaryPathsAgreeAcrossCopyOnWriteAppends) {
   for (const std::string& key : keys) {
     SCOPED_TRACE(key);
     const RowSet rows = side_rows(grown, key);
-    bool built = false;
-    auto patched = cache.GetOrBuild(
-        key,
-        [&]() {
-          return BuildBaseHistogram(grown, rows, key.substr(2, 1), "m");
-        },
-        &built, static_cast<int64_t>(rows.size()));
+    auto patched = FetchOne(cache, key, grown, rows, key.substr(2, 1), "m");
     ASSERT_TRUE(patched.ok());
-    EXPECT_FALSE(built);
-    auto cold = BuildBaseHistogram(reload, side_rows(reload, key),
-                                   key.substr(2, 1), "m");
+    EXPECT_FALSE(patched->built);
+    auto cold =
+        BuildOne(reload, side_rows(reload, key), key.substr(2, 1), "m");
     ASSERT_TRUE(cold.ok());
-    ExpectSameHistogram(**patched, *cold);
+    ExpectSameHistogram(*patched->histogram, *cold);
   }
 }
 
@@ -355,17 +331,15 @@ TEST_F(ApplyAppendDeltasTest, EntryRebuiltAfterAppendIsNotPatchedTwice) {
   auto table = MakeTable(kBefore);
   BaseHistogramCache cache;
   const std::string key = "c|a|m";
-  auto build = [&](size_t rows) {
-    return [&table, rows]() {
-      return BuildBaseHistogram(*table, Range(0, rows), "a", "m");
-    };
+  auto fetch = [&](size_t rows) {
+    return FetchOne(cache, key, *table, Range(0, rows), "a", "m");
   };
-  bool built = false;
-  ASSERT_TRUE(cache.GetOrBuild(key, build(kBefore), &built, kBefore).ok());
+  ASSERT_TRUE(fetch(kBefore).ok());
   AppendRows(table.get(), kBefore, kTotal);
   // The post-append reader's staleness guard replaces the entry.
-  ASSERT_TRUE(cache.GetOrBuild(key, build(kTotal), &built, kTotal).ok());
-  ASSERT_TRUE(built);
+  auto rebuilt = fetch(kTotal);
+  ASSERT_TRUE(rebuilt.ok());
+  ASSERT_TRUE(rebuilt->built);
 
   IngestDeltaRequest request;
   request.table = table.get();
@@ -379,12 +353,12 @@ TEST_F(ApplyAppendDeltasTest, EntryRebuiltAfterAppendIsNotPatchedTwice) {
   EXPECT_EQ(stats.delta_merges, 0);
 
   ASSERT_TRUE(cache.Contains(key, kTotal));
-  auto served = cache.GetOrBuild(key, build(kTotal), &built, kTotal);
+  auto served = fetch(kTotal);
   ASSERT_TRUE(served.ok());
-  EXPECT_FALSE(built);
-  auto cold = BuildBaseHistogram(*table, Range(0, kTotal), "a", "m");
+  EXPECT_FALSE(served->built);
+  auto cold = BuildOne(*table, Range(0, kTotal), "a", "m");
   ASSERT_TRUE(cold.ok());
-  ExpectSameHistogram(**served, *cold);
+  ExpectSameHistogram(*served->histogram, *cold);
 }
 
 // An entry of neither the pre- nor the post-append version (it missed an
@@ -392,16 +366,7 @@ TEST_F(ApplyAppendDeltasTest, EntryRebuiltAfterAppendIsNotPatchedTwice) {
 TEST_F(ApplyAppendDeltasTest, EntryOfAnOlderVersionIsDropped) {
   auto table = MakeTable(40);
   BaseHistogramCache cache;
-  bool built = false;
-  ASSERT_TRUE(cache
-                  .GetOrBuild(
-                      "c|a|m",
-                      [&]() {
-                        return BuildBaseHistogram(*table, Range(0, 40), "a",
-                                                  "m");
-                      },
-                      &built)
-                  .ok());
+  ASSERT_TRUE(FetchOne(cache, "c|a|m", *table, Range(0, 40), "a", "m").ok());
   AppendRows(table.get(), 40, 60);  // an append whose patch never ran
   AppendRows(table.get(), 60, 100);
 
