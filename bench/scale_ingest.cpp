@@ -30,16 +30,26 @@
 // patch actually happened; nothing fell back to a rebuild), and the
 // clustered predicate must skip chunks via zone maps.
 //
+// After the sweep, a csv_load phase times the CSV ingest path muved
+// runs for `create` + `append`: the 10^6-row scale CSV
+// (data::WriteScaleCsv) in four 250K-row batches, the first parsed with
+// type inference and published by Catalog::Create, the rest parsed
+// under the table's schema and published by Catalog::Append.  It
+// records csv_parse_ms and catalog_append_ms (summed over the batches)
+// and FAILS unless the loaded table equals MakeScaleTable cell for cell.
+//
 // `--smoke` runs 10^6 rows only (the CI scale-smoke leg); the default
 // adds 10^7.  `--rows=N` replaces the sweep with a single custom size
 // (10^8 is the opt-in upper end; budget ~50 bytes/row of RAM for the
 // grown + reloaded tables).
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,6 +63,7 @@
 #include "sql/parser.h"
 #include "storage/base_histogram_cache.h"
 #include "storage/catalog.h"
+#include "storage/csv.h"
 #include "storage/ingest.h"
 #include "storage/predicate.h"
 #include "storage/table.h"
@@ -274,6 +285,97 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
   return ok;
 }
 
+// True when `got` holds the same cells as `want` (types, NULLs, values).
+bool SameCells(const muve::storage::Table& got,
+               const muve::storage::Table& want) {
+  using muve::storage::ValueType;
+  if (got.num_rows() != want.num_rows() ||
+      got.num_columns() != want.num_columns()) {
+    return false;
+  }
+  for (size_t c = 0; c < want.num_columns(); ++c) {
+    const muve::storage::Column& g = got.column(c);
+    const muve::storage::Column& w = want.column(c);
+    if (g.type() != w.type() ||
+        got.schema().field(c).name != want.schema().field(c).name) {
+      return false;
+    }
+    for (size_t r = 0; r < w.size(); ++r) {
+      if (g.IsNull(r) != w.IsNull(r)) return false;
+      if (w.IsNull(r)) continue;
+      const bool same = w.type() == ValueType::kInt64
+                            ? g.Int64At(r) == w.Int64At(r)
+                        : w.type() == ValueType::kString
+                            ? g.StringAt(r) == w.StringAt(r)
+                            : g.NumericAt(r) == w.NumericAt(r);
+      if (!same) return false;
+    }
+  }
+  return true;
+}
+
+// The csv_load phase (see the file comment).
+bool RunCsvLoad() {
+  constexpr size_t kRows = 1'000'000;
+  constexpr size_t kBatchRows = 250'000;
+  muve::data::ScaleSpec spec;
+  spec.rows = kRows;
+  muve::storage::Catalog catalog;
+  double parse_ms = 0.0;
+  double append_ms = 0.0;
+  size_t bytes = 0;
+  std::string header;
+  for (size_t begin = 0; begin < kRows; begin += kBatchRows) {
+    std::ostringstream out;
+    muve::data::WriteScaleCsv(out, spec, begin,
+                              std::min(kRows, begin + kBatchRows));
+    std::string csv = out.str();
+    // Only the first batch carries the header; muved frames all do.
+    if (begin == 0) {
+      header = csv.substr(0, csv.find('\n') + 1);
+    } else {
+      csv.insert(0, header);
+    }
+    bytes += csv.size();
+    muve::storage::CsvOptions options;
+    if (begin > 0) options.schema = catalog.Get("scale")->table->schema();
+    muve::storage::CsvLoadStats stats;
+    auto rows = muve::storage::ReadCsvString(csv, options, &stats);
+    if (!rows.ok()) {
+      std::cerr << "FAIL: csv_load parse: " << rows.status().ToString()
+                << "\n";
+      return false;
+    }
+    parse_ms += stats.parse_ms;
+    muve::common::Stopwatch timer;
+    const muve::common::Status published =
+        begin == 0 ? catalog.Create("scale", std::move(*rows))
+                   : catalog.Append("scale", *rows).status();
+    append_ms += timer.ElapsedMillis();
+    if (!published.ok()) {
+      std::cerr << "FAIL: csv_load publish: " << published.ToString() << "\n";
+      return false;
+    }
+  }
+  const bool identical = SameCells(*catalog.Get("scale")->table,
+                                   *muve::data::MakeScaleTable(spec, 0, kRows));
+  std::cout << "== csv_load: " << kRows << " rows in "
+            << kRows / kBatchRows << " batches, parse " << Fmt(parse_ms)
+            << " ms, catalog " << Fmt(append_ms) << " ms, identical "
+            << (identical ? "yes" : "NO") << " ==" << std::endl;
+  RecordJsonResult("csv_load_" + std::to_string(kRows), {},
+                   {{"rows", static_cast<double>(kRows)},
+                    {"batches", static_cast<double>(kRows / kBatchRows)},
+                    {"bytes", static_cast<double>(bytes)},
+                    {"csv_parse_ms", parse_ms},
+                    {"catalog_append_ms", append_ms},
+                    {"identical", identical ? 1.0 : 0.0}});
+  if (!identical) {
+    std::cerr << "FAIL: the CSV-loaded table differs from MakeScaleTable\n";
+  }
+  return identical;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -302,5 +404,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (size_t rows : sizes) ok = RunCycle(rows, &table) && ok;
   table.Print("Incremental ingest: append 1% + re-recommend vs reload");
+  // Last, so the heap it leaves behind cannot shift the cycle's timings.
+  ok = RunCsvLoad() && ok;
   return ok ? 0 : 1;
 }

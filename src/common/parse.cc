@@ -53,76 +53,97 @@ bool ValidDoubleToken(std::string_view text) {
   return i == n;
 }
 
-}  // namespace
+// Outcome of one parse, so the allocation-free Try* forms and the
+// Strict forms share a single implementation of the grammar.
+enum class Parsed { kOk, kEmpty, kMalformed, kOutOfRange };
 
-Result<int64_t> ParseInt64Strict(std::string_view text) {
-  if (text.empty()) {
-    return Status::InvalidArgument("empty integer token");
-  }
+Parsed ParseInt64Token(std::string_view text, int64_t* out) {
+  if (text.empty()) return Parsed::kEmpty;
   // from_chars rejects a leading '+'; accept it here so "+5" parses the
   // way every other numeric frontend treats it.
   std::string_view body = text;
   if (body.front() == '+') {
     body.remove_prefix(1);
     if (body.empty() || body.front() == '-' || body.front() == '+') {
-      return Status::InvalidArgument("cannot parse " + Quoted(text) +
-                                     " as an integer");
+      return Parsed::kMalformed;
     }
   }
-  int64_t value = 0;
-  const char* begin = body.data();
   const char* end = body.data() + body.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value, 10);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("integer " + Quoted(text) +
-                                   " is out of int64 range");
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("cannot parse " + Quoted(text) +
-                                   " as an integer");
-  }
-  return value;
+  const auto [ptr, ec] = std::from_chars(body.data(), end, *out, 10);
+  if (ec == std::errc::result_out_of_range) return Parsed::kOutOfRange;
+  if (ec != std::errc() || ptr != end) return Parsed::kMalformed;
+  return Parsed::kOk;
 }
 
-Result<double> ParseDoubleStrict(std::string_view text) {
-  if (text.empty()) {
-    return Status::InvalidArgument("empty numeric token");
-  }
-  if (!ValidDoubleToken(text)) {
-    return Status::InvalidArgument("cannot parse " + Quoted(text) +
-                                   " as a number");
-  }
+Parsed ParseDoubleToken(std::string_view text, double* out) {
+  if (text.empty()) return Parsed::kEmpty;
+  if (!ValidDoubleToken(text)) return Parsed::kMalformed;
   std::string_view body = text;
   if (body.front() == '+') body.remove_prefix(1);  // from_chars rejects '+'
   double value = 0.0;
 #if defined(__cpp_lib_to_chars) && __cpp_lib_to_chars >= 201611L
-  const char* begin = body.data();
   const char* end = body.data() + body.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (ec == std::errc::result_out_of_range) {
-    return Status::InvalidArgument("number " + Quoted(text) +
-                                   " is out of double range");
-  }
-  if (ec != std::errc() || ptr != end) {
-    return Status::InvalidArgument("cannot parse " + Quoted(text) +
-                                   " as a number");
-  }
+  const auto [ptr, ec] = std::from_chars(body.data(), end, value);
+  if (ec == std::errc::result_out_of_range) return Parsed::kOutOfRange;
+  if (ec != std::errc() || ptr != end) return Parsed::kMalformed;
 #else
   // Fallback: classic-locale stream extraction.  The validator above has
   // already pinned the grammar, so this only converts digits.
   std::istringstream in{std::string(body)};
   in.imbue(std::locale::classic());
   in >> value;
-  if (!in || !in.eof()) {
-    return Status::InvalidArgument("cannot parse " + Quoted(text) +
-                                   " as a number");
-  }
+  if (!in || !in.eof()) return Parsed::kMalformed;
 #endif
-  if (!std::isfinite(value)) {
-    return Status::InvalidArgument("number " + Quoted(text) +
-                                   " is out of double range");
+  if (!std::isfinite(value)) return Parsed::kOutOfRange;
+  *out = value;
+  return Parsed::kOk;
+}
+
+}  // namespace
+
+bool TryParseInt64(std::string_view text, int64_t* out) {
+  int64_t value = 0;
+  if (ParseInt64Token(text, &value) != Parsed::kOk) return false;
+  *out = value;
+  return true;
+}
+
+bool TryParseDouble(std::string_view text, double* out) {
+  return ParseDoubleToken(text, out) == Parsed::kOk;
+}
+
+Result<int64_t> ParseInt64Strict(std::string_view text) {
+  int64_t value = 0;
+  switch (ParseInt64Token(text, &value)) {
+    case Parsed::kOk:
+      return value;
+    case Parsed::kEmpty:
+      return Status::InvalidArgument("empty integer token");
+    case Parsed::kOutOfRange:
+      return Status::InvalidArgument("integer " + Quoted(text) +
+                                     " is out of int64 range");
+    case Parsed::kMalformed:
+      break;
   }
-  return value;
+  return Status::InvalidArgument("cannot parse " + Quoted(text) +
+                                 " as an integer");
+}
+
+Result<double> ParseDoubleStrict(std::string_view text) {
+  double value = 0.0;
+  switch (ParseDoubleToken(text, &value)) {
+    case Parsed::kOk:
+      return value;
+    case Parsed::kEmpty:
+      return Status::InvalidArgument("empty numeric token");
+    case Parsed::kOutOfRange:
+      return Status::InvalidArgument("number " + Quoted(text) +
+                                     " is out of double range");
+    case Parsed::kMalformed:
+      break;
+  }
+  return Status::InvalidArgument("cannot parse " + Quoted(text) +
+                                 " as a number");
 }
 
 Result<int64_t> ParseFlagInt64(std::string_view flag, std::string_view text,

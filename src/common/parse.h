@@ -47,6 +47,12 @@ Result<int64_t> ParseInt64Strict(std::string_view text);
 // as malformed, not silently flushed).
 Result<double> ParseDoubleStrict(std::string_view text);
 
+// Allocation-free forms of the two parsers above for per-cell loops (the
+// CSV reader): the same grammar, true on success, `*out` untouched and
+// no diagnostic built on failure.
+bool TryParseInt64(std::string_view text, int64_t* out);
+bool TryParseDouble(std::string_view text, double* out);
+
 // Flag-oriented wrappers: same strictness, plus an inclusive range check,
 // with errors that name the flag —
 //   "--k: expected an integer in [1, 1000000], got 'abc'".

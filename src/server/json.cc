@@ -133,7 +133,12 @@ namespace {
 
 void WriteEscaped(const std::string& s, std::string* out) {
   out->push_back('"');
-  for (unsigned char c : s) {
+  size_t run = 0;  // start of the pending run that needs no escape
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s, run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         *out += "\\\"";
@@ -156,16 +161,14 @@ void WriteEscaped(const std::string& s, std::string* out) {
       case '\t':
         *out += "\\t";
         break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+        *out += buf;
+      }
     }
   }
+  out->append(s, run, s.size() - run);
   out->push_back('"');
 }
 
@@ -436,17 +439,22 @@ class Parser {
     ++pos_;  // '"'
     out->clear();
     while (pos_ < text_.size()) {
+      // Copy the run up to the next quote, backslash or control byte in
+      // one append.
+      const size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+        if (c < 0x20 || c == '"' || c == '\\') break;
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
+      if (pos_ >= text_.size()) break;
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         ++pos_;
         return Status::OK();
       }
       if (c < 0x20) return Fail("unescaped control character in string");
-      if (c != '\\') {
-        out->push_back(static_cast<char>(c));
-        ++pos_;
-        continue;
-      }
       ++pos_;  // '\\'
       if (pos_ >= text_.size()) return Fail("truncated escape");
       const char e = text_[pos_++];
@@ -476,12 +484,12 @@ class Parser {
           out->push_back('\t');
           break;
         case 'u': {
-          uint32_t cp;
+          uint32_t cp = 0;
           MUVE_RETURN_IF_ERROR(ParseHex4(&cp));
           if (cp >= 0xD800 && cp <= 0xDBFF) {
             // High surrogate: a low surrogate must follow.
             if (!ConsumeLiteral("\\u")) return Fail("unpaired surrogate");
-            uint32_t low;
+            uint32_t low = 0;
             MUVE_RETURN_IF_ERROR(ParseHex4(&low));
             if (low < 0xDC00 || low > 0xDFFF) {
               return Fail("invalid surrogate pair");

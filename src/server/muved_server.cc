@@ -78,6 +78,19 @@ Status GetString(const JsonValue& request, std::string_view name,
   return Status::OK();
 }
 
+// GetString without the copy, for multi-MB payloads (`csv`): `*out`
+// points into `request`, or stays null when the field is absent.
+Status GetStringRef(const JsonValue& request, std::string_view name,
+                    const std::string** out) {
+  const JsonValue* field = request.Find(name);
+  if (field == nullptr) return Status::OK();
+  if (!field->is_string()) {
+    return Status::InvalidArgument(std::string(name) + ": expected a string");
+  }
+  *out = &field->string_value();
+  return Status::OK();
+}
+
 // Optional integer field with an inclusive range; `*out` untouched when
 // absent.  A double-typed JSON number is rejected: ids, k, and budgets
 // must arrive as integers.
@@ -945,6 +958,10 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
     ingest.Set("delta_merges", JsonValue::Int(counters_.delta_merges));
     ingest.Set("chunks_skipped",
                JsonValue::Int(counters_.ingest_chunks_skipped));
+    ingest.Set("csv_parse_ms", JsonValue::Double(counters_.csv_parse_ms));
+    ingest.Set("catalog_append_ms",
+               JsonValue::Double(counters_.catalog_append_ms));
+    ingest.Set("delta_ms", JsonValue::Double(counters_.delta_ms));
     response.Set("ingest", std::move(ingest));
   }
   {
@@ -1025,12 +1042,12 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
     return ErrorResponse(st);
   }
   std::string table_name;
-  std::string csv;
+  const std::string* csv = nullptr;
   std::string predicate;
   if (Status st = GetString(request, "table", &table_name); !st.ok()) {
     return ErrorResponse(st);
   }
-  if (Status st = GetString(request, "csv", &csv); !st.ok()) {
+  if (Status st = GetStringRef(request, "csv", &csv); !st.ok()) {
     return ErrorResponse(st);
   }
   if (Status st = GetString(request, "predicate", &predicate); !st.ok()) {
@@ -1039,7 +1056,7 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   if (table_name.empty()) {
     return ErrorResponse(Status::InvalidArgument("create: table is required"));
   }
-  if (csv.empty()) {
+  if (csv == nullptr || csv->empty()) {
     return ErrorResponse(Status::InvalidArgument("create: csv is required"));
   }
   data::Workload workload;
@@ -1063,7 +1080,8 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
     if (!parsed.ok()) return ErrorResponse(parsed.status());
     where = std::move(*parsed);
   }
-  auto parsed_table = storage::ReadCsvString(csv);
+  storage::CsvLoadStats load_stats;
+  auto parsed_table = storage::ReadCsvString(*csv, {}, &load_stats);
   if (!parsed_table.ok()) return ErrorResponse(parsed_table.status());
   if (where != nullptr) {
     if (Status st = where->Bind(parsed_table->schema()); !st.ok()) {
@@ -1098,6 +1116,7 @@ JsonValue MuvedServer::HandleCreate(const JsonValue& request) {
   {
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.tables_created;
+    counters_.csv_parse_ms += load_stats.parse_ms;
   }
   JsonValue response = OkResponse("create");
   response.Set("table", JsonValue::String(table_name));
@@ -1113,20 +1132,20 @@ JsonValue MuvedServer::HandleAppend(const JsonValue& request) {
     return ErrorResponse(st);
   }
   std::string table_name;
-  std::string csv;
+  const std::string* csv = nullptr;
   if (Status st = GetString(request, "table", &table_name); !st.ok()) {
     return ErrorResponse(st);
   }
-  if (Status st = GetString(request, "csv", &csv); !st.ok()) {
+  if (Status st = GetStringRef(request, "csv", &csv); !st.ok()) {
     return ErrorResponse(st);
   }
   if (table_name.empty()) {
     return ErrorResponse(Status::InvalidArgument("append: table is required"));
   }
-  if (csv.empty()) {
+  if (csv == nullptr || csv->empty()) {
     return ErrorResponse(Status::InvalidArgument("append: csv is required"));
   }
-  auto appended = registry_.Append(table_name, csv);
+  auto appended = registry_.Append(table_name, *csv);
   if (!appended.ok()) return ErrorResponse(appended.status());
   JsonValue response = OkResponse("append");
   response.Set("table", JsonValue::String(table_name));
@@ -1141,6 +1160,9 @@ JsonValue MuvedServer::HandleAppend(const JsonValue& request) {
     counters_.rows_ingested += appended->rows_appended;
     counters_.delta_merges += ingest.delta_merges;
     counters_.ingest_chunks_skipped += ingest.chunks_skipped;
+    counters_.csv_parse_ms += appended->csv_parse_ms;
+    counters_.catalog_append_ms += appended->catalog_append_ms;
+    counters_.delta_ms += appended->delta_ms;
   }
   response.Set("rows_total", JsonValue::Int(appended->rows_total));
   response.Set("data_epoch", JsonValue::Int(static_cast<int64_t>(

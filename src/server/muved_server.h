@@ -201,6 +201,12 @@ class MuvedServer {
     // resident target predicates.
     int64_t delta_merges = 0;
     int64_t ingest_chunks_skipped = 0;
+    // Where ingest time went, summed over successful creates and appends:
+    // CSV parsing (both), publishing the next catalog version and
+    // delta-patching the stores (appends).
+    double csv_parse_ms = 0.0;
+    double catalog_append_ms = 0.0;
+    double delta_ms = 0.0;
   };
   Counters counters() const;
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/stopwatch.h"
 #include "sql/parser.h"
 #include "storage/csv.h"
 #include "storage/predicate.h"
@@ -82,14 +83,18 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
   // names and cell types are enforced, not re-inferred.
   storage::CsvOptions csv_options;
   csv_options.schema = snap.table->schema();
+  storage::CsvLoadStats load_stats;
   MUVE_ASSIGN_OR_RETURN(const storage::Table rows,
-                        storage::ReadCsvString(csv, csv_options));
+                        storage::ReadCsvString(csv, csv_options, &load_stats));
   if (rows.num_rows() == 0) {
     return Status::InvalidArgument("append: csv has no rows");
   }
+  common::Stopwatch append_timer;
   MUVE_ASSIGN_OR_RETURN(const storage::Catalog::AppendResult appended,
                         catalog_.Append(name, rows));
   AppendOutcome outcome;
+  outcome.csv_parse_ms = load_stats.parse_ms;
+  outcome.catalog_append_ms = append_timer.ElapsedMillis();
   outcome.rows_appended = static_cast<int64_t>(appended.rows_appended);
 
   // data_epoch-keyed state is stale now; the stores stay, because they
@@ -112,6 +117,7 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
       static_cast<int64_t>(appended.snapshot.table->num_rows());
   outcome.data_epoch = appended.snapshot.data_epoch;
 
+  common::Stopwatch delta_timer;
   std::vector<std::string> failed;
   for (const auto& [key, store] : targets) {
     storage::IngestDeltaRequest delta;
@@ -128,6 +134,7 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
       failed.push_back(key);
     }
   }
+  outcome.delta_ms = delta_timer.ElapsedMillis();
   if (!failed.empty()) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& key : failed) stores_.erase(key);

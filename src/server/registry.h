@@ -60,6 +60,12 @@ class Registry {
 
   struct AppendOutcome {
     int64_t rows_appended = 0;
+    // Wall time of the three ingest steps: parsing the CSV, publishing
+    // the next catalog version, delta-patching the stores (0 when not
+    // patched).
+    double csv_parse_ms = 0.0;
+    double catalog_append_ms = 0.0;
+    double delta_ms = 0.0;
     // False when a racing `drop` removed the table between the publish
     // and the patch: nothing was patched and the fields below are unset.
     bool patched = false;

@@ -57,8 +57,8 @@ common::Result<Catalog::AppendResult> Catalog::Append(const std::string& name,
     return common::Status::NotFound("no table named '" + name + "'");
   }
   // Exclusive: appends to one table serialize; snapshot readers queue
-  // only for the pointer swap below, never for the row loop — the build
-  // happens on a private clone.
+  // only for the pointer swap below, never for the column appends — the
+  // build happens on a private clone.
   std::unique_lock<std::shared_mutex> lock(entry->mu);
   const Table& current = *entry->table;
   if (rows.num_columns() != current.num_columns()) {
@@ -66,19 +66,12 @@ common::Result<Catalog::AppendResult> Catalog::Append(const std::string& name,
         "append arity " + std::to_string(rows.num_columns()) +
         " != table arity " + std::to_string(current.num_columns()));
   }
-  // Clone shares every chunk; the per-row appends below copy-on-write
-  // only the open tail chunk of each column, so this is O(new rows +
-  // tail), never O(table).
+  // Clone shares every chunk; the column appends below copy-on-write
+  // only the open tail chunk of each column.  A failed batch discards the
+  // private clone — the published version is untouched, making the batch
+  // all-or-nothing.
   Table next = current.Clone();
-  std::vector<Value> row(rows.num_columns());
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    for (size_t c = 0; c < rows.num_columns(); ++c) {
-      row[c] = rows.At(r, c);
-    }
-    // A failed row discards the private clone — the published version
-    // is untouched, making the batch all-or-nothing.
-    MUVE_RETURN_IF_ERROR(next.AppendRow(row));
-  }
+  MUVE_RETURN_IF_ERROR(next.AppendRows(rows));
   AppendResult result;
   result.rows_before = current.num_rows();
   result.rows_appended = rows.num_rows();

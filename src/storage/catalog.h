@@ -6,9 +6,12 @@
 // started with and is never perturbed by concurrent ingest.  Appends
 // build the NEXT version out of the current one: every sealed chunk is
 // shared by pointer and only the open tail chunk is copied before
-// growing (Table::Clone + Column copy-on-write), so an append costs
-// O(new rows + one tail chunk), independent of table size, and row ids
-// are stable across versions (append-only).
+// growing (Table::Clone + Column copy-on-write), then the batch is
+// appended column to column (Table::AppendRows).  An append costs
+// O(new rows + one tail chunk), and row ids are stable across versions
+// (append-only).  The tail term is not small: a chunk holds up to 2^20
+// rows by default, so below that size the tail chunk is the whole table
+// and each append copies it.
 //
 // Concurrency: a per-entry readers-vs-ingest lock (std::shared_mutex).
 // Readers take it shared just long enough to copy the snapshot pointer;
@@ -77,10 +80,11 @@ class Catalog {
   common::Result<Snapshot> Get(const std::string& name) const;
 
   // Appends every row of `rows` (matching arity; per-cell type rules of
-  // Column::AppendValue) as the next version of `name`.  All-or-nothing:
-  // the new version publishes only when every row appended cleanly — a
-  // mid-batch type error leaves the current version untouched.  Bumps
-  // data_epoch, preserves base_epoch.
+  // Column::AppendValue) as the next version of `name`, column by column.
+  // All-or-nothing: the new version publishes only when every cell fits
+  // — a type error anywhere in the batch (reported for the first such
+  // cell in row-major order) leaves the current version untouched.
+  // Bumps data_epoch, preserves base_epoch.
   common::Result<AppendResult> Append(const std::string& name,
                                       const Table& rows);
 

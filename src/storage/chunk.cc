@@ -25,11 +25,15 @@ int SlotShift(size_t slots) { return std::countl_zero(slots) + 1; }
 
 }  // namespace
 
-void ColumnChunk::AppendString(const std::string& v) {
+void ColumnChunk::AppendString(std::string_view v) {
   MUVE_DCHECK(type_ == ValueType::kString && !full());
-  const auto [it, inserted] =
-      dict_index_.emplace(v, static_cast<uint32_t>(dict_.size()));
-  if (inserted) dict_.push_back(v);
+  auto it = dict_index_.find(v);
+  if (it == dict_index_.end()) {
+    dict_.emplace_back(v);
+    it = dict_index_
+             .emplace(dict_.back(), static_cast<uint32_t>(dict_.size() - 1))
+             .first;
+  }
   codes_.push_back(it->second);
   valid_.PushBack(true);
 }

@@ -4,7 +4,8 @@
 // Chunks are the granularity at which
 //   * appended data becomes visible (a catalog append copies only the
 //     open tail chunk; every sealed chunk is shared by pointer between
-//     table versions — O(new rows) ingest, never a table rebuild),
+//     table versions — O(new rows + one tail chunk) ingest, never a
+//     table rebuild),
 //   * scans skip work (each chunk carries a zone map: min / max over its
 //     non-NULL, non-NaN numeric cells plus a null count, letting
 //     Predicate::FilterInto discard or bulk-accept a whole chunk without
@@ -30,7 +31,9 @@
 #define MUVE_STORAGE_CHUNK_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -78,7 +81,7 @@ class ColumnChunk {
     valid_.PushBack(true);
     ObserveNumeric(v);
   }
-  void AppendString(const std::string& v);
+  void AppendString(std::string_view v);
   void AppendNull();
 
   // --- Cell access (chunk-local offsets) ---
@@ -127,7 +130,7 @@ class ColumnChunk {
   const std::vector<std::string>& dict() const { return dict_; }
   // Dictionary code of `s` in this chunk, or kNoCode when absent (an
   // equality probe for an absent literal skips the whole chunk).
-  uint32_t CodeOf(const std::string& s) const {
+  uint32_t CodeOf(std::string_view s) const {
     const auto it = dict_index_.find(s);
     return it == dict_index_.end() ? kNoCode : it->second;
   }
@@ -169,7 +172,16 @@ class ColumnChunk {
   std::vector<double> doubles_;
   std::vector<std::string> dict_;
   std::vector<uint32_t> codes_;
-  std::unordered_map<std::string, uint32_t> dict_index_;
+  // Transparent hash, so appends look up a string_view without building
+  // a std::string first.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+      dict_index_;
   std::vector<double> num_dict_;
   std::vector<uint16_t> num_codes_;
   // Open-addressing index over num_dict_ for appends: slot holds code + 1,

@@ -17,6 +17,34 @@ uint32_t ShiftFor(size_t chunk_rows) {
   return shift;
 }
 
+// Appends cells [begin, end) of `from` to `to`, which has room for them,
+// converting per Column::AppendValue.  Every non-NULL cell must fit.
+void AppendChunkRange(const ColumnChunk& from, size_t begin, size_t end,
+                      ColumnChunk* to) {
+  if (from.type() == ValueType::kString) {
+    for (size_t i = begin; i < end; ++i) {
+      if (from.IsNull(i)) {
+        to->AppendNull();
+      } else {
+        to->AppendString(from.StringAt(i));
+      }
+    }
+    return;
+  }
+  const bool to_int = to->type() == ValueType::kInt64;
+  for (size_t i = begin; i < end; ++i) {
+    if (from.IsNull(i)) {
+      to->AppendNull();
+    } else if (!to_int) {
+      to->AppendDouble(from.NumericAt(i));
+    } else if (from.type() == ValueType::kInt64) {
+      to->AppendInt64(from.Int64At(i));
+    } else {
+      to->AppendInt64(static_cast<int64_t>(from.DoubleAt(i)));
+    }
+  }
+}
+
 }  // namespace
 
 Column::Column(ValueType type, size_t chunk_rows)
@@ -49,7 +77,7 @@ void Column::AppendDouble(double v) {
   ++size_;
 }
 
-void Column::AppendString(std::string v) {
+void Column::AppendString(std::string_view v) {
   MUVE_DCHECK(type_ == ValueType::kString);
   MutableTail()->AppendString(v);
   ++size_;
@@ -103,6 +131,37 @@ common::Status Column::AppendValue(const Value& v) {
   return common::Status::TypeMismatch(
       std::string("cannot store ") + ValueTypeName(v.type()) + " in " +
       ValueTypeName(type_) + " column");
+}
+
+size_t Column::FirstMismatch(const Column& src) const {
+  const ValueType from = src.type();
+  if (from == ValueType::kNull || from == type_ ||
+      (type_ == ValueType::kDouble && from == ValueType::kInt64)) {
+    return src.size();
+  }
+  // Only an int64 column takes some cells of a double column: the
+  // integral ones in range.
+  const bool int_from_double =
+      type_ == ValueType::kInt64 && from == ValueType::kDouble;
+  for (size_t row = 0; row < src.size(); ++row) {
+    if (src.IsNull(row)) continue;
+    if (!int_from_double || !FitsInt64Exactly(src.DoubleAt(row))) return row;
+  }
+  return src.size();
+}
+
+void Column::AppendColumn(const Column& src) {
+  for (size_t c = 0; c < src.num_chunks(); ++c) {
+    const ColumnChunk& from = src.chunk(c);
+    for (size_t i = 0; i < from.size();) {
+      ColumnChunk* tail = MutableTail();
+      const size_t n =
+          std::min(from.size() - i, tail->capacity() - tail->size());
+      AppendChunkRange(from, i, i + n, tail);
+      i += n;
+      size_ += n;
+    }
+  }
 }
 
 double Column::NumericAt(size_t row) const {

@@ -11,6 +11,10 @@
 // shared_ptr between column copies — Column's copy constructor is O(chunks),
 // not O(rows) — and the open tail chunk copy-on-writes on the first append
 // after a copy, so growing one copy never mutates data the other can see.
+//
+// Bulk ingest appends column to column (AppendColumn): it walks the
+// source's chunks and converts per AppendValue's rules; no Value is built
+// per cell.
 
 #ifndef MUVE_STORAGE_COLUMN_H_
 #define MUVE_STORAGE_COLUMN_H_
@@ -18,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -58,9 +63,16 @@ class Column {
   // (int64 column accepts an integral double and vice versa).
   void AppendInt64(int64_t v);
   void AppendDouble(double v);
-  void AppendString(std::string v);
+  void AppendString(std::string_view v);
   void AppendNull();
   common::Status AppendValue(const Value& v);
+
+  // Column-to-column append under AppendValue's rules.  FirstMismatch is
+  // the row of the first cell of `src` this column cannot store
+  // (src.size() when every cell fits); AppendColumn requires there is
+  // none.  NULL cells always fit.
+  size_t FirstMismatch(const Column& src) const;
+  void AppendColumn(const Column& src);
 
   bool IsNull(size_t row) const {
     return chunks_[row >> shift_]->IsNull(row & mask_);

@@ -1,10 +1,12 @@
 #include "storage/csv.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <deque>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/parse.h"
@@ -15,140 +17,246 @@ namespace muve::storage {
 
 namespace {
 
-// Splits one logical CSV record into fields, honoring double quotes with
-// "" escapes.  `pos` advances past the record (including the newline).
-common::Result<std::vector<std::string>> ParseRecord(const std::string& text,
-                                                     size_t* pos,
-                                                     char delimiter) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  size_t i = *pos;
-  const size_t n = text.size();
-  while (i < n) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < n && text[i + 1] == '"') {
-          current.push_back('"');
-          i += 2;
-          continue;
-        }
-        in_quotes = false;
-        ++i;
-        continue;
+// Poll cadence for CsvOptions::exec: cheap relative to parsing ~4K
+// records yet fine-grained enough that a cancel lands within
+// milliseconds.
+constexpr size_t kExecPollRows = 4096;
+
+// Splits CSV text into records of fields.  An unquoted field is a view
+// into the text; a field with a quote is unescaped into storage that
+// outlives the tokenizer's later records.
+//
+// Quoting follows one state machine: a '"' outside quotes opens a quoted
+// run anywhere in a field, "" inside a run is a literal quote, and a
+// lone '"' closes the run.  Records end at \n, \r\n or a lone \r outside
+// quotes.
+class CsvTokenizer {
+ public:
+  CsvTokenizer(std::string_view text, char delimiter)
+      : text_(text), delimiter_(delimiter) {
+    for (const char c : {delimiter, '\n', '\r', '"'}) {
+      special_[static_cast<unsigned char>(c)] = true;
+    }
+  }
+
+  bool done() const { return pos_ >= text_.size(); }
+
+  // Splits the next record into `fields` and moves past it.
+  common::Status Next(std::vector<std::string_view>* fields) {
+    fields->clear();
+    const size_t n = text_.size();
+    size_t i = pos_;
+    while (true) {
+      const size_t start = i;
+      while (i < n && !special_[static_cast<unsigned char>(text_[i])]) ++i;
+      if (i < n && text_[i] == '"') {
+        MUVE_RETURN_IF_ERROR(QuotedField(start, &i, fields));
+      } else {
+        fields->push_back(text_.substr(start, i - start));
       }
-      current.push_back(c);
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      in_quotes = true;
-      ++i;
-      continue;
-    }
-    if (c == delimiter) {
-      fields.push_back(std::move(current));
-      current.clear();
-      ++i;
-      continue;
-    }
-    if (c == '\n' || c == '\r') {
-      // Consume the newline (handles \r\n).
-      if (c == '\r' && i + 1 < n && text[i + 1] == '\n') ++i;
-      ++i;
+      if (i >= n) break;
+      const char c = text_[i++];
+      if (c == delimiter_) continue;
+      if (c == '\r' && i < n && text_[i] == '\n') ++i;
       break;
     }
-    current.push_back(c);
-    ++i;
+    pos_ = i;
+    return common::Status::OK();
   }
-  if (in_quotes) {
+
+ private:
+  // The field starting at `start`, whose first quote is at `*i`; leaves
+  // `*i` at the delimiter, newline or end of text that ends it.
+  common::Status QuotedField(size_t start, size_t* i,
+                             std::vector<std::string_view>* fields) {
+    const size_t n = text_.size();
+    std::string& out = unescaped_.emplace_back(text_.substr(start, *i - start));
+    bool in_quotes = false;
+    size_t j = *i;
+    for (; j < n; ++j) {
+      const char c = text_[j];
+      if (in_quotes) {
+        if (c != '"') {
+          out.push_back(c);
+        } else if (j + 1 < n && text_[j + 1] == '"') {
+          out.push_back('"');
+          ++j;
+        } else {
+          in_quotes = false;
+        }
+      } else if (c == '"') {
+        in_quotes = true;
+      } else if (c == delimiter_ || c == '\n' || c == '\r') {
+        break;
+      } else {
+        out.push_back(c);
+      }
+    }
+    if (in_quotes) return Unterminated();
+    fields->push_back(out);
+    *i = j;
+    return common::Status::OK();
+  }
+
+  static common::Status Unterminated() {
     return common::Status::ParseError("unterminated quoted CSV field");
   }
-  fields.push_back(std::move(current));
-  *pos = i;
-  return fields;
-}
 
-bool ParseInt64(const std::string& text, int64_t* out) {
-  auto parsed = common::ParseInt64Strict(common::Trim(text));
-  if (!parsed.ok()) return false;
-  *out = *parsed;
+  std::string_view text_;
+  char delimiter_;
+  bool special_[256] = {};
+  size_t pos_ = 0;
+  // Unescaped fields; a deque, so earlier fields never move.
+  std::deque<std::string> unescaped_;
+};
+
+// Parses one trimmed, non-empty cell for an int64 column: an int64
+// token, or an integral double token that fits ("3.0", "9e18").
+bool ParseInt64Cell(std::string_view cell, int64_t* out) {
+  if (common::TryParseInt64(cell, out)) return true;
+  double d;
+  if (!common::TryParseDouble(cell, &d) || !FitsInt64Exactly(d)) return false;
+  *out = static_cast<int64_t>(d);
   return true;
 }
 
-// Locale-independent (common/parse.h): a CSV's "1.5" is 1.5 no matter
-// what LC_NUMERIC the host process runs under, and inf/nan/hex-float
-// spellings are rejected by policy (they fall through to string typing
-// under inference, or a ParseError under an explicit numeric schema).
-bool ParseDouble(const std::string& text, double* out) {
-  auto parsed = common::ParseDoubleStrict(common::Trim(text));
-  if (!parsed.ok()) return false;
-  *out = *parsed;
-  return true;
-}
-
-// True when `d` is integral and inside int64's representable range, so
-// static_cast<int64_t>(d) is well defined.  The bounds are exact double
-// values: -2^63 is representable, and the upper comparison uses 2^63
-// (also representable) exclusively — a plain cast-and-compare against
-// INT64_MAX would itself be UB for cells like "1e30" or "9.3e18".
-bool FitsInt64Exactly(double d) {
-  constexpr double kLower = -9223372036854775808.0;  // -2^63
-  constexpr double kUpper = 9223372036854775808.0;   // 2^63
-  return d >= kLower && d < kUpper && d == std::trunc(d);
-}
-
-common::Result<Value> ParseCell(const std::string& raw, ValueType type) {
-  if (common::Trim(raw).empty()) return Value::Null();
-  switch (type) {
+// Appends one cell, as the record held it, to a column of the schema's
+// type: blank (after trimming) is NULL, numbers are parsed trimmed,
+// strings are kept verbatim.  False when the cell does not parse.
+bool AppendCell(std::string_view raw, Column* column) {
+  const std::string_view cell = common::Trim(raw);
+  if (cell.empty()) {
+    column->AppendNull();
+    return true;
+  }
+  switch (column->type()) {
     case ValueType::kInt64: {
       int64_t v;
-      if (ParseInt64(raw, &v)) return Value(v);
-      // Accept integral doubles like "3.0" (or "9e18") in an int column,
-      // but only when the value actually fits int64.
-      double d;
-      if (ParseDouble(raw, &d) && FitsInt64Exactly(d)) {
-        return Value(static_cast<int64_t>(d));
-      }
-      return common::Status::ParseError("cannot parse '" + raw +
-                                        "' as int64");
+      if (!ParseInt64Cell(cell, &v)) return false;
+      column->AppendInt64(v);
+      return true;
     }
     case ValueType::kDouble: {
       double v;
-      if (ParseDouble(raw, &v)) return Value(v);
-      return common::Status::ParseError("cannot parse '" + raw +
-                                        "' as double");
+      if (!common::TryParseDouble(cell, &v)) return false;
+      column->AppendDouble(v);
+      return true;
     }
     case ValueType::kString:
-      return Value(raw);
+      column->AppendString(raw);
+      return true;
     case ValueType::kNull:
-      return Value::Null();
+      column->AppendNull();
+      return true;
   }
-  return common::Status::Internal("bad ValueType");
+  return false;
 }
 
-// Infers the narrowest type that parses every non-empty cell of a column.
-ValueType InferType(const std::vector<std::vector<std::string>>& records,
-                    size_t col) {
-  bool all_int = true;
-  bool all_double = true;
-  bool any_non_empty = false;
-  for (const auto& rec : records) {
-    if (col >= rec.size()) continue;
-    const std::string& cell = rec[col];
-    if (common::Trim(cell).empty()) continue;
-    any_non_empty = true;
-    int64_t iv;
-    double dv;
-    if (!ParseInt64(cell, &iv)) all_int = false;
-    if (!ParseDouble(cell, &dv)) all_double = false;
-    if (!all_double) break;
+// One column's cells under schema-less inference.  The column is int64
+// if every non-blank cell parses as int64, else double if every one
+// parses as double, else string (and string when every cell is blank).
+// Parsed values are kept while the column can still be numeric, so each
+// cell is parsed once as the type it ends up with.
+class InferredColumn {
+ public:
+  explicit InferredColumn(size_t expected_rows) {
+    cells_.reserve(expected_rows);
+    ints_.reserve(expected_rows);
   }
-  if (!any_non_empty) return ValueType::kString;
-  if (all_int) return ValueType::kInt64;
-  if (all_double) return ValueType::kDouble;
-  return ValueType::kString;
+
+  void Add(std::string_view raw) {
+    cells_.push_back(raw);
+    const std::string_view cell = common::Trim(raw);
+    if (cell.empty()) {
+      if (all_int_) {
+        ints_.push_back(0);
+      } else if (all_double_) {
+        doubles_.push_back(0.0);
+      }
+      return;
+    }
+    any_value_ = true;
+    if (all_int_) {
+      int64_t v;
+      if (common::TryParseInt64(cell, &v)) {
+        ints_.push_back(v);
+        return;
+      }
+      // The first non-int64 cell.  Every earlier cell parsed as int64,
+      // so it parses as double too (the int64 grammar is a subset).
+      all_int_ = false;
+      std::vector<int64_t>().swap(ints_);
+      doubles_.reserve(cells_.capacity());
+      for (size_t r = 0; r + 1 < cells_.size(); ++r) {
+        double d = 0.0;
+        common::TryParseDouble(common::Trim(cells_[r]), &d);
+        doubles_.push_back(d);
+      }
+    }
+    if (!all_double_) return;
+    double d;
+    if (common::TryParseDouble(cell, &d)) {
+      doubles_.push_back(d);
+      return;
+    }
+    all_double_ = false;
+    std::vector<double>().swap(doubles_);
+  }
+
+  ValueType type() const {
+    if (!any_value_) return ValueType::kString;
+    if (all_int_) return ValueType::kInt64;
+    if (all_double_) return ValueType::kDouble;
+    return ValueType::kString;
+  }
+
+  // The typed column, polling `exec` every kExecPollRows rows.
+  common::Result<Column> Build(common::ExecContext* exec) const {
+    const ValueType t = type();
+    Column column(t);
+    for (size_t r = 0; r < cells_.size(); ++r) {
+      if (exec != nullptr && r % kExecPollRows == 0 && exec->Expired()) {
+        return exec->ExpiryStatus();
+      }
+      if (common::Trim(cells_[r]).empty()) {
+        column.AppendNull();
+      } else if (t == ValueType::kInt64) {
+        column.AppendInt64(ints_[r]);
+      } else if (t == ValueType::kDouble) {
+        column.AppendDouble(doubles_[r]);
+      } else {
+        column.AppendString(cells_[r]);
+      }
+    }
+    return column;
+  }
+
+ private:
+  std::vector<std::string_view> cells_;
+  std::vector<int64_t> ints_;     // one per cell while all_int_ (0 = blank)
+  std::vector<double> doubles_;   // one per cell once !all_int_, while
+                                  // all_double_ (0.0 = blank)
+  bool all_int_ = true;
+  bool all_double_ = true;
+  bool any_value_ = false;
+};
+
+// Header error under an explicit schema: arity, or a header name that
+// does not match the schema's.
+common::Status CheckHeader(const std::vector<std::string>& header,
+                           const Schema& want) {
+  if (want.num_fields() != header.size()) {
+    return common::Status::ParseError("schema arity does not match CSV header");
+  }
+  for (size_t i = 0; i < header.size(); ++i) {
+    if (!common::EqualsIgnoreCase(common::Trim(header[i]),
+                                  want.field(i).name)) {
+      return common::Status::ParseError(
+          "CSV header '" + header[i] + "' does not match schema field '" +
+          want.field(i).name + "'");
+    }
+  }
+  return common::Status::OK();
 }
 
 }  // namespace
@@ -157,7 +265,6 @@ common::Result<Table> ReadCsvString(const std::string& text,
                                     const CsvOptions& options,
                                     CsvLoadStats* stats) {
   common::Stopwatch timer;
-  size_t pos = 0;
   if (text.empty()) {
     return common::Status::ParseError("empty CSV input");
   }
@@ -166,78 +273,83 @@ common::Result<Table> ReadCsvString(const std::string& text,
         "CSV input is " + std::to_string(text.size()) +
         " bytes, exceeds max_bytes=" + std::to_string(options.max_bytes));
   }
-  MUVE_ASSIGN_OR_RETURN(const std::vector<std::string> header,
-                        ParseRecord(text, &pos, options.delimiter));
+  CsvTokenizer tokenizer(text, options.delimiter);
+  std::vector<std::string_view> fields;
+  MUVE_RETURN_IF_ERROR(tokenizer.Next(&fields));
+  const std::vector<std::string> header(fields.begin(), fields.end());
+  const size_t width = header.size();
 
-  std::vector<std::vector<std::string>> records;
-  // One record per newline (quoted embedded newlines over-count, blank
-  // trailing lines slightly so; both only over-reserve).
-  records.reserve(static_cast<size_t>(
-      std::count(text.begin() + static_cast<ptrdiff_t>(std::min(pos, text.size())),
-                 text.end(), '\n') +
-      1));
-  // Poll cadence for options.exec: cheap relative to parsing ~4K records
-  // yet fine-grained enough that a cancel lands within milliseconds.
-  constexpr size_t kExecPollRows = 4096;
-  while (pos < text.size()) {
-    if (options.exec != nullptr && records.size() % kExecPollRows == 0 &&
+  // Errors surface in a fixed order: tokenizing (a ragged row, an
+  // unterminated quote) anywhere in the text, then the header, then the
+  // first bad cell in row-major order.  Under a schema the latter two are
+  // held in `deferred` while the rest of the text is still tokenized;
+  // under inference the header is checked last and no cell can fail.
+  const bool infer = !options.schema.has_value();
+  common::Status deferred =
+      infer ? common::Status::OK() : CheckHeader(header, *options.schema);
+  std::vector<Column> columns;
+  std::vector<InferredColumn> inferred;
+  if (infer) {
+    // One record per newline: quoted newlines and blank lines only
+    // over-count, so the per-column buffers do not regrow (unless the
+    // lines end in a lone \r).
+    const size_t expected_rows = static_cast<size_t>(
+        std::count(text.begin(), text.end(), '\n') + 1);
+    inferred.reserve(width);
+    for (size_t i = 0; i < width; ++i) inferred.emplace_back(expected_rows);
+  } else {
+    for (const Field& f : options.schema->fields()) {
+      columns.emplace_back(f.type);
+    }
+  }
+
+  size_t rows = 0;
+  while (!tokenizer.done()) {
+    if (options.exec != nullptr && rows % kExecPollRows == 0 &&
         options.exec->Expired()) {
       return options.exec->ExpiryStatus();
     }
-    const size_t before = pos;
-    MUVE_ASSIGN_OR_RETURN(std::vector<std::string> rec,
-                          ParseRecord(text, &pos, options.delimiter));
-    if (pos == before) break;  // no progress; defensive
-    // Skip fully blank trailing lines.
-    if (rec.size() == 1 && common::Trim(rec[0]).empty()) continue;
-    if (rec.size() != header.size()) {
+    MUVE_RETURN_IF_ERROR(tokenizer.Next(&fields));
+    if (fields.size() == 1 && common::Trim(fields[0]).empty()) continue;
+    if (fields.size() != width) {
       return common::Status::ParseError(
-          "CSV record has " + std::to_string(rec.size()) + " fields, header has " +
-          std::to_string(header.size()));
+          "CSV record has " + std::to_string(fields.size()) +
+          " fields, header has " + std::to_string(width));
     }
-    records.push_back(std::move(rec));
-  }
-
-  Schema schema;
-  if (options.schema.has_value()) {
-    const Schema& want = *options.schema;
-    if (want.num_fields() != header.size()) {
-      return common::Status::ParseError(
-          "schema arity does not match CSV header");
+    ++rows;
+    if (!deferred.ok()) continue;
+    if (infer) {
+      for (size_t i = 0; i < width; ++i) inferred[i].Add(fields[i]);
+      continue;
     }
-    for (size_t i = 0; i < header.size(); ++i) {
-      if (!common::EqualsIgnoreCase(common::Trim(header[i]),
-                                    want.field(i).name)) {
-        return common::Status::ParseError(
-            "CSV header '" + header[i] + "' does not match schema field '" +
-            want.field(i).name + "'");
+    for (size_t i = 0; i < width; ++i) {
+      if (!AppendCell(fields[i], &columns[i])) {
+        deferred = common::Status::ParseError(
+            "cannot parse '" + std::string(fields[i]) + "' as " +
+            ValueTypeName(columns[i].type()));
+        break;
       }
     }
-    schema = want;
+  }
+  MUVE_RETURN_IF_ERROR(deferred);
+
+  Schema schema;
+  if (!infer) {
+    schema = *options.schema;
   } else {
-    for (size_t i = 0; i < header.size(); ++i) {
+    for (size_t i = 0; i < width; ++i) {
       const std::string name(common::Trim(header[i]));
       if (name.empty()) {
         return common::Status::ParseError("empty CSV header name");
       }
-      MUVE_RETURN_IF_ERROR(
-          schema.AddField(Field(name, InferType(records, i))));
+      MUVE_RETURN_IF_ERROR(schema.AddField(Field(name, inferred[i].type())));
+    }
+    for (const InferredColumn& column : inferred) {
+      MUVE_ASSIGN_OR_RETURN(Column built, column.Build(options.exec));
+      columns.push_back(std::move(built));
     }
   }
-
-  Table table(schema);
-  table.Reserve(records.size());
-  std::vector<Value> row(schema.num_fields());
-  for (const auto& rec : records) {
-    if (options.exec != nullptr &&
-        table.num_rows() % kExecPollRows == 0 && options.exec->Expired()) {
-      return options.exec->ExpiryStatus();
-    }
-    for (size_t i = 0; i < rec.size(); ++i) {
-      MUVE_ASSIGN_OR_RETURN(row[i], ParseCell(rec[i], schema.field(i).type));
-    }
-    MUVE_RETURN_IF_ERROR(table.AppendRow(row));
-  }
+  Table table = Table::FromColumns(std::move(schema), std::move(columns));
   if (stats != nullptr) {
     stats->rows = static_cast<int64_t>(table.num_rows());
     stats->bytes = static_cast<int64_t>(text.size());

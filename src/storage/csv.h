@@ -3,6 +3,12 @@
 // The reader supports a header row, quoted fields, type inference
 // (int64 -> double -> string, with empty fields as NULL), and an optional
 // caller-provided schema for exact typing and role annotations.
+//
+// It is one pass over the text into typed columns.  Unquoted fields are
+// views of the text (only a field with quotes is unescaped), each
+// cell is trimmed and parsed once, and no per-cell Value or per-record
+// string vector is built.  Under inference a column keeps its cell views
+// and the values parsed so far until its type is settled (csv.cc).
 
 #ifndef MUVE_STORAGE_CSV_H_
 #define MUVE_STORAGE_CSV_H_
@@ -47,9 +53,13 @@ struct CsvLoadStats {
   double parse_ms = 0.0;
 };
 
-// Parses CSV text into a table.  The first row is the header.  Record
-// storage is pre-sized from the text's newline count, so parsing large
-// inputs does not repeatedly regrow the record vector.
+// Parses CSV text into a table.  The first row is the header; blank and
+// whitespace-only lines are skipped.  Cells are trimmed before parsing
+// (string cells keep their text as written, quotes removed), and a
+// blank cell is NULL.  Errors come in a fixed order: a tokenizing error
+// anywhere in the text (a ragged row, an unterminated quote), then a
+// header or schema error, then the first cell that does not parse, in
+// row-major order.
 common::Result<Table> ReadCsvString(const std::string& text,
                                     const CsvOptions& options = {},
                                     CsvLoadStats* stats = nullptr);

@@ -44,12 +44,8 @@ common::Status Table::AppendRow(const std::vector<Value>& values) {
         (ct == ValueType::kDouble && v.is_numeric()) ||
         (ct == ValueType::kInt64 && v.type() == ValueType::kInt64) ||
         (ct == ValueType::kInt64 && v.type() == ValueType::kDouble &&
-         v.AsDoubleExact() == static_cast<int64_t>(v.AsDoubleExact()));
-    if (!ok) {
-      return common::Status::TypeMismatch(
-          "column '" + schema_.field(i).name + "' expects " +
-          ValueTypeName(ct) + ", got " + ValueTypeName(v.type()));
-    }
+         FitsInt64Exactly(v.AsDoubleExact()));
+    if (!ok) return MismatchError(i, v.type());
   }
   for (size_t i = 0; i < values.size(); ++i) {
     const common::Status st = columns_[i]->AppendValue(values[i]);
@@ -57,6 +53,53 @@ common::Status Table::AppendRow(const std::vector<Value>& values) {
   }
   ++num_rows_;
   return common::Status::OK();
+}
+
+common::Status Table::AppendRows(const Table& rows) {
+  MUVE_DCHECK(rows.num_columns() == columns_.size());
+  // The cell AppendRow would have hit first: lowest row, then column.
+  size_t bad_row = rows.num_rows();
+  size_t bad_col = 0;
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    const size_t row = columns_[c]->FirstMismatch(rows.column(c));
+    if (row < bad_row) {
+      bad_row = row;
+      bad_col = c;
+    }
+  }
+  if (bad_row < rows.num_rows()) {
+    return MismatchError(bad_col, rows.column(bad_col).type());
+  }
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->AppendColumn(rows.column(c));
+  }
+  num_rows_ += rows.num_rows();
+  return common::Status::OK();
+}
+
+common::Status Table::MismatchError(size_t col, ValueType got) const {
+  return common::Status::TypeMismatch(
+      "column '" + schema_.field(col).name + "' expects " +
+      ValueTypeName(columns_[col]->type()) + ", got " + ValueTypeName(got));
+}
+
+Table Table::FromColumns(Schema schema, std::vector<Column> columns) {
+  MUVE_CHECK(columns.size() == schema.num_fields())
+      << columns.size() << " columns for " << schema.num_fields()
+      << " fields";
+  const size_t chunk_rows =
+      columns.empty() ? kDefaultChunkRows : columns[0].chunk_rows();
+  const size_t rows = columns.empty() ? 0 : columns[0].size();
+  Table table(std::move(schema), chunk_rows);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    MUVE_CHECK(columns[c].type() == table.schema_.field(c).type &&
+               columns[c].size() == rows &&
+               columns[c].chunk_rows() == chunk_rows)
+        << "column " << c << " does not match its field";
+    table.columns_[c] = std::make_unique<Column>(std::move(columns[c]));
+  }
+  table.num_rows_ = rows;
+  return table;
 }
 
 void Table::Reserve(size_t n) {

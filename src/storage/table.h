@@ -44,6 +44,16 @@ class Table {
   // (numeric coercion per Column::AppendValue applies).
   common::Status AppendRow(const std::vector<Value>& values);
 
+  // Appends every row of `rows`, which has this table's arity, column by
+  // column (Column::AppendColumn).  Same result and same error as AppendRow over each row in turn: the
+  // first cell in row-major order that does not fit fails the call, and
+  // the table is left unchanged.
+  common::Status AppendRows(const Table& rows);
+
+  // A table over already-built columns, one per schema field in order, of
+  // the field's type, equal length and equal chunk_rows (checked).
+  static Table FromColumns(Schema schema, std::vector<Column> columns);
+
   // Cell access via Value (allocates for strings).
   Value At(size_t row, size_t col) const { return columns_[col]->ValueAt(row); }
 
@@ -52,7 +62,7 @@ class Table {
   // Copy sharing every sealed chunk with the original: O(chunks), not
   // O(rows).  The open tail chunk copy-on-writes on the first append to
   // either side, so growing the clone never mutates data visible through
-  // the original (the mechanism behind the catalog's O(new rows) append).
+  // the original (the mechanism behind the catalog's copy-on-write append).
   Table Clone() const;
 
   // Rows per column chunk (uniform across columns).
@@ -65,6 +75,9 @@ class Table {
   std::string ToString(size_t max_rows = 10) const;
 
  private:
+  // AppendRow's error for a `got` cell that column `col` cannot store.
+  common::Status MismatchError(size_t col, ValueType got) const;
+
   Schema schema_;
   size_t chunk_rows_;
   std::vector<std::unique_ptr<Column>> columns_;

@@ -8,6 +8,7 @@
 #ifndef MUVE_STORAGE_VALUE_H_
 #define MUVE_STORAGE_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -26,6 +27,16 @@ enum class ValueType {
 };
 
 const char* ValueTypeName(ValueType type);
+
+// True when `d` is integral and inside int64's range, so
+// static_cast<int64_t>(d) is defined and exact: the rule by which an
+// int64 column accepts a double.  The bounds are exact doubles: -2^63 is
+// inclusive, 2^63 (not an int64) exclusive.
+inline bool FitsInt64Exactly(double d) {
+  constexpr double kLower = -9223372036854775808.0;  // -2^63
+  constexpr double kUpper = 9223372036854775808.0;   // 2^63
+  return d >= kLower && d < kUpper && d == std::trunc(d);
+}
 
 // Null, 64-bit integer, double, or string.  Value is ordered and hashable;
 // numeric values of different types compare by numeric value (1 == 1.0),

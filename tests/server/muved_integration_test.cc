@@ -1120,6 +1120,66 @@ TEST_F(MuvedIntegrationTest, CreateBindsItsDefaultPredicate) {
   ::close(fd);
 }
 
+// stats.ingest splits ingest time three ways — CSV parsing (create and
+// append), catalog publish and delta patching (append) — cumulatively.
+TEST_F(MuvedIntegrationTest, StatsOpReportsIngestSplit) {
+  StartServer();
+  const int fd = Dial();
+  auto ingest_ms = [&](const char* field) {
+    JsonValue stats = Call(fd, Request("stats"));
+    EXPECT_TRUE(IsOk(stats)) << stats.Write();
+    const JsonValue* ingest = stats.Find("ingest");
+    EXPECT_NE(ingest, nullptr);
+    const JsonValue* value = ingest == nullptr ? nullptr : ingest->Find(field);
+    EXPECT_NE(value, nullptr) << field;
+    EXPECT_TRUE(value == nullptr || value->is_number()) << field;
+    return value == nullptr ? -1.0 : value->number_value();
+  };
+  EXPECT_EQ(ingest_ms("csv_parse_ms"), 0.0);
+  EXPECT_EQ(ingest_ms("catalog_append_ms"), 0.0);
+  EXPECT_EQ(ingest_ms("delta_ms"), 0.0);
+
+  JsonValue create = Request("create");
+  create.Set("table", JsonValue::String("t"));
+  create.Set("csv", JsonValue::String(SmallCsv(0, 400)));
+  JsonValue dims = JsonValue::Array();
+  dims.Append(JsonValue::String("x"));
+  create.Set("dims", dims);
+  JsonValue measures = JsonValue::Array();
+  measures.Append(JsonValue::String("m"));
+  create.Set("measures", measures);
+  create.Set("predicate", JsonValue::String("day >= 10"));
+  ASSERT_TRUE(IsOk(Call(fd, create)));
+  const double parsed_at_create = ingest_ms("csv_parse_ms");
+  EXPECT_GT(parsed_at_create, 0.0);
+  EXPECT_EQ(ingest_ms("catalog_append_ms"), 0.0);
+
+  // A recommend builds a store, so the append below has one to patch.
+  JsonValue recommend = Request("recommend");
+  recommend.Set("dataset", JsonValue::String("t"));
+  recommend.Set("k", JsonValue::Int(2));
+  JsonValue recommended = Call(fd, recommend);
+  ASSERT_TRUE(IsOk(recommended)) << recommended.Write();
+  JsonValue append = Request("append");
+  append.Set("table", JsonValue::String("t"));
+  append.Set("csv", JsonValue::String(SmallCsv(400, 600)));
+  JsonValue appended = Call(fd, append);
+  ASSERT_TRUE(IsOk(appended)) << appended.Write();
+  ASSERT_GT(appended.Find("delta_merges")->int_value(), 0);
+  EXPECT_GT(ingest_ms("csv_parse_ms"), parsed_at_create);
+  const double published = ingest_ms("catalog_append_ms");
+  const double patched = ingest_ms("delta_ms");
+  EXPECT_GT(published, 0.0);
+  EXPECT_GT(patched, 0.0);
+
+  // A failed append adds nothing.
+  append.Set("csv", JsonValue::String("day,x,m\n1,2,oops\n"));
+  EXPECT_FALSE(IsOk(Call(fd, append)));
+  EXPECT_EQ(ingest_ms("catalog_append_ms"), published);
+  EXPECT_EQ(ingest_ms("delta_ms"), patched);
+  ::close(fd);
+}
+
 TEST_F(MuvedIntegrationTest, AppendEnforcesTableSchema) {
   StartServer();
   const int fd = Dial();
