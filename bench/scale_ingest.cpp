@@ -5,8 +5,9 @@
 // costs O(new rows) — a small fraction of re-running the whole pipeline
 // over the reloaded table — while returning the bit-identical top-k.
 //
-// For each table size N the bench runs one cold/warm/append/reload
-// cycle over the deterministic scale workload (dims {x, y}, measures
+// For each table size N the bench runs Repetitions() cold/warm/append/
+// reload cycles (each on a fresh catalog and cache; timings report the
+// median) over the deterministic scale workload (dims {x, y}, measures
 // {m1, m2}, clustered predicate "day >= D"):
 //
 //   cold    recommend over rows [0, 0.99 N) with an empty shared cache
@@ -27,16 +28,23 @@
 // top-k must equal the reload top-k view-for-view and bit-for-bit, the
 // append cycle (ingest scan + re-recommend) must scan <= 10% of the
 // rows the reload scans, the delta-merge counters must be nonzero (the
-// patch actually happened; nothing fell back to a rebuild), and the
-// clustered predicate must skip chunks via zone maps.
+// patch actually happened; nothing fell back to a rebuild), the
+// clustered predicate must skip chunks via zone maps, and the append
+// must move no existing row (Catalog::AppendResult::rows_copied == 0:
+// the open tail chunk has room for the 1%, so the append writes in
+// place).  Row counts are exact, so these gates cannot flake.
 //
 // After the sweep, a csv_load phase times the CSV ingest path muved
 // runs for `create` + `append`: the 10^6-row scale CSV
 // (data::WriteScaleCsv) in four 250K-row batches, the first parsed with
 // type inference and published by Catalog::Create, the rest parsed
-// under the table's schema and published by Catalog::Append.  It
-// records csv_parse_ms and catalog_append_ms (summed over the batches)
-// and FAILS unless the loaded table equals MakeScaleTable cell for cell.
+// under the table's schema and published by Catalog::Append.  It runs
+// Repetitions() times, after every cycle so the heap it leaves cannot
+// shift the cycle's timings, and records the median csv_parse_ms and
+// catalog_append_ms (summed over the batches).  It FAILS unless the
+// loaded table equals MakeScaleTable cell for cell and the appends moved
+// at most as many rows as the table holds — the bound tail stores that
+// grew by doubling would keep; whole-chunk stores move none.
 //
 // `--smoke` runs 10^6 rows only (the CI scale-smoke leg); the default
 // adds 10^7.  `--rows=N` replaces the sweep with a single custom size
@@ -142,22 +150,27 @@ bool SameTopK(const muve::core::Recommendation& a,
 
 std::string Fmt(double v) { return muve::bench::Ms(v); }
 
-bool RunCycle(size_t total_rows, TablePrinter* table) {
-  muve::data::ScaleSpec spec;
-  spec.rows = total_rows;
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n % 2 == 1 ? values[n / 2] : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
+// One cold/warm/append/reload cycle (see the file comment).
+struct Cycle {
+  Phase cold;
+  Phase warm;
+  Phase after;
+  Phase reload;
+  double append_ms = 0.0;
+  size_t rows_copied = 0;
+  muve::storage::IngestDeltaStats ingest;
+};
+
+bool RunCycleOnce(const muve::data::ScaleSpec& spec, size_t chunk_rows,
+                  Cycle* cycle) {
   const std::string predicate = muve::data::ScalePredicateSql(spec);
-  const size_t appended = total_rows / 100;
-  const size_t initial = total_rows - appended;
-
-  // At least 8 chunks at every size, so zone-map skipping has something
-  // to skip even at 10^6 rows (the default 2^20-row chunk would make
-  // that table single-chunk); 10^7 rows and up use the default.
-  size_t chunk_rows = muve::storage::kDefaultChunkRows;
-  while (chunk_rows > 1024 && chunk_rows * 8 > total_rows) chunk_rows >>= 1;
-
-  std::cout << "== " << total_rows << " rows (append "
-            << appended << ") ==" << std::endl;
-
+  const size_t initial = spec.rows - spec.rows / 100;
   muve::storage::Catalog catalog;
   {
     muve::common::Stopwatch timer;
@@ -175,20 +188,21 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
 
   auto snapshot = catalog.Get("scale");
   if (!snapshot.ok()) return false;
-  Phase cold = Recommend(snapshot->table, predicate, cache);
-  Phase warm = Recommend(snapshot->table, predicate, cache);
+  cycle->cold = Recommend(snapshot->table, predicate, cache);
+  cycle->warm = Recommend(snapshot->table, predicate, cache);
 
   // Append the last 1% through the catalog and patch the cached bases;
   // the timed region is everything the serving path would do: delta
   // materialization, publish, patch, re-recommend.
   muve::common::Stopwatch append_timer;
   auto delta =
-      muve::data::MakeScaleTable(spec, initial, total_rows, chunk_rows);
+      muve::data::MakeScaleTable(spec, initial, spec.rows, chunk_rows);
   auto published = catalog.Append("scale", *delta);
   if (!published.ok()) {
     std::cerr << "append: " << published.status().ToString() << "\n";
     return false;
   }
+  cycle->rows_copied = published->rows_copied;
   auto where = muve::sql::ParseWhere(predicate);
   if (!where.ok() ||
       !(*where)->Bind(published->snapshot.table->schema()).ok()) {
@@ -202,61 +216,99 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
   request.measures = {"m1", "m2"};
   request.target_predicate = where->get();
   request.cache = cache.get();
-  muve::storage::IngestDeltaStats ingest;
-  if (!muve::storage::ApplyAppendDeltas(request, &ingest).ok()) {
+  if (!muve::storage::ApplyAppendDeltas(request, &cycle->ingest).ok()) {
     std::cerr << "delta patch failed\n";
     return false;
   }
-  Phase after = Recommend(published->snapshot.table, predicate, cache);
-  const double append_ms = append_timer.ElapsedMillis();
+  cycle->after = Recommend(published->snapshot.table, predicate, cache);
+  cycle->append_ms = append_timer.ElapsedMillis();
 
   // Reload-from-scratch reference (cold cache over all N rows in one
   // shot) — the bit-exactness oracle and the cost denominator.
-  Phase reload =
-      Recommend(muve::data::MakeScaleTable(spec, 0, total_rows, chunk_rows),
+  cycle->reload =
+      Recommend(muve::data::MakeScaleTable(spec, 0, spec.rows, chunk_rows),
                 predicate,
                 std::make_shared<muve::storage::BaseHistogramCache>());
+  return true;
+}
 
-  const bool identical = SameTopK(after.rec, reload.rec);
+bool RunCycle(size_t total_rows, TablePrinter* table) {
+  muve::data::ScaleSpec spec;
+  spec.rows = total_rows;
+  const size_t appended = total_rows / 100;
+
+  // At least 8 chunks at every size, so zone-map skipping has something
+  // to skip even at 10^6 rows (the default 2^20-row chunk would make
+  // that table single-chunk); 10^7 rows and up use the default.
+  size_t chunk_rows = muve::storage::kDefaultChunkRows;
+  while (chunk_rows > 1024 && chunk_rows * 8 > total_rows) chunk_rows >>= 1;
+
+  std::cout << "== " << total_rows << " rows (append "
+            << appended << ") ==" << std::endl;
+
+  // Every repetition is a fresh catalog and cache; timings report the
+  // median, counters the last repetition (they are deterministic).
+  std::vector<Cycle> cycles(static_cast<size_t>(muve::bench::Repetitions()));
+  bool identical = true;
+  size_t rows_copied = 0;
+  for (Cycle& cycle : cycles) {
+    if (!RunCycleOnce(spec, chunk_rows, &cycle)) return false;
+    identical = identical && SameTopK(cycle.after.rec, cycle.reload.rec);
+    rows_copied = std::max(rows_copied, cycle.rows_copied);
+  }
+  const auto median = [&cycles](double (*field)(const Cycle&)) {
+    std::vector<double> values;
+    for (const Cycle& cycle : cycles) values.push_back(field(cycle));
+    return Median(std::move(values));
+  };
+  const double cold_ms = median([](const Cycle& c) { return c.cold.ms; });
+  const double warm_ms = median([](const Cycle& c) { return c.warm.ms; });
+  const double create_ms =
+      median([](const Cycle& c) { return c.warm.create_ms; });
+  const double append_ms = median([](const Cycle& c) { return c.append_ms; });
+  const double reload_ms = median([](const Cycle& c) { return c.reload.ms; });
+
+  const Cycle& last = cycles.back();
+  const muve::storage::IngestDeltaStats& ingest = last.ingest;
   const int64_t append_scanned =
-      ingest.rows_scanned + after.rec.stats.rows_scanned;
-  const double ratio =
-      reload.rec.stats.rows_scanned > 0
-          ? static_cast<double>(append_scanned) /
-                static_cast<double>(reload.rec.stats.rows_scanned)
-          : 1.0;
+      ingest.rows_scanned + last.after.rec.stats.rows_scanned;
+  const int64_t reload_scanned = last.reload.rec.stats.rows_scanned;
+  const double ratio = reload_scanned > 0
+                           ? static_cast<double>(append_scanned) /
+                                 static_cast<double>(reload_scanned)
+                           : 1.0;
 
-  table->AddRow({std::to_string(total_rows), Fmt(cold.ms), Fmt(warm.ms),
-                 Fmt(warm.create_ms), Fmt(append_ms), Fmt(reload.ms),
-                 std::to_string(reload.rec.stats.rows_scanned),
+  table->AddRow({std::to_string(total_rows), Fmt(cold_ms), Fmt(warm_ms),
+                 Fmt(create_ms), Fmt(append_ms), Fmt(reload_ms),
+                 std::to_string(reload_scanned),
                  std::to_string(append_scanned),
                  muve::bench::Pct(ratio),
                  std::to_string(ingest.delta_merges),
-                 std::to_string(after.rec.stats.chunks_skipped),
-                 identical ? "yes" : "NO"});
+                 std::to_string(last.after.rec.stats.chunks_skipped),
+                 std::to_string(rows_copied), identical ? "yes" : "NO"});
 
   RecordJsonResult(
       "scale_" + std::to_string(total_rows), {},
       {{"rows", static_cast<double>(total_rows)},
        {"appended_rows", static_cast<double>(appended)},
-       {"cold_ms", cold.ms},
-       {"warm_ms", warm.ms},
-       {"create_ms", warm.create_ms},
+       {"cold_ms", cold_ms},
+       {"warm_ms", warm_ms},
+       {"create_ms", create_ms},
        {"append_ms", append_ms},
-       {"reload_ms", reload.ms},
+       {"reload_ms", reload_ms},
        {"cold_rows_scanned",
-        static_cast<double>(cold.rec.stats.rows_scanned)},
+        static_cast<double>(last.cold.rec.stats.rows_scanned)},
        {"warm_rows_scanned",
-        static_cast<double>(warm.rec.stats.rows_scanned)},
+        static_cast<double>(last.warm.rec.stats.rows_scanned)},
        {"ingest_rows", static_cast<double>(ingest.rows_scanned)},
        {"delta_merges", static_cast<double>(ingest.delta_merges)},
        {"append_rec_rows_scanned",
-        static_cast<double>(after.rec.stats.rows_scanned)},
-       {"reload_rows_scanned",
-        static_cast<double>(reload.rec.stats.rows_scanned)},
+        static_cast<double>(last.after.rec.stats.rows_scanned)},
+       {"reload_rows_scanned", static_cast<double>(reload_scanned)},
        {"append_over_reload_rows", ratio},
        {"chunks_skipped",
-        static_cast<double>(after.rec.stats.chunks_skipped)},
+        static_cast<double>(last.after.rec.stats.chunks_skipped)},
+       {"rows_copied", static_cast<double>(rows_copied)},
        {"topk_identical", identical ? 1.0 : 0.0}});
 
   bool ok = true;
@@ -267,9 +319,8 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
   }
   if (ratio > 0.10) {
     std::cerr << "FAIL: append cycle scanned " << append_scanned << " rows ("
-              << muve::bench::Pct(ratio) << " of reload's "
-              << reload.rec.stats.rows_scanned << ") at " << total_rows
-              << " rows — expected <= 10%\n";
+              << muve::bench::Pct(ratio) << " of reload's " << reload_scanned
+              << ") at " << total_rows << " rows — expected <= 10%\n";
     ok = false;
   }
   if (ingest.delta_merges <= 0) {
@@ -277,9 +328,16 @@ bool RunCycle(size_t total_rows, TablePrinter* table) {
               << " rows\n";
     ok = false;
   }
-  if (after.rec.stats.chunks_skipped <= 0) {
+  if (last.after.rec.stats.chunks_skipped <= 0) {
     std::cerr << "FAIL: the clustered predicate skipped no chunks at "
               << total_rows << " rows\n";
+    ok = false;
+  }
+  // The open tail chunk has room for the 1%: the append writes its rows
+  // in place and moves none.
+  if (rows_copied > 0) {
+    std::cerr << "FAIL: the 1% append moved " << rows_copied
+              << " existing rows at " << total_rows << " rows — expected 0\n";
     ok = false;
   }
   return ok;
@@ -314,21 +372,27 @@ bool SameCells(const muve::storage::Table& got,
   return true;
 }
 
-// The csv_load phase (see the file comment).
-bool RunCsvLoad() {
-  constexpr size_t kRows = 1'000'000;
-  constexpr size_t kBatchRows = 250'000;
-  muve::data::ScaleSpec spec;
-  spec.rows = kRows;
-  muve::storage::Catalog catalog;
+// One pass of the csv_load phase (see the file comment).
+struct CsvLoad {
   double parse_ms = 0.0;
   double append_ms = 0.0;
   size_t bytes = 0;
+  size_t rows_copied = 0;
+  bool identical = false;
+};
+
+constexpr size_t kCsvRows = 1'000'000;
+constexpr size_t kCsvBatchRows = 250'000;
+
+bool RunCsvLoadOnce(CsvLoad* load) {
+  muve::data::ScaleSpec spec;
+  spec.rows = kCsvRows;
+  muve::storage::Catalog catalog;
   std::string header;
-  for (size_t begin = 0; begin < kRows; begin += kBatchRows) {
+  for (size_t begin = 0; begin < kCsvRows; begin += kCsvBatchRows) {
     std::ostringstream out;
     muve::data::WriteScaleCsv(out, spec, begin,
-                              std::min(kRows, begin + kBatchRows));
+                              std::min(kCsvRows, begin + kCsvBatchRows));
     std::string csv = out.str();
     // Only the first batch carries the header; muved frames all do.
     if (begin == 0) {
@@ -336,7 +400,7 @@ bool RunCsvLoad() {
     } else {
       csv.insert(0, header);
     }
-    bytes += csv.size();
+    load->bytes += csv.size();
     muve::storage::CsvOptions options;
     if (begin > 0) options.schema = catalog.Get("scale")->table->schema();
     muve::storage::CsvLoadStats stats;
@@ -346,34 +410,68 @@ bool RunCsvLoad() {
                 << "\n";
       return false;
     }
-    parse_ms += stats.parse_ms;
+    load->parse_ms += stats.parse_ms;
     muve::common::Stopwatch timer;
-    const muve::common::Status published =
-        begin == 0 ? catalog.Create("scale", std::move(*rows))
-                   : catalog.Append("scale", *rows).status();
-    append_ms += timer.ElapsedMillis();
+    muve::common::Status published;
+    if (begin == 0) {
+      published = catalog.Create("scale", std::move(*rows));
+    } else {
+      auto appended = catalog.Append("scale", *rows);
+      published = appended.status();
+      if (appended.ok()) load->rows_copied += appended->rows_copied;
+    }
+    load->append_ms += timer.ElapsedMillis();
     if (!published.ok()) {
       std::cerr << "FAIL: csv_load publish: " << published.ToString() << "\n";
       return false;
     }
   }
-  const bool identical = SameCells(*catalog.Get("scale")->table,
-                                   *muve::data::MakeScaleTable(spec, 0, kRows));
-  std::cout << "== csv_load: " << kRows << " rows in "
-            << kRows / kBatchRows << " batches, parse " << Fmt(parse_ms)
-            << " ms, catalog " << Fmt(append_ms) << " ms, identical "
-            << (identical ? "yes" : "NO") << " ==" << std::endl;
-  RecordJsonResult("csv_load_" + std::to_string(kRows), {},
-                   {{"rows", static_cast<double>(kRows)},
-                    {"batches", static_cast<double>(kRows / kBatchRows)},
-                    {"bytes", static_cast<double>(bytes)},
-                    {"csv_parse_ms", parse_ms},
-                    {"catalog_append_ms", append_ms},
+  load->identical =
+      SameCells(*catalog.Get("scale")->table,
+                *muve::data::MakeScaleTable(spec, 0, kCsvRows));
+  return true;
+}
+
+// The csv_load phase, Repetitions() times: timings report the median.
+bool RunCsvLoad() {
+  std::vector<CsvLoad> loads(static_cast<size_t>(muve::bench::Repetitions()));
+  std::vector<double> parse_ms;
+  std::vector<double> append_ms;
+  bool identical = true;
+  size_t rows_copied = 0;
+  for (CsvLoad& load : loads) {
+    if (!RunCsvLoadOnce(&load)) return false;
+    parse_ms.push_back(load.parse_ms);
+    append_ms.push_back(load.append_ms);
+    identical = identical && load.identical;
+    rows_copied = std::max(rows_copied, load.rows_copied);
+  }
+  std::cout << "== csv_load: " << kCsvRows << " rows in "
+            << kCsvRows / kCsvBatchRows << " batches, parse "
+            << Fmt(Median(parse_ms)) << " ms, catalog "
+            << Fmt(Median(append_ms)) << " ms, rows copied " << rows_copied
+            << ", identical " << (identical ? "yes" : "NO") << " =="
+            << std::endl;
+  RecordJsonResult("csv_load_" + std::to_string(kCsvRows), {},
+                   {{"rows", static_cast<double>(kCsvRows)},
+                    {"batches", static_cast<double>(kCsvRows / kCsvBatchRows)},
+                    {"bytes", static_cast<double>(loads.back().bytes)},
+                    {"csv_parse_ms", Median(parse_ms)},
+                    {"catalog_append_ms", Median(append_ms)},
+                    {"rows_copied", static_cast<double>(rows_copied)},
                     {"identical", identical ? 1.0 : 0.0}});
+  bool ok = identical;
   if (!identical) {
     std::cerr << "FAIL: the CSV-loaded table differs from MakeScaleTable\n";
   }
-  return identical;
+  // The doubling bound: no more rows moved than the table ends up holding.
+  if (rows_copied > kCsvRows) {
+    std::cerr << "FAIL: csv_load appends moved " << rows_copied
+              << " rows, more than the " << kCsvRows
+              << " the table holds\n";
+    ok = false;
+  }
+  return ok;
 }
 
 }  // namespace
@@ -400,7 +498,7 @@ int main(int argc, char** argv) {
   TablePrinter table({"rows", "cold ms", "warm ms", "create ms", "append ms",
                       "reload ms", "reload rows", "append rows",
                       "append/reload", "delta merges", "chunks skipped",
-                      "topk=="});
+                      "rows copied", "topk=="});
   bool ok = true;
   for (size_t rows : sizes) ok = RunCycle(rows, &table) && ok;
   table.Print("Incremental ingest: append 1% + re-recommend vs reload");

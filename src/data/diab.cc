@@ -43,7 +43,6 @@ Dataset MakeDiabDataset(uint64_t seed) {
 
   common::Rng rng(seed);
   auto table = std::make_shared<Table>(schema);
-  table->Reserve(kDiabRows);
 
   for (size_t i = 0; i < kDiabRows; ++i) {
     int64_t age = ClampInt(rng.Normal(33.0, 11.0), 21, 81);

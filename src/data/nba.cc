@@ -70,7 +70,6 @@ Dataset MakeNbaDataset(uint64_t seed) {
 
   common::Rng rng(seed);
   auto table = std::make_shared<Table>(schema);
-  table->Reserve(kNbaRows);
 
   for (size_t i = 0; i < kNbaRows; ++i) {
     const std::string team(kTeams[i % kTeams.size()]);

@@ -961,6 +961,7 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
     ingest.Set("csv_parse_ms", JsonValue::Double(counters_.csv_parse_ms));
     ingest.Set("catalog_append_ms",
                JsonValue::Double(counters_.catalog_append_ms));
+    ingest.Set("rows_copied", JsonValue::Int(counters_.rows_copied));
     ingest.Set("delta_ms", JsonValue::Double(counters_.delta_ms));
     response.Set("ingest", std::move(ingest));
   }
@@ -1162,6 +1163,7 @@ JsonValue MuvedServer::HandleAppend(const JsonValue& request) {
     counters_.ingest_chunks_skipped += ingest.chunks_skipped;
     counters_.csv_parse_ms += appended->csv_parse_ms;
     counters_.catalog_append_ms += appended->catalog_append_ms;
+    counters_.rows_copied += appended->rows_copied;
     counters_.delta_ms += appended->delta_ms;
   }
   response.Set("rows_total", JsonValue::Int(appended->rows_total));

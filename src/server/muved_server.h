@@ -207,6 +207,9 @@ class MuvedServer {
     double csv_parse_ms = 0.0;
     double catalog_append_ms = 0.0;
     double delta_ms = 0.0;
+    // Rows catalog appends moved into new tail stores instead of writing
+    // in place (Catalog::AppendResult::rows_copied).
+    int64_t rows_copied = 0;
   };
   Counters counters() const;
 

@@ -96,6 +96,7 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
   outcome.csv_parse_ms = load_stats.parse_ms;
   outcome.catalog_append_ms = append_timer.ElapsedMillis();
   outcome.rows_appended = static_cast<int64_t>(appended.rows_appended);
+  outcome.rows_copied = static_cast<int64_t>(appended.rows_copied);
 
   // data_epoch-keyed state is stale now; the stores stay, because they
   // are patched below under the preserved base_epoch.

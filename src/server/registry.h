@@ -66,6 +66,9 @@ class Registry {
     double csv_parse_ms = 0.0;
     double catalog_append_ms = 0.0;
     double delta_ms = 0.0;
+    // Rows the catalog append moved into new tail stores
+    // (Catalog::AppendResult::rows_copied).
+    int64_t rows_copied = 0;
     // False when a racing `drop` removed the table between the publish
     // and the patch: nothing was patched and the fields below are unset.
     bool patched = false;

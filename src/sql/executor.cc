@@ -65,7 +65,6 @@ Result<Table> ExecuteProjection(const SelectStatement& stmt,
   }
 
   Table out(out_schema);
-  out.Reserve(rows.size());
   std::vector<Value> row(source_cols.size());
   for (uint32_t r : rows) {
     for (size_t c = 0; c < source_cols.size(); ++c) {
@@ -220,7 +219,6 @@ Result<Table> ExecuteGroupBy(const SelectStatement& stmt, const Table& table,
                  all_keys.end());
 
   Table out(out_schema);
-  out.Reserve(all_keys.size());
   for (const Value& key : all_keys) {
     std::vector<Value> row;
     if (saw_dim) row.push_back(key);
@@ -247,7 +245,6 @@ Result<Table> ApplyHaving(const SelectStatement& stmt, Table result) {
       const RowSet keep,
       storage::Filter(result, stmt.having.get()));
   Table filtered(result.schema());
-  filtered.Reserve(keep.size());
   std::vector<Value> row(result.num_columns());
   for (uint32_t r : keep) {
     for (size_t c = 0; c < result.num_columns(); ++c) {
@@ -272,7 +269,6 @@ Result<Table> ApplyOrderAndLimit(const SelectStatement& stmt, Table result) {
                        return desc ? vb < va : va < vb;
                      });
     Table sorted(result.schema());
-    sorted.Reserve(order.size());
     std::vector<Value> row(result.num_columns());
     for (size_t r : order) {
       for (size_t c = 0; c < result.num_columns(); ++c) {
@@ -286,7 +282,6 @@ Result<Table> ApplyOrderAndLimit(const SelectStatement& stmt, Table result) {
       static_cast<size_t>(*stmt.limit) < result.num_rows()) {
     Table limited(result.schema());
     const size_t n = static_cast<size_t>(*stmt.limit);
-    limited.Reserve(n);
     std::vector<Value> row(result.num_columns());
     for (size_t r = 0; r < n; ++r) {
       for (size_t c = 0; c < result.num_columns(); ++c) {

@@ -66,13 +66,13 @@ common::Result<Catalog::AppendResult> Catalog::Append(const std::string& name,
         "append arity " + std::to_string(rows.num_columns()) +
         " != table arity " + std::to_string(current.num_columns()));
   }
-  // Clone shares every chunk; the column appends below copy-on-write
-  // only the open tail chunk of each column.  A failed batch discards the
-  // private clone — the published version is untouched, making the batch
-  // all-or-nothing.
+  // Clone shares every chunk's store; the column appends below write past
+  // the published row count, which no snapshot reads.  A failed batch
+  // writes nothing and discards the private clone — the published
+  // version is untouched, making the batch all-or-nothing.
   Table next = current.Clone();
-  MUVE_RETURN_IF_ERROR(next.AppendRows(rows));
   AppendResult result;
+  MUVE_ASSIGN_OR_RETURN(result.rows_copied, next.AppendRows(rows));
   result.rows_before = current.num_rows();
   result.rows_appended = rows.num_rows();
   entry->table = std::make_shared<const Table>(std::move(next));

@@ -1,17 +1,15 @@
 // Catalog: named tables with create / drop / append under MVCC snapshots.
 //
 // The catalog owns one entry per table name.  Every entry publishes an
-// immutable snapshot — a shared_ptr<const Table> whose chunks never
-// mutate — so an in-flight Recommend pins the exact chunk list it
-// started with and is never perturbed by concurrent ingest.  Appends
-// build the NEXT version out of the current one: every sealed chunk is
-// shared by pointer and only the open tail chunk is copied before
-// growing (Table::Clone + Column copy-on-write), then the batch is
-// appended column to column (Table::AppendRows).  An append costs
-// O(new rows + one tail chunk), and row ids are stable across versions
-// (append-only).  The tail term is not small: a chunk holds up to 2^20
-// rows by default, so below that size the tail chunk is the whole table
-// and each append copies it.
+// immutable snapshot — a shared_ptr<const Table> whose rows never
+// change — so an in-flight Recommend pins the exact rows it started with
+// and is never perturbed by concurrent ingest.  Appends build the NEXT
+// version out of the current one (Table::Clone, then the batch appended
+// column to column by Table::AppendRows).  The clone shares every
+// chunk's row store; the append writes its new rows in place past the
+// current version's row count, where no snapshot looks (chunk.h,
+// "Versions").  An append costs O(new rows).  Row ids are stable across
+// versions (append-only).
 //
 // Concurrency: a per-entry readers-vs-ingest lock (std::shared_mutex).
 // Readers take it shared just long enough to copy the snapshot pointer;
@@ -60,6 +58,11 @@ class Catalog {
     Snapshot snapshot;  // the post-append version
     size_t rows_before = 0;
     size_t rows_appended = 0;
+    // Existing rows the append moved instead of writing past them: the
+    // open tail chunk's rows, when a fork of the current version had
+    // already written past it (ColumnChunk::Claim).  0 on every append
+    // that follows the catalog's own.
+    size_t rows_copied = 0;
   };
 
   Catalog() = default;

@@ -2,10 +2,10 @@
 //
 // A Column is a sequence of ColumnChunks of one power-of-two capacity.
 // Chunks are the granularity at which
-//   * appended data becomes visible (a catalog append copies only the
-//     open tail chunk; every sealed chunk is shared by pointer between
-//     table versions — O(new rows + one tail chunk) ingest, never a
-//     table rebuild),
+//   * appended data becomes visible (an append writes only its new rows
+//     into the open tail chunk's shared store — see "Versions" below —
+//     and every chunk is shared between table versions: O(new rows)
+//     ingest, never a table rebuild),
 //   * scans skip work (each chunk carries a zone map: min / max over its
 //     non-NULL, non-NaN numeric cells plus a null count, letting
 //     Predicate::FilterInto discard or bulk-accept a whole chunk without
@@ -23,15 +23,37 @@
 //     dictionary can key) drops its dictionary for good and is
 //     "high-cardinality": readers fall back to the cells.
 //
-// Chunks are structurally immutable once full ("sealed"); only a column's
-// open tail chunk ever mutates, and copy-on-write in Column keeps a tail
-// shared across table versions safe to grow.
+// Versions.  A ColumnChunk value is one version of a chunk: a small
+// header (row count, null count, zone map, dictionary sizes, the
+// high-cardinality flag and the partial last validity word) over a
+// shared, append-only tail store holding every row-sized array: cells,
+// string codes, numeric codes, complete validity words and numeric
+// dictionary entries.  Versions of one chunk — a published table, its
+// clones, the writer's next version — share the store and differ only
+// in how much of it they see: a version reads rows [0, size()) and
+// nothing past them.
+//
+// An append writes in place past its version's row count only when that
+// version is the store's newest writer, decided by one atomic claim on
+// the store's committed length.  A version that loses the claim (a
+// second fork of one table) moves its rows once into a store of its own.
+// So no append changes what an existing version sees, and the
+// steady-state append writes only its new rows.  A store holds the whole
+// chunk from the start, so it never regrows: its buffers are allocated
+// uninitialized, and the OS backs only the pages appends touch.
+//
+// The string dictionary and its CodeOf index are dictionary-sized, not
+// row-sized: they are shared between versions and copied on write by the
+// first version that adds a string to one another version still holds.
 
 #ifndef MUVE_STORAGE_CHUNK_H_
 #define MUVE_STORAGE_CHUNK_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -46,7 +68,7 @@ namespace muve::storage {
 // Default rows per chunk.  Power of two so global row ids resolve to
 // (chunk, offset) by shift/mask.  1M rows keeps every current benchmark
 // dataset single-chunk (identical scan order and cache keys as the
-// pre-chunking engine) while bounding the copy-on-append unit at scale.
+// pre-chunking engine).
 inline constexpr size_t kDefaultChunkRows = size_t{1} << 20;
 
 class ColumnChunk {
@@ -64,49 +86,62 @@ class ColumnChunk {
       : type_(type), capacity_(capacity) {}
 
   ValueType type() const { return type_; }
-  size_t size() const { return valid_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
-  bool full() const { return size() >= capacity_; }
+  bool full() const { return size_ >= capacity_; }
 
-  // --- Appends (chunk-local; caller checks !full()) ---
+  // --- Appends ---
+  // Makes room for `n` more rows (size() + n <= capacity()) that no other
+  // version can see: claims them in the shared store when this version is
+  // its newest writer, else moves this version's rows into a new store
+  // and returns how many it moved.  Exactly `n` Append* calls must follow
+  // before the version is copied.
+  size_t Claim(size_t n);
+
+  // Appends one cell into claimed room.
   void AppendInt64(int64_t v) {
-    MUVE_DCHECK(type_ == ValueType::kInt64 && !full());
-    ints_.push_back(v);
-    valid_.PushBack(true);
+    MUVE_DCHECK(type_ == ValueType::kInt64 && Claimed());
+    store_->ints[size_] = v;
     ObserveNumeric(static_cast<double>(v));
+    Commit(true);
   }
   void AppendDouble(double v) {
-    MUVE_DCHECK(type_ == ValueType::kDouble && !full());
-    doubles_.push_back(v);
-    valid_.PushBack(true);
+    MUVE_DCHECK(type_ == ValueType::kDouble && Claimed());
+    store_->doubles[size_] = v;
     ObserveNumeric(v);
+    Commit(true);
   }
   void AppendString(std::string_view v);
   void AppendNull();
 
   // --- Cell access (chunk-local offsets) ---
-  bool IsNull(size_t i) const { return !valid_.Get(i); }
-  int64_t Int64At(size_t i) const { return ints_[i]; }
-  double DoubleAt(size_t i) const { return doubles_[i]; }
-  const std::string& StringAt(size_t i) const { return dict_[codes_[i]]; }
+  bool IsNull(size_t i) const { return !validity().Get(i); }
+  int64_t Int64At(size_t i) const { return store_->ints[i]; }
+  double DoubleAt(size_t i) const { return store_->doubles[i]; }
+  const std::string& StringAt(size_t i) const {
+    return dict_->entries[store_->codes[i]];
+  }
   double NumericAt(size_t i) const {
-    return type_ == ValueType::kInt64 ? static_cast<double>(ints_[i])
-                                      : doubles_[i];
+    return type_ == ValueType::kInt64 ? static_cast<double>(store_->ints[i])
+                                      : store_->doubles[i];
   }
 
-  // --- Raw arrays for scan kernels ---
-  const ValidityBitmap& validity() const { return valid_; }
+  // --- Raw arrays for scan kernels (valid for offsets [0, size())) ---
+  ValidityBitmap validity() const {
+    return ValidityBitmap(store_ ? store_->words.get() : nullptr, last_word_,
+                          size_);
+  }
   const int64_t* int64_data() const {
     MUVE_DCHECK(type_ == ValueType::kInt64);
-    return ints_.data();
+    return store_ ? store_->ints.get() : nullptr;
   }
   const double* double_data() const {
     MUVE_DCHECK(type_ == ValueType::kDouble);
-    return doubles_.data();
+    return store_ ? store_->doubles.get() : nullptr;
   }
   const uint32_t* codes() const {
     MUVE_DCHECK(type_ == ValueType::kString);
-    return codes_.data();
+    return store_ ? store_->codes.get() : nullptr;
   }
 
   // --- Numeric dictionary ---
@@ -118,21 +153,30 @@ class ColumnChunk {
   }
   // Distinct cell values (as doubles, so int64 values that round to one
   // double share an entry, and -0.0 shares 0.0's) in first-appearance
-  // order.  Only meaningful when HasNumericDict().
-  const std::vector<double>& numeric_dict() const { return num_dict_; }
+  // order.  Empty unless HasNumericDict().
+  std::span<const double> numeric_dict() const {
+    if (!HasNumericDict() || store_ == nullptr) return {};
+    return {store_->num_dict.get(), num_dict_size_};
+  }
   // Per-row index into numeric_dict(); NULL rows hold 0 (mask them with
   // validity()).  Only meaningful when HasNumericDict().
-  const uint16_t* numeric_codes() const { return num_codes_.data(); }
+  const uint16_t* numeric_codes() const {
+    return store_ ? store_->num_codes.get() : nullptr;
+  }
 
   // --- String dictionary ---
   // Distinct strings in first-appearance order; rows store indexes into
-  // this vector (kNoCode for NULL rows).
-  const std::vector<std::string>& dict() const { return dict_; }
+  // it (kNoCode for NULL rows).
+  std::span<const std::string> dict() const {
+    if (dict_ == nullptr) return {};
+    return dict_->entries;
+  }
   // Dictionary code of `s` in this chunk, or kNoCode when absent (an
   // equality probe for an absent literal skips the whole chunk).
   uint32_t CodeOf(std::string_view s) const {
-    const auto it = dict_index_.find(s);
-    return it == dict_index_.end() ? kNoCode : it->second;
+    if (dict_ == nullptr) return kNoCode;
+    const auto it = dict_->index.find(s);
+    return it == dict_->index.end() ? kNoCode : it->second;
   }
 
   // --- Zone map ---
@@ -148,30 +192,41 @@ class ColumnChunk {
   // must consult this (a NaN cell satisfies every `!=` comparison).
   bool HasNaN() const { return has_nan_; }
 
+  // Bytes of this version's rows and dictionaries (untouched store
+  // capacity is not counted).
   size_t ApproxBytes() const;
 
  private:
-  // Zone map plus dictionary upkeep for one appended numeric cell.
-  void ObserveNumeric(double v);
-  // Appends `v`'s dictionary code, adding `v` to the dictionary when new;
-  // turns the chunk high-cardinality instead when it would overflow.
-  void CodeNumeric(double v);
-  // Doubles the append index (16 slots at first) and re-inserts every
-  // dictionary entry.
-  void GrowIndex();
-  // Drops the dictionary, codes and index for good.
-  void DropNumericDict();
-  // Frees the append-time hash index once the chunk is full: a sealed
-  // chunk never codes another value.
-  void ReleaseIndexIfFull();
+  // Row-sized storage behind every version of one chunk: buffers of the
+  // chunk's capacity that never move.  Slots past the committed length
+  // belong to no version until one claims them.
+  struct Store {
+    Store(ValueType type, size_t capacity, bool coded);
 
-  ValueType type_;
-  size_t capacity_;
-  ValidityBitmap valid_;
-  std::vector<int64_t> ints_;
-  std::vector<double> doubles_;
-  std::vector<std::string> dict_;
-  std::vector<uint32_t> codes_;
+    // Moves the committed length from `from` to `to` when it is still
+    // `from`: the caller's version is the newest writer, and rows
+    // [from, to) are now its alone.
+    bool Claim(size_t from, size_t to) {
+      return committed.compare_exchange_strong(from, to,
+                                               std::memory_order_acq_rel);
+    }
+
+    std::atomic<size_t> committed{0};
+    std::unique_ptr<int64_t[]> ints;
+    std::unique_ptr<double[]> doubles;
+    std::unique_ptr<uint32_t[]> codes;
+    std::unique_ptr<uint16_t[]> num_codes;
+    std::unique_ptr<double[]> num_dict;
+    // Complete validity words; a word is written once all its 64 rows
+    // are appended, and never again.
+    std::unique_ptr<uint64_t[]> words;
+    // Open-addressing index over num_dict for appends: slot holds
+    // code + 1, 0 = empty.  Power-of-two size, at most a quarter full.
+    // Only the newest writer reads or writes it, so it always indexes
+    // that writer's dictionary.
+    std::vector<uint16_t> num_slots;
+  };
+
   // Transparent hash, so appends look up a string_view without building
   // a std::string first.
   struct StringHash {
@@ -180,20 +235,44 @@ class ColumnChunk {
       return std::hash<std::string_view>{}(s);
     }
   };
-  std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
-      dict_index_;
-  std::vector<double> num_dict_;
-  std::vector<uint16_t> num_codes_;
-  // Open-addressing index over num_dict_ for appends: slot holds code + 1,
-  // 0 = empty.  Power-of-two size, at most a quarter full, grown with the
-  // dictionary (at most 16384 slots).
-  std::vector<uint16_t> num_slots_;
-  bool high_cardinality_ = false;
+  struct StringDict {
+    std::vector<std::string> entries;
+    std::unordered_map<std::string, uint32_t, StringHash, std::equal_to<>>
+        index;
+  };
+
+  // Debug check that the row about to be written was claimed.
+  bool Claimed() const {
+    return store_ != nullptr &&
+           size_ < store_->committed.load(std::memory_order_relaxed);
+  }
+  // Records the validity of the row just written and counts it; stores
+  // the last validity word once it is complete.
+  void Commit(bool valid);
+  // Zone map plus dictionary upkeep for one appended numeric cell.
+  void ObserveNumeric(double v);
+  // Writes `v`'s dictionary code, adding `v` to the dictionary when new;
+  // turns the chunk high-cardinality instead when it would overflow.
+  void CodeNumeric(double v);
+  // Rebuilds the append index at `slots` slots over the dictionary.
+  void BuildIndex(size_t slots);
+  // Stops coding for good: the chunk is high-cardinality.
+  void DropNumericDict();
+
+  ValueType type_;
+  size_t capacity_;
+  size_t size_ = 0;
   size_t null_count_ = 0;
+  size_t num_dict_size_ = 0;
+  // Validity bits of rows [64 * (size_ / 64), size_).
+  uint64_t last_word_ = 0;
+  bool high_cardinality_ = false;
   bool has_range_ = false;
   bool has_nan_ = false;
   double min_ = 0.0;
   double max_ = 0.0;
+  std::shared_ptr<Store> store_;
+  std::shared_ptr<StringDict> dict_;
 };
 
 }  // namespace muve::storage

@@ -17,8 +17,8 @@ uint32_t ShiftFor(size_t chunk_rows) {
   return shift;
 }
 
-// Appends cells [begin, end) of `from` to `to`, which has room for them,
-// converting per Column::AppendValue.  Every non-NULL cell must fit.
+// Appends cells [begin, end) of `from` to `to`, which has claimed room
+// for them, converting per Column::AppendValue.  Every non-NULL cell must fit.
 void AppendChunkRange(const ColumnChunk& from, size_t begin, size_t end,
                       ColumnChunk* to) {
   if (from.type() == ValueType::kString) {
@@ -53,40 +53,36 @@ Column::Column(ValueType type, size_t chunk_rows)
       shift_(ShiftFor(chunk_rows)),
       mask_(static_cast<uint32_t>(chunk_rows - 1)) {}
 
-ColumnChunk* Column::MutableTail() {
-  if (chunks_.empty() || chunks_.back()->full()) {
-    chunks_.push_back(std::make_shared<ColumnChunk>(type_, chunk_rows_));
-  } else if (chunks_.back().use_count() > 1) {
-    // The tail is visible through another Column copy (or pinned by a
-    // reader snapshot): growing it in place would leak rows into that
-    // view.  Copy-on-write bounds the cost at one chunk.
-    chunks_.back() = std::make_shared<ColumnChunk>(*chunks_.back());
+ColumnChunk& Column::OpenTail() {
+  if (chunks_.empty() || chunks_.back().full()) {
+    chunks_.emplace_back(type_, chunk_rows_);
   }
-  return chunks_.back().get();
+  return chunks_.back();
+}
+
+ColumnChunk* Column::ClaimOne() {
+  ColumnChunk& tail = OpenTail();
+  tail.Claim(1);
+  ++size_;
+  return &tail;
 }
 
 void Column::AppendInt64(int64_t v) {
   MUVE_DCHECK(type_ == ValueType::kInt64);
-  MutableTail()->AppendInt64(v);
-  ++size_;
+  ClaimOne()->AppendInt64(v);
 }
 
 void Column::AppendDouble(double v) {
   MUVE_DCHECK(type_ == ValueType::kDouble);
-  MutableTail()->AppendDouble(v);
-  ++size_;
+  ClaimOne()->AppendDouble(v);
 }
 
 void Column::AppendString(std::string_view v) {
   MUVE_DCHECK(type_ == ValueType::kString);
-  MutableTail()->AppendString(v);
-  ++size_;
+  ClaimOne()->AppendString(v);
 }
 
-void Column::AppendNull() {
-  MutableTail()->AppendNull();
-  ++size_;
-}
+void Column::AppendNull() { ClaimOne()->AppendNull(); }
 
 common::Status Column::AppendValue(const Value& v) {
   if (v.is_null()) {
@@ -150,25 +146,27 @@ size_t Column::FirstMismatch(const Column& src) const {
   return src.size();
 }
 
-void Column::AppendColumn(const Column& src) {
+size_t Column::AppendColumn(const Column& src) {
+  size_t moved = 0;
   for (size_t c = 0; c < src.num_chunks(); ++c) {
     const ColumnChunk& from = src.chunk(c);
     for (size_t i = 0; i < from.size();) {
-      ColumnChunk* tail = MutableTail();
-      const size_t n =
-          std::min(from.size() - i, tail->capacity() - tail->size());
-      AppendChunkRange(from, i, i + n, tail);
+      ColumnChunk& tail = OpenTail();
+      const size_t n = std::min(from.size() - i, tail.capacity() - tail.size());
+      moved += tail.Claim(n);
+      AppendChunkRange(from, i, i + n, &tail);
       i += n;
       size_ += n;
     }
   }
+  return moved;
 }
 
 double Column::NumericAt(size_t row) const {
   switch (type_) {
     case ValueType::kInt64:
     case ValueType::kDouble:
-      return chunks_[row >> shift_]->NumericAt(row & mask_);
+      return chunks_[row >> shift_].NumericAt(row & mask_);
     default:
       MUVE_CHECK(false) << "NumericAt on non-numeric column";
       return 0.0;
@@ -177,7 +175,7 @@ double Column::NumericAt(size_t row) const {
 
 Value Column::ValueAt(size_t row) const {
   MUVE_DCHECK(row < size_);
-  const ColumnChunk& c = *chunks_[row >> shift_];
+  const ColumnChunk& c = chunks_[row >> shift_];
   const size_t i = row & mask_;
   if (c.IsNull(i)) return Value::Null();
   switch (type_) {
@@ -200,10 +198,10 @@ common::Result<double> Column::NumericMin() const {
   bool found = false;
   bool any_nan = false;
   double best = 0.0;
-  for (const auto& c : chunks_) {
-    any_nan = any_nan || c->HasNaN();
-    if (!c->HasRange()) continue;
-    const double v = c->min();
+  for (const ColumnChunk& c : chunks_) {
+    any_nan = any_nan || c.HasNaN();
+    if (!c.HasRange()) continue;
+    const double v = c.min();
     if (!found || v < best) {
       best = v;
       found = true;
@@ -222,10 +220,10 @@ common::Result<double> Column::NumericMax() const {
   bool found = false;
   bool any_nan = false;
   double best = 0.0;
-  for (const auto& c : chunks_) {
-    any_nan = any_nan || c->HasNaN();
-    if (!c->HasRange()) continue;
-    const double v = c->max();
+  for (const ColumnChunk& c : chunks_) {
+    any_nan = any_nan || c.HasNaN();
+    if (!c.HasRange()) continue;
+    const double v = c.max();
     if (!found || v > best) {
       best = v;
       found = true;
@@ -249,7 +247,7 @@ bool Column::MergeNumericDicts(size_t first_chunk, size_t last_chunk,
   std::vector<Entry> entries;
   out->remap_begin.assign(last_chunk, 0);
   for (size_t c = first_chunk; c < last_chunk; ++c) {
-    const ColumnChunk& chunk = *chunks_[c];
+    const ColumnChunk& chunk = chunks_[c];
     if (!chunk.HasNumericDict()) {
       out->remap_begin.clear();
       return false;
@@ -272,31 +270,22 @@ bool Column::MergeNumericDicts(size_t first_chunk, size_t last_chunk,
   return true;
 }
 
-void Column::Reserve(size_t n) {
-  // Chunks allocate lazily with geometric growth; a reserve hint only
-  // needs to pre-create nothing — it is kept as a no-op beyond validating
-  // the argument shape, since per-chunk arrays are bounded at chunk_rows_
-  // and bulk loads amortize growth across at most log(chunk_rows_)
-  // reallocations per chunk.
-  (void)n;
-}
-
 bool Column::AllValid() const {
-  for (const auto& c : chunks_) {
-    if (c->null_count() != 0) return false;
+  for (const ColumnChunk& c : chunks_) {
+    if (c.null_count() != 0) return false;
   }
   return true;
 }
 
 size_t Column::null_count() const {
   size_t n = 0;
-  for (const auto& c : chunks_) n += c->null_count();
+  for (const ColumnChunk& c : chunks_) n += c.null_count();
   return n;
 }
 
 size_t Column::ApproxBytes() const {
   size_t bytes = sizeof(Column);
-  for (const auto& c : chunks_) bytes += c->ApproxBytes();
+  for (const ColumnChunk& c : chunks_) bytes += c.ApproxBytes();
   return bytes;
 }
 

@@ -7,10 +7,12 @@
 // boundary (SQL results, CSV, tests).
 //
 // Chunk capacity is a power of two, so a global row id resolves to its
-// (chunk, offset) pair by shift/mask.  Sealed (full) chunks are shared by
-// shared_ptr between column copies — Column's copy constructor is O(chunks),
-// not O(rows) — and the open tail chunk copy-on-writes on the first append
-// after a copy, so growing one copy never mutates data the other can see.
+// (chunk, offset) pair by shift/mask.  A Column holds one version header
+// per chunk over the chunks' shared row stores, so its copy constructor
+// is O(chunks), not O(rows), and growing one copy never changes what the
+// other sees: an append writes in place only past rows no other version
+// holds, and otherwise moves the open tail chunk into a store of its own
+// once (ColumnChunk::Claim).
 //
 // Bulk ingest appends column to column (AppendColumn): it walks the
 // source's chunks and converts per AppendValue's rules; no Value is built
@@ -20,7 +22,6 @@
 #define MUVE_STORAGE_COLUMN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -49,8 +50,8 @@ class Column {
   // `chunk_rows` must be a power of two (checked).
   explicit Column(ValueType type, size_t chunk_rows = kDefaultChunkRows);
 
-  // Copies share every chunk; the first append to either side deep-copies
-  // the (partial) tail chunk it is about to grow.
+  // Copies share every chunk's store; see the file comment for how an
+  // append to either side stays invisible to the other.
   Column(const Column&) = default;
   Column& operator=(const Column&) = default;
   Column(Column&&) = default;
@@ -70,27 +71,29 @@ class Column {
   // Column-to-column append under AppendValue's rules.  FirstMismatch is
   // the row of the first cell of `src` this column cannot store
   // (src.size() when every cell fits); AppendColumn requires there is
-  // none.  NULL cells always fit.
+  // none.  NULL cells always fit.  AppendColumn returns the existing rows
+  // it moved into a new tail store (ColumnChunk::Claim): 0 unless another
+  // copy of this column already wrote past it.
   size_t FirstMismatch(const Column& src) const;
-  void AppendColumn(const Column& src);
+  size_t AppendColumn(const Column& src);
 
   bool IsNull(size_t row) const {
-    return chunks_[row >> shift_]->IsNull(row & mask_);
+    return chunks_[row >> shift_].IsNull(row & mask_);
   }
 
   // Typed fast-path accessors.  Undefined for null cells or wrong types
   // (checked in debug builds).
   int64_t Int64At(size_t row) const {
     MUVE_DCHECK(type_ == ValueType::kInt64 && row < size_);
-    return chunks_[row >> shift_]->Int64At(row & mask_);
+    return chunks_[row >> shift_].Int64At(row & mask_);
   }
   double DoubleAt(size_t row) const {
     MUVE_DCHECK(type_ == ValueType::kDouble && row < size_);
-    return chunks_[row >> shift_]->DoubleAt(row & mask_);
+    return chunks_[row >> shift_].DoubleAt(row & mask_);
   }
   const std::string& StringAt(size_t row) const {
     MUVE_DCHECK(type_ == ValueType::kString && row < size_);
-    return chunks_[row >> shift_]->StringAt(row & mask_);
+    return chunks_[row >> shift_].StringAt(row & mask_);
   }
 
   // Numeric read regardless of int64/double storage; aborts for strings.
@@ -114,11 +117,9 @@ class Column {
   bool MergeNumericDicts(size_t first_chunk, size_t last_chunk,
                          MergedNumericDict* out) const;
 
-  void Reserve(size_t n);
-
   // --- Chunk access for scan kernels ---
   size_t num_chunks() const { return chunks_.size(); }
-  const ColumnChunk& chunk(size_t i) const { return *chunks_[i]; }
+  const ColumnChunk& chunk(size_t i) const { return chunks_[i]; }
   size_t chunk_rows() const { return chunk_rows_; }
   // Global row id -> (chunk index, chunk-local offset).
   uint32_t chunk_shift() const { return shift_; }
@@ -130,16 +131,17 @@ class Column {
   size_t ApproxBytes() const;
 
  private:
-  // Returns the open tail chunk, creating or copy-on-writing it so the
-  // append below cannot be observed through any shared copy.
-  ColumnChunk* MutableTail();
+  // The open tail chunk, created when the last one is full.
+  ColumnChunk& OpenTail();
+  // The open tail chunk with one claimed row (ColumnChunk::Claim).
+  ColumnChunk* ClaimOne();
 
   ValueType type_;
   size_t chunk_rows_;
   uint32_t shift_ = 0;
   uint32_t mask_ = 0;
   size_t size_ = 0;
-  std::vector<std::shared_ptr<ColumnChunk>> chunks_;
+  std::vector<ColumnChunk> chunks_;
 };
 
 }  // namespace muve::storage

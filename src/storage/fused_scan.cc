@@ -46,7 +46,7 @@ void GatherValuesRun(const ColumnChunk& chunk, const T* data,
     }
     return;
   }
-  const ValidityBitmap& valid = chunk.validity();
+  const ValidityBitmap valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
     const uint32_t i = rows[p] & mask;
     if (valid.Get(i)) out->push_back(static_cast<double>(data[i]));
@@ -101,7 +101,7 @@ void RemapKeysRun(const ColumnChunk& chunk, const uint32_t* remap,
     }
     return;
   }
-  const ValidityBitmap& valid = chunk.validity();
+  const ValidityBitmap valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
     const uint32_t i = rows[p] & mask;
     keys[p] = valid.Get(i) ? remap[codes[i]] : kNullKey;
@@ -115,7 +115,7 @@ void SearchKeysRun(const ColumnChunk& chunk, const T* data,
                    const std::vector<double>& dict, const RowSet& rows,
                    size_t begin, size_t end, uint32_t mask, uint32_t* keys) {
   const bool all_valid = chunk.AllValid();
-  const ValidityBitmap& valid = chunk.validity();
+  const ValidityBitmap valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
     const uint32_t i = rows[p] & mask;
     if (!all_valid && !valid.Get(i)) {
@@ -160,16 +160,13 @@ void AccumulateRun(const ColumnChunk& chunk, const T* data,
                    const uint32_t* local, size_t begin, size_t end,
                    const uint32_t* keys, int64_t* counts, double* sums,
                    double* sum_sqs) {
-  const uint64_t* validity_words =
-      chunk.AllValid() ? nullptr : chunk.validity().words();
+  const bool all_valid = chunk.AllValid();
+  const ValidityBitmap valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
     const uint32_t k = keys[p];
     if (k == kNullKey) continue;  // NULL dimension cell
     const uint32_t row = local[p];
-    if (validity_words != nullptr &&
-        ((validity_words[row >> 6] >> (row & 63)) & 1u) == 0) {
-      continue;  // NULL measure cell
-    }
+    if (!all_valid && !valid.Get(row)) continue;  // NULL measure cell
     const double m = static_cast<double>(data[row]);
     ++counts[k];
     sums[k] += m;

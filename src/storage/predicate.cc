@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "storage/chunk.h"
@@ -99,7 +100,7 @@ void ScanChunkRun(const ColumnChunk& chunk, const T* data, const RowSet& rows,
     }
     return;
   }
-  const ValidityBitmap& valid = chunk.validity();
+  const ValidityBitmap valid = chunk.validity();
   for (size_t p = begin; p < end; ++p) {
     const uint32_t row = rows[p];
     const uint32_t i = row & mask;
@@ -191,7 +192,7 @@ struct DictMatch {
 
 template <typename MatchFn>
 DictMatch BuildDictMatch(const ColumnChunk& chunk, MatchFn match) {
-  const std::vector<std::string>& dict = chunk.dict();
+  const std::span<const std::string> dict = chunk.dict();
   DictMatch out;
   out.table.resize(dict.size());
   for (size_t i = 0; i < dict.size(); ++i) {
@@ -732,7 +733,7 @@ class IsNullPredicate final : public Predicate {
             }
             return;
           }
-          const ValidityBitmap& valid = chunk.validity();
+          const ValidityBitmap valid = chunk.validity();
           for (size_t p = begin; p < end; ++p) {
             const uint32_t row = candidates[p];
             if (valid.Get(row & mask) == want_valid) out->push_back(row);

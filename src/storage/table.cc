@@ -55,7 +55,7 @@ common::Status Table::AppendRow(const std::vector<Value>& values) {
   return common::Status::OK();
 }
 
-common::Status Table::AppendRows(const Table& rows) {
+common::Result<size_t> Table::AppendRows(const Table& rows) {
   MUVE_DCHECK(rows.num_columns() == columns_.size());
   // The cell AppendRow would have hit first: lowest row, then column.
   size_t bad_row = rows.num_rows();
@@ -70,11 +70,12 @@ common::Status Table::AppendRows(const Table& rows) {
   if (bad_row < rows.num_rows()) {
     return MismatchError(bad_col, rows.column(bad_col).type());
   }
+  size_t moved = 0;
   for (size_t c = 0; c < columns_.size(); ++c) {
-    columns_[c]->AppendColumn(rows.column(c));
+    moved = std::max(moved, columns_[c]->AppendColumn(rows.column(c)));
   }
   num_rows_ += rows.num_rows();
-  return common::Status::OK();
+  return moved;
 }
 
 common::Status Table::MismatchError(size_t col, ValueType got) const {
@@ -102,16 +103,12 @@ Table Table::FromColumns(Schema schema, std::vector<Column> columns) {
   return table;
 }
 
-void Table::Reserve(size_t n) {
-  for (auto& c : columns_) c->Reserve(n);
-}
-
 Table Table::Clone() const {
   Table copy(schema_, chunk_rows_);
   copy.columns_.clear();
   for (const auto& col : columns_) {
-    // Column's copy constructor shares chunks; appends copy-on-write the
-    // tail, so neither side can observe the other's growth.
+    // Column's copy constructor shares the chunk stores; neither side
+    // can observe the other's growth.
     copy.columns_.push_back(std::make_unique<Column>(*col));
   }
   copy.num_rows_ = num_rows_;

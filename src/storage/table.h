@@ -45,10 +45,12 @@ class Table {
   common::Status AppendRow(const std::vector<Value>& values);
 
   // Appends every row of `rows`, which has this table's arity, column by
-  // column (Column::AppendColumn).  Same result and same error as AppendRow over each row in turn: the
-  // first cell in row-major order that does not fit fails the call, and
-  // the table is left unchanged.
-  common::Status AppendRows(const Table& rows);
+  // column (Column::AppendColumn).  Same result and same error as
+  // AppendRow over each row in turn: the first cell in row-major order
+  // that does not fit fails the call, and the table is left unchanged.
+  // Returns the existing rows moved into new tail stores
+  // (Column::AppendColumn; the columns move in step).
+  common::Result<size_t> AppendRows(const Table& rows);
 
   // A table over already-built columns, one per schema field in order, of
   // the field's type, equal length and equal chunk_rows (checked).
@@ -57,12 +59,11 @@ class Table {
   // Cell access via Value (allocates for strings).
   Value At(size_t row, size_t col) const { return columns_[col]->ValueAt(row); }
 
-  void Reserve(size_t n);
-
-  // Copy sharing every sealed chunk with the original: O(chunks), not
-  // O(rows).  The open tail chunk copy-on-writes on the first append to
-  // either side, so growing the clone never mutates data visible through
-  // the original (the mechanism behind the catalog's copy-on-write append).
+  // Copy sharing every chunk's store with the original: O(chunks), not
+  // O(rows).  Growing either side never changes what the other sees: an
+  // append writes in place only past rows no other version holds
+  // (ColumnChunk::Claim), which is how the catalog builds each next
+  // version out of the current one.
   Table Clone() const;
 
   // Rows per column chunk (uniform across columns).

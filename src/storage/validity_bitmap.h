@@ -1,22 +1,22 @@
-// Word-addressable validity bitmap.
+// Read view of one chunk version's validity bits.
 //
-// Replaces the `std::vector<bool>` null mask previously embedded in
-// Column.  The layout is the conventional columnar one (Arrow-style):
-// bit i of word i/64 is 1 when cell i is valid (non-NULL), with bit
-// index i%64 counted from the least-significant bit.  Tail bits past
-// size() are kept at 0 so word-level operations (population counts,
-// null-skip in scan kernels) never need per-call masking.
+// The layout is the conventional columnar one (Arrow-style): bit i of
+// word i/64 is 1 when cell i is valid (non-NULL), with bit index i%64
+// counted from the least-significant bit.
 //
-// Why not std::vector<bool>: proxy references defeat vectorization and
-// make word-at-a-time access (the fast path of the fused scan engine's
-// null-skip and of CountValid) impossible without bit-by-bit loops.
+// A chunk's complete words live in its shared tail store
+// (storage/chunk.h) and never change once written; the partial last
+// word is private to each version, so a writer appending to the same
+// store never touches a word a reader of an older version can see.  The
+// view stitches the two together: Word(w) reads the store for complete
+// words and the version's own copy for the last one, whose bits at
+// positions >= size() are 0.
 
 #ifndef MUVE_STORAGE_VALIDITY_BITMAP_H_
 #define MUVE_STORAGE_VALIDITY_BITMAP_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.h"
 
@@ -24,76 +24,30 @@ namespace muve::storage {
 
 class ValidityBitmap {
  public:
-  ValidityBitmap() = default;
+  // `words` holds at least size / 64 complete words; `last_word` holds
+  // the bits of rows [64 * (size / 64), size).
+  ValidityBitmap(const uint64_t* words, uint64_t last_word, size_t size)
+      : words_(words), last_word_(last_word), size_(size) {}
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  size_t num_words() const { return (size_ + 63) >> 6; }
 
   // True when cell `i` is valid (non-NULL).
   bool Get(size_t i) const {
     MUVE_DCHECK(i < size_);
-    return (words_[i >> 6] >> (i & 63)) & 1u;
+    return (Word(i >> 6) >> (i & 63)) & 1u;
   }
 
-  void PushBack(bool valid) {
-    const size_t word = size_ >> 6;
-    if (word == words_.size()) words_.push_back(0);
-    if (valid) words_[word] |= uint64_t{1} << (size_ & 63);
-    ++size_;
-  }
-
-  void Set(size_t i, bool valid) {
-    MUVE_DCHECK(i < size_);
-    const uint64_t mask = uint64_t{1} << (i & 63);
-    if (valid) {
-      words_[i >> 6] |= mask;
-    } else {
-      words_[i >> 6] &= ~mask;
-    }
-  }
-
-  void Reserve(size_t n) { words_.reserve((n + 63) >> 6); }
-
-  void Clear() {
-    words_.clear();
-    size_ = 0;
-  }
-
-  // Number of set (valid) bits.  O(words): tail bits are invariantly 0.
-  size_t CountValid() const {
-    size_t n = 0;
-    for (const uint64_t w : words_) n += Popcount(w);
-    return n;
-  }
-
-  size_t CountNull() const { return size_ - CountValid(); }
-
-  // True when every cell is valid — lets scan kernels skip the per-row
-  // null test entirely (the common case: most benchmark columns have no
-  // NULLs at all).
-  bool AllValid() const { return CountValid() == size_; }
-
-  // Raw word access for word-at-a-time kernels.  The final word's bits
-  // at positions >= size() % 64 are guaranteed 0.
-  const uint64_t* words() const { return words_.data(); }
-  size_t num_words() const { return words_.size(); }
-
-  static size_t Popcount(uint64_t w) {
-#if defined(__GNUC__) || defined(__clang__)
-    return static_cast<size_t>(__builtin_popcountll(w));
-#else
-    size_t n = 0;
-    while (w != 0) {
-      w &= w - 1;
-      ++n;
-    }
-    return n;
-#endif
+  // Bits of cells [64 w, 64 w + 64) for word-at-a-time kernels.
+  uint64_t Word(size_t w) const {
+    MUVE_DCHECK(w < num_words());
+    return w < (size_ >> 6) ? words_[w] : last_word_;
   }
 
  private:
-  std::vector<uint64_t> words_;
-  size_t size_ = 0;
+  const uint64_t* words_;
+  uint64_t last_word_;
+  size_t size_;
 };
 
 }  // namespace muve::storage

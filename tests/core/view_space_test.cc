@@ -210,8 +210,9 @@ void ExpectDimensionInfoMatchesOracle(
 }
 
 // Tables built by appends that cross chunk boundaries, then grown on
-// both sides of a Clone() — the two copies share the open tail chunk, so
-// each side's first append copy-on-writes it.  With 8192-row chunks, hc's
+// both sides of a Clone() — the two copies share the open tail chunk's
+// store, so the first side appends in place and the other moves its rows
+// to a store of its own.  With 8192-row chunks, hc's
 // first chunk crosses the dictionary cap mid-append while its second
 // chunk stays coded.
 TEST(DimensionInfoTest, FuzzedTablesMatchRowReadingOracle) {

@@ -1121,7 +1121,8 @@ TEST_F(MuvedIntegrationTest, CreateBindsItsDefaultPredicate) {
 }
 
 // stats.ingest splits ingest time three ways — CSV parsing (create and
-// append), catalog publish and delta patching (append) — cumulatively.
+// append), catalog publish and delta patching (append) — cumulatively,
+// and counts the rows appends moved into new tail stores.
 TEST_F(MuvedIntegrationTest, StatsOpReportsIngestSplit) {
   StartServer();
   const int fd = Dial();
@@ -1171,6 +1172,8 @@ TEST_F(MuvedIntegrationTest, StatsOpReportsIngestSplit) {
   const double patched = ingest_ms("delta_ms");
   EXPECT_GT(published, 0.0);
   EXPECT_GT(patched, 0.0);
+  // The created table's chunk store has room: the append wrote in place.
+  EXPECT_EQ(ingest_ms("rows_copied"), 0.0);
 
   // A failed append adds nothing.
   append.Set("csv", JsonValue::String("day,x,m\n1,2,oops\n"));

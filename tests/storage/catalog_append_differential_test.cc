@@ -8,9 +8,13 @@
 // other types that coerce (int64 into double, integral doubles into
 // int64) or do not.  Every append must publish exactly the table the row
 // loop builds — cells, zone maps, dictionaries and codes — or fail with
-// the same error, publishing nothing.  Every snapshot taken along the way
-// must still equal its version at the end (copy-on-write isolation).
-// MUVE_FUZZ_SEED reseeds the run (tests/fuzz_util.h).
+// the same error, publishing nothing.  Between appends, Clone forks of
+// random earlier versions append batches of their own — before the
+// catalog's append (the fork takes the shared tail store's claim, so the
+// catalog must copy) or after it (the fork copies).  Every snapshot
+// taken along the way and every fork must still equal its version at the
+// end (tail-store isolation).  MUVE_FUZZ_SEED reseeds the run
+// (tests/fuzz_util.h).
 
 #include <gtest/gtest.h>
 
@@ -133,6 +137,30 @@ struct Version {
   std::shared_ptr<const Table> expected;
 };
 
+struct Fork {
+  Table table;
+  std::shared_ptr<const Table> expected;
+};
+
+// Clones a random pinned version and appends a good batch to the clone.
+void AppendToFork(common::Rng& rng, const std::vector<Version>& versions,
+                  size_t max_rows, size_t batch_chunk_rows,
+                  std::vector<Fork>* forks) {
+  const Version& from = versions[static_cast<size_t>(
+      rng.UniformInt(0, static_cast<int64_t>(versions.size()) - 1))];
+  const Table batch =
+      MakeBatch(rng, TableSchema(),
+                static_cast<size_t>(rng.UniformInt(1, max_rows)),
+                batch_chunk_rows, false);
+  auto want = RowWiseAppend(*from.expected, batch);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  Table fork = from.snapshot.table->Clone();
+  ASSERT_TRUE(fork.AppendRows(batch).ok());
+  testutil::ExpectSameTable(fork, *want);
+  forks->push_back(
+      {std::move(fork), std::make_shared<const Table>(std::move(*want))});
+}
+
 void RunCase(common::Rng& rng) {
   // Big cases put > kMaxNumericDictSize distinct values in one chunk.
   const bool big = Chance(rng, 10);
@@ -156,12 +184,17 @@ void RunCase(common::Rng& rng) {
   ASSERT_TRUE(catalog.Create("t", std::move(initial)).ok());
 
   std::vector<Version> versions;
+  std::vector<Fork> forks;
   const int batches = static_cast<int>(rng.UniformInt(1, 6));
   for (int b = 0; b < batches; ++b) {
     SCOPED_TRACE("batch " + std::to_string(b));
     auto before = catalog.Get("t");
     ASSERT_TRUE(before.ok());
     versions.push_back({*before, expected});
+    if (Chance(rng, 30)) {
+      AppendToFork(rng, versions, max_rows, batch_chunk_rows, &forks);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
 
     const bool bad = Chance(rng, 25);
     Table batch = Chance(rng, 2)
@@ -192,12 +225,22 @@ void RunCase(common::Rng& rng) {
     expected = std::make_shared<const Table>(std::move(*want));
     testutil::ExpectSameTable(*got->snapshot.table, *expected);
     if (::testing::Test::HasFatalFailure()) return;
+    if (Chance(rng, 30)) {
+      versions.push_back({got->snapshot, expected});
+      AppendToFork(rng, versions, max_rows, batch_chunk_rows, &forks);
+      versions.pop_back();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
   }
-  // Later appends left every earlier snapshot as it was.
+  // Later appends left every earlier snapshot and every fork as it was.
   for (size_t v = 0; v < versions.size(); ++v) {
     SCOPED_TRACE("snapshot " + std::to_string(v));
     testutil::ExpectSameTable(*versions[v].snapshot.table,
                               *versions[v].expected);
+  }
+  for (size_t f = 0; f < forks.size(); ++f) {
+    SCOPED_TRACE("fork " + std::to_string(f));
+    testutil::ExpectSameTable(forks[f].table, *forks[f].expected);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "pinned_versions.h"
 #include "storage/schema.h"
 #include "storage/table.h"
 #include "storage/value.h"
@@ -117,6 +118,55 @@ TEST(CatalogTest, AppendIsAllOrNothing) {
   EXPECT_EQ(snap->data_epoch, 1u);
 }
 
+// A type-mismatch batch writes nothing, so the good batch after it still
+// appends in place — and neither touches the version published before
+// them.
+TEST(CatalogTest, FailedBatchThenGoodBatchLeaveThePublishedVersion) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Create("t", MakeRows(0, 10)).ok());
+  auto pinned = catalog.Get("t");
+  ASSERT_TRUE(pinned.ok());
+  const testutil::TableImage image = testutil::ImageOf(*pinned->table);
+
+  Table bad_cells(Schema({Field("id", ValueType::kInt64, FieldRole::kNone),
+                          Field("v", ValueType::kDouble, FieldRole::kNone)}),
+                  8);
+  ASSERT_TRUE(bad_cells.AppendRow({Value(int64_t{10}), Value(0.5)}).ok());
+  EXPECT_EQ(catalog.Append("t", bad_cells).status().code(),
+            common::StatusCode::kTypeMismatch);
+
+  auto good = catalog.Append("t", MakeRows(10, 13));
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good->rows_copied, 0u);
+  EXPECT_EQ(testutil::ImageOf(*pinned->table), image);
+  const Table& table = *good->snapshot.table;
+  ASSERT_EQ(table.num_rows(), 13u);
+  for (size_t i = 0; i < 13; ++i) {
+    EXPECT_EQ(table.At(i, 0).AsInt64(), static_cast<int64_t>(i));
+    EXPECT_EQ(table.At(i, 1).AsInt64(), static_cast<int64_t>(2 * i));
+  }
+}
+
+// Readers pin snapshots and re-read them through the raw chunk arrays
+// while the writer appends batches with NULLs mid-word, new strings, a
+// numeric dictionary overflow and chunk crossings (pinned_versions.h).
+// Every append writes in place: no row is ever moved.
+TEST(CatalogTest, PinnedSnapshotsReadTheSameUnderAppends) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog.Create("t", testutil::MixedRows(0, 100)).ok());
+  auto initial = catalog.Get("t");
+  ASSERT_TRUE(initial.ok());
+  size_t copied = 0;
+  testutil::RunPinnedReaders(
+      initial->table, 24, [&](size_t begin, size_t end) {
+        auto appended = catalog.Append("t", testutil::MixedRows(begin, end));
+        EXPECT_TRUE(appended.ok());
+        copied += appended->rows_copied;
+        return appended->snapshot.table;
+      });
+  EXPECT_EQ(copied, 0u);
+}
+
 TEST(CatalogTest, RecreateAfterDropGetsFreshBaseEpoch) {
   Catalog catalog;
   ASSERT_TRUE(catalog.Create("t", MakeRows(0, 4)).ok());
@@ -149,7 +199,7 @@ TEST(CatalogTest, InvalidateBumpsBothEpochs) {
 // Readers snapshot while a writer appends: every snapshot must be a
 // consistent prefix — id column equal to the row index everywhere, and
 // the value sum matching the closed form for its row count.  Exercises
-// the copy-on-write tail chunk under real concurrency (TSan-sensitive).
+// the shared tail store under real concurrency (TSan-sensitive).
 TEST(CatalogTest, ConcurrentReadersSeeConsistentSnapshots) {
   constexpr size_t kBatch = 7;       // deliberately not the chunk size
   constexpr size_t kAppends = 40;

@@ -4,6 +4,13 @@
 
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <span>
+#include <vector>
+
+#include "pinned_versions.h"
+#include "table_equality.h"
 
 namespace muve::storage {
 namespace {
@@ -86,6 +93,11 @@ TEST(ColumnTest, StringStorage) {
   EXPECT_EQ(col.ValueAt(0), Value("alpha"));
 }
 
+std::vector<double> DictOf(const ColumnChunk& chunk) {
+  const std::span<const double> dict = chunk.numeric_dict();
+  return {dict.begin(), dict.end()};
+}
+
 // Every non-NULL cell of every chunk decodes to its own value.
 void ExpectCodesDecode(const Column& col) {
   for (size_t row = 0; row < col.size(); ++row) {
@@ -111,7 +123,7 @@ TEST(NumericDictTest, CodesEveryCellAcrossChunks) {
   ASSERT_EQ(col.num_chunks(), 4u);
   ExpectCodesDecode(col);
   // First-appearance order within a chunk: rows 0..7 hold 0,1,2,NULL,4,0,1,2.
-  EXPECT_EQ(col.chunk(0).numeric_dict(), (std::vector<double>{0, 1, 2, 4}));
+  EXPECT_EQ(DictOf(col.chunk(0)), (std::vector<double>{0, 1, 2, 4}));
 }
 
 TEST(NumericDictTest, NegativeZeroSharesZerosEntry) {
@@ -139,7 +151,7 @@ TEST(NumericDictTest, ChunkCrossingTheCapDropsItsDictionary) {
   // The next chunk starts a fresh dictionary.
   for (size_t r = col.size(); r < 2 * cap + 2; ++r) col.AppendInt64(5);
   EXPECT_TRUE(col.chunk(1).HasNumericDict());
-  EXPECT_EQ(col.chunk(1).numeric_dict(), (std::vector<double>{5}));
+  EXPECT_EQ(DictOf(col.chunk(1)), (std::vector<double>{5}));
 }
 
 TEST(NumericDictTest, NaNDropsTheDictionary) {
@@ -157,17 +169,24 @@ TEST(NumericDictTest, StringColumnsHaveNoNumericDictionary) {
   EXPECT_FALSE(col.MergeNumericDicts(0, 1, &merged));
 }
 
+Column Doubles(std::initializer_list<double> values) {
+  Column col(ValueType::kDouble, /*chunk_rows=*/8);
+  for (const double v : values) col.AppendDouble(v);
+  return col;
+}
+
+// Two versions of one open tail chunk: the newest writer appends in
+// place; the other lost the claim and moves its rows, dictionary
+// included, into a store of its own.
 TEST(NumericDictTest, CopyOnWriteTailCarriesTheDictionary) {
-  Column original(ValueType::kDouble, /*chunk_rows=*/8);
-  for (const double v : {2.0, 1.0, 2.0}) original.AppendDouble(v);
-  Column copy = original;  // shares the open tail chunk
-  copy.AppendDouble(3.0);
-  copy.AppendDouble(1.0);
-  original.AppendDouble(9.0);
-  EXPECT_EQ(original.chunk(0).numeric_dict(),
-            (std::vector<double>{2.0, 1.0, 9.0}));
-  EXPECT_EQ(copy.chunk(0).numeric_dict(),
-            (std::vector<double>{2.0, 1.0, 3.0}));
+  Column original = Doubles({2.0, 1.0, 2.0});
+  Column copy = original;  // shares the open tail chunk's store
+  EXPECT_EQ(copy.AppendColumn(Doubles({3.0, 1.0})), 0u);
+  EXPECT_EQ(copy.chunk(0).double_data(), original.chunk(0).double_data());
+  EXPECT_EQ(original.AppendColumn(Doubles({9.0})), 3u);
+  EXPECT_NE(original.chunk(0).double_data(), copy.chunk(0).double_data());
+  EXPECT_EQ(DictOf(original.chunk(0)), (std::vector<double>{2.0, 1.0, 9.0}));
+  EXPECT_EQ(DictOf(copy.chunk(0)), (std::vector<double>{2.0, 1.0, 3.0}));
   ExpectCodesDecode(original);
   ExpectCodesDecode(copy);
 }
@@ -190,6 +209,87 @@ TEST(NumericDictTest, MergeSortsTheUnionAndRemapsEveryChunk) {
   // A sub-range merges only its own chunks.
   ASSERT_TRUE(col.MergeNumericDicts(1, 3, &merged));
   EXPECT_EQ(merged.values, (std::vector<double>{1, 3, 7, 9}));
+}
+
+Column Ints(int64_t begin, int64_t end) {
+  Column col(ValueType::kInt64, /*chunk_rows=*/1024);
+  for (int64_t v = begin; v < end; ++v) col.AppendInt64(v);
+  return col;
+}
+
+void ExpectInts(const Column& col, int64_t end) {
+  ASSERT_EQ(col.size(), static_cast<size_t>(end));
+  for (int64_t v = 0; v < end; ++v) {
+    ASSERT_EQ(col.Int64At(static_cast<size_t>(v)), v);
+  }
+}
+
+// The newest writer appends in place: every version, pinned or not,
+// reads the same store, and a pinned version keeps its row count.
+TEST(TailStoreTest, AppendsWriteInPlacePastThePinnedRows) {
+  Column col(ValueType::kInt64, /*chunk_rows=*/1024);
+  EXPECT_EQ(col.AppendColumn(Ints(0, 10)), 0u);
+  const Column pinned = col;
+  const int64_t* store = col.chunk(0).int64_data();
+  EXPECT_EQ(col.AppendColumn(Ints(10, 16)), 0u);
+  col.AppendInt64(16);
+  const Column pinned_more = col;
+  EXPECT_EQ(col.AppendColumn(Ints(17, 1030)), 0u);  // fills, opens chunk 1
+  EXPECT_EQ(col.chunk(0).int64_data(), store);
+  EXPECT_EQ(pinned.chunk(0).int64_data(), store);
+  ASSERT_EQ(col.num_chunks(), 2u);
+  ExpectInts(pinned, 10);
+  ExpectInts(pinned_more, 17);
+  ExpectInts(col, 1030);
+}
+
+// Two clones of one table append different rows: each sees its own, the
+// original sees neither.
+TEST(TailStoreTest, ForkedTablesNeverSeeEachOthersRows) {
+  const Table base = testutil::MixedRows(0, 100);
+  const testutil::TableImage base_image = testutil::ImageOf(base);
+  Table a = base.Clone();
+  Table b = base.Clone();
+  auto a_moved = a.AppendRows(testutil::MixedRows(100, 150));
+  ASSERT_TRUE(a_moved.ok());
+  EXPECT_EQ(*a_moved, 0u);  // the first fork writes in place
+  auto b_moved = b.AppendRows(testutil::MixedRows(1000, 1070));
+  ASSERT_TRUE(b_moved.ok());
+  EXPECT_EQ(*b_moved, base.num_rows());  // the second copies
+  EXPECT_EQ(testutil::ImageOf(base), base_image);
+  ASSERT_EQ(a.num_rows(), 150u);
+  ASSERT_EQ(b.num_rows(), 170u);
+  for (size_t i = 0; i < 170; ++i) {
+    const int64_t want_b = static_cast<int64_t>(i < 100 ? i : i + 900);
+    ASSERT_EQ(b.column(0).Int64At(i), want_b);
+    ASSERT_EQ(b.At(i, 1), Value("s" + std::to_string(want_b / 3)));
+    if (i < 150) {
+      ASSERT_EQ(a.column(0).Int64At(i), static_cast<int64_t>(i));
+    }
+  }
+  EXPECT_EQ(a.column(1).chunk(0).CodeOf("s" + std::to_string(1000 / 3)),
+            ColumnChunk::kNoCode);
+  EXPECT_EQ(b.column(1).chunk(0).CodeOf("s" + std::to_string(149 / 3)),
+            ColumnChunk::kNoCode);
+}
+
+// Versions built cell by cell (Table::AppendRow on a clone), pinned by
+// readers while the writer appends.
+TEST(TailStoreTest, PinnedVersionsReadTheSameUnderCellAppends) {
+  std::shared_ptr<const Table> latest =
+      std::make_shared<const Table>(testutil::MixedRows(0, 100));
+  testutil::RunPinnedReaders(
+      latest, 24, [&latest](size_t begin, size_t end) {
+        Table next = latest->Clone();
+        const Table rows = testutil::MixedRows(begin, end);
+        std::vector<Value> row(rows.num_columns());
+        for (size_t r = 0; r < rows.num_rows(); ++r) {
+          for (size_t c = 0; c < row.size(); ++c) row[c] = rows.At(r, c);
+          EXPECT_TRUE(next.AppendRow(row).ok());
+        }
+        latest = std::make_shared<const Table>(std::move(next));
+        return latest;
+      });
 }
 
 }  // namespace

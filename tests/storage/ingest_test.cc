@@ -237,13 +237,13 @@ TEST_F(ApplyAppendDeltasTest, FuzzedAppendSchedules) {
   }
 }
 
-// Appends through copy-on-write table versions (each a Clone() of the
-// last, kept alive, as the catalog publishes them) over dimensions that
-// take both fused Phase A paths: x is coded in every chunk, while h (all
-// distinct) crosses the chunk dictionary cap mid-append.  Delta builds
-// (small row sets) and cold builds (all rows) then run on different
-// paths; every delta-patched base must equal a cold build over a one-shot
-// reload of the same rows.
+// Appends through table versions sharing their tail stores (each a
+// Clone() of the last, kept alive, as the catalog publishes them) over
+// dimensions that take both fused Phase A paths: x is coded in every
+// chunk, while h (all distinct) crosses the chunk dictionary cap
+// mid-append.  Delta builds (small row sets) and cold builds (all rows)
+// then run on different paths; every delta-patched base must equal a
+// cold build over a one-shot reload of the same rows.
 TEST_F(ApplyAppendDeltasTest, DictionaryPathsAgreeAcrossCopyOnWriteAppends) {
   constexpr size_t kBigChunk = 8192;
   const Schema schema({Field("x", ValueType::kInt64, FieldRole::kDimension),

@@ -2,6 +2,10 @@
 // are identical when their schemas, cells (doubles bit for bit), null
 // masks and chunk metadata all agree — chunk boundaries, zone maps,
 // string dictionaries and codes, numeric dictionaries and codes.
+//
+// TableImage copies everything a reader can see of a table version
+// through the raw chunk arrays, so concurrency tests can check that a
+// pinned version reads the same before, during and after later appends.
 
 #ifndef MUVE_TESTS_TABLE_EQUALITY_H_
 #define MUVE_TESTS_TABLE_EQUALITY_H_
@@ -10,6 +14,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,7 +25,7 @@ namespace muve::testutil {
 
 inline uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
-inline std::vector<uint64_t> Bits(const std::vector<double>& values) {
+inline std::vector<uint64_t> Bits(std::span<const double> values) {
   std::vector<uint64_t> out;
   for (const double v : values) out.push_back(Bits(v));
   return out;
@@ -48,7 +53,8 @@ inline void ExpectSameChunk(const storage::ColumnChunk& got,
     EXPECT_EQ(got_codes, want_codes);
   }
   if (want.type() == ValueType::kString) {
-    EXPECT_EQ(got.dict(), want.dict());
+    EXPECT_EQ(std::vector<std::string>(got.dict().begin(), got.dict().end()),
+              std::vector<std::string>(want.dict().begin(), want.dict().end()));
     const std::vector<uint32_t> got_codes(got.codes(),
                                           got.codes() + got.size());
     const std::vector<uint32_t> want_codes(want.codes(),
@@ -92,6 +98,84 @@ inline void ExpectSameTable(const storage::Table& got,
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// One chunk version as its readers see it, doubles as bits.
+struct ChunkImage {
+  size_t size = 0;
+  size_t null_count = 0;
+  bool has_range = false;
+  uint64_t min = 0;
+  uint64_t max = 0;
+  bool has_nan = false;
+  bool has_numeric_dict = false;
+  std::vector<uint64_t> validity;
+  std::vector<uint64_t> cells;
+  std::vector<std::string> dict;
+  std::vector<uint32_t> code_of;  // CodeOf each dictionary entry
+  std::vector<uint64_t> numeric_dict;
+  std::vector<uint16_t> numeric_codes;
+
+  bool operator==(const ChunkImage&) const = default;
+};
+
+inline ChunkImage ImageOf(const storage::ColumnChunk& chunk) {
+  using storage::ValueType;
+  ChunkImage image;
+  const size_t n = chunk.size();
+  image.size = n;
+  image.null_count = chunk.null_count();
+  image.has_range = chunk.HasRange();
+  if (chunk.HasRange()) {
+    image.min = Bits(chunk.min());
+    image.max = Bits(chunk.max());
+  }
+  image.has_nan = chunk.HasNaN();
+  image.has_numeric_dict = chunk.HasNumericDict();
+  const storage::ValidityBitmap valid = chunk.validity();
+  for (size_t w = 0; w < valid.num_words(); ++w) {
+    image.validity.push_back(valid.Word(w));
+  }
+  switch (chunk.type()) {
+    case ValueType::kInt64:
+      for (size_t i = 0; i < n; ++i) {
+        image.cells.push_back(static_cast<uint64_t>(chunk.int64_data()[i]));
+      }
+      break;
+    case ValueType::kDouble:
+      for (size_t i = 0; i < n; ++i) {
+        image.cells.push_back(Bits(chunk.double_data()[i]));
+      }
+      break;
+    case ValueType::kString:
+      for (size_t i = 0; i < n; ++i) image.cells.push_back(chunk.codes()[i]);
+      for (const std::string& s : chunk.dict()) {
+        image.dict.push_back(s);
+        image.code_of.push_back(chunk.CodeOf(s));
+      }
+      break;
+    case ValueType::kNull:
+      break;
+  }
+  if (chunk.HasNumericDict()) {
+    image.numeric_dict = Bits(chunk.numeric_dict());
+    image.numeric_codes.assign(chunk.numeric_codes(),
+                               chunk.numeric_codes() + n);
+  }
+  return image;
+}
+
+using TableImage = std::vector<std::vector<ChunkImage>>;
+
+inline TableImage ImageOf(const storage::Table& table) {
+  TableImage image(table.num_columns());
+  for (size_t c = 0; c < table.num_columns(); ++c) {
+    const storage::Column& col = table.column(c);
+    for (size_t k = 0; k < col.num_chunks(); ++k) {
+      image[c].push_back(ImageOf(col.chunk(k)));
+    }
+  }
+  return image;
 }
 
 }  // namespace muve::testutil
