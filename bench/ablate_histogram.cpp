@@ -15,7 +15,7 @@
 #include "data/nba.h"
 #include "harness.h"
 #include "storage/group_by.h"
-#include "storage/histogram.h"
+#include "histogram.h"
 
 int main(int argc, char** argv) {
   muve::bench::InitBench(&argc, argv);

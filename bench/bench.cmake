@@ -33,7 +33,13 @@ muve_add_bench(ablate_distance)
 muve_add_bench(ablate_sharing)
 # The no-sharing arm is the tests' direct-scan oracle (tests/direct_oracle.h).
 target_include_directories(ablate_sharing PRIVATE ${PROJECT_SOURCE_DIR}/tests)
-muve_add_bench(ablate_histogram)
+# Equi-width / equi-depth / V-optimal histograms (bench/histogram.h):
+# used by this bench and tests/storage/histogram_test.cc only.
+add_library(muve_bench_histogram STATIC bench/histogram.cc)
+target_link_libraries(muve_bench_histogram PUBLIC muve_common)
+target_include_directories(muve_bench_histogram PUBLIC
+  ${PROJECT_SOURCE_DIR}/bench)
+muve_add_bench(ablate_histogram muve_bench_histogram)
 muve_add_bench(parallel_scaling)
 muve_add_bench(ablate_sampling)
 muve_add_bench(fused_scan_bench)

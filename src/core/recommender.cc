@@ -402,7 +402,7 @@ common::Result<Recommendation> Recommender::Recommend(
   eval_options.sample_seed = options.sample_seed;
   eval_options.fused_morsel_size = options.fused_morsel_size;
   eval_options.exec = &ctx;
-  if (options.shared_base_cache != nullptr &&
+  if (options.shared_base_cache.cache != nullptr &&
       options.sample_fraction >= 1.0) {
     // Cross-request sharing: the caller's store outlives this run, so a
     // warm run's prewarm is all hits.  Valid only when every run on the

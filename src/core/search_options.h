@@ -19,10 +19,7 @@
 #include "common/status.h"
 #include "core/distance.h"
 #include "core/utility.h"
-
-namespace muve::storage {
-class BaseHistogramCache;
-}  // namespace muve::storage
+#include "storage/base_histogram_cache.h"
 
 namespace muve::core {
 
@@ -114,20 +111,25 @@ struct SearchOptions {
   // Cross-request sharing (the serving-path optimization): a base-
   // histogram store OWNED BY THE CALLER and reused across Recommend()
   // calls, so the second identical request's prewarm is all cache hits
-  // instead of two fused scans.  muved holds one per (dataset, canonical
-  // predicate) registry entry.  Hard requirement: every run handed this
-  // store must probe IDENTICAL row sets — same dataset, same predicate,
-  // no sampling — so Recommend() ignores it (fresh per-run store, as
-  // before) when sample_fraction < 1.0.  The histograms a run reads back
+  // instead of two fused scans.  The handle names the store and the key
+  // prefix of each side; a bare store converts to a handle with empty
+  // prefixes.  muved hands in its one server-wide store, with a
+  // comparison prefix per table version (D_B does not depend on the
+  // predicate) and a target prefix per predicate.  Hard requirement:
+  // every run handed one prefix must probe, on that side, one row set or
+  // an appended version of it (the store tells versions apart by row
+  // count) — same table, same predicate, no sampling — so Recommend()
+  // ignores the handle (fresh per-run store, as before) when
+  // sample_fraction < 1.0.  The histograms a run reads back
   // are identical to the ones it would have built (pinned by
   // tests/storage/cross_query_cache_test.cc), so the top-k does not
   // change; only the stats blocks' build/hit split does.  Concurrent
   // identical fused passes on the store coalesce into one single-flight
   // scan (ExecStats::fused_coalesced counts the parked sides).  Worker
   // evaluators pin the bases they read, so a run reads the store once
-  // per (pair, side, worker) and no probe takes its lock.  nullptr
+  // per (pair, side, worker) and no probe takes its lock.  A null store
   // (default) = no sharing.
-  std::shared_ptr<storage::BaseHistogramCache> shared_base_cache;
+  storage::BaseCacheHandle shared_base_cache;
 
   // --- Execution control (common/exec_context.h) ---
   //

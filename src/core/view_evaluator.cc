@@ -61,9 +61,10 @@ ViewEvaluator::ViewEvaluator(const data::Dataset& dataset,
   MUVE_CHECK(options_.sample_fraction > 0.0 &&
              options_.sample_fraction <= 1.0)
       << "sample_fraction must lie in (0, 1]";
-  base_cache_ = options_.base_cache != nullptr
-                    ? options_.base_cache
-                    : std::make_shared<storage::BaseHistogramCache>();
+  base_cache_ = options_.base_cache;
+  if (base_cache_.cache == nullptr) {
+    base_cache_.cache = std::make_shared<storage::BaseHistogramCache>();
+  }
   if (options_.sample_fraction < 1.0) {
     storage::RowSet& all = sampled_all_rows_;
     storage::RowSet& target = sampled_target_rows_;
@@ -111,16 +112,16 @@ void ViewEvaluator::PrewarmBaseHistograms(common::ThreadPool* pool) {
     request.rows = target_side ? target_rows_ : all_rows_;
     for (const BasePair& pair : space_.base_pairs()) {
       request.pairs.push_back(
-          {storage::BaseHistogramKey(target_side, pair.dimension,
-                                     pair.measure),
+          {base_cache_.Key(target_side, pair.dimension, pair.measure),
            pair.dimension, pair.measure});
     }
     request.pool = pool;
     request.morsel_size = options_.fused_morsel_size;
     request.exec = options_.exec;
     request.coalesce = true;
+    request.target_side = target_side;
     storage::BaseHistogramCache::FusedBuildOutcome outcome;
-    const common::Status status = base_cache_->FusedBuild(
+    const common::Status status = base_cache_.cache->FusedBuild(
         *dataset_.table, request, &outcome, &fused_scratch_);
     stats_.fused_coalesced += outcome.coalesced;
     // An aborted pass (expired context or injected fault) cached nothing
@@ -153,14 +154,15 @@ bool ViewEvaluator::FillPin(int pair, bool target_side, BasePin* pin) {
   storage::BaseHistogramCache::FusedHistogramBuildRequest request;
   request.rows = &rows;
   request.pairs.push_back(
-      {storage::BaseHistogramKey(target_side, p.dimension, p.measure),
-       p.dimension, p.measure});
+      {base_cache_.Key(target_side, p.dimension, p.measure), p.dimension,
+       p.measure});
   // One morsel: per-fine-bin sums accumulate in row order, the bits the
   // single-pair builder has always produced.
   request.morsel_size = std::max<size_t>(rows.size(), 1);
   request.coalesce = true;
+  request.target_side = target_side;
   storage::BaseHistogramCache::FusedBuildOutcome outcome;
-  const common::Status status = base_cache_->FusedBuild(
+  const common::Status status = base_cache_.cache->FusedBuild(
       *dataset_.table, request, &outcome, &fused_scratch_);
   if (!status.ok()) {
     // The build failed (injected fault or real I/O error).  Probes

@@ -76,14 +76,16 @@ struct ViewEvaluatorOptions {
   double sample_fraction = 1.0;
   uint64_t sample_seed = 0x5A3D1E;
 
-  // The base-histogram store.  The Recommender creates one per
-  // Recommend() call (or hands in the caller's cross-request store) and
-  // gives it to every pool worker's evaluator — safe because all those
+  // The base-histogram store and the key prefix of each side.  The
+  // Recommender creates a private store per Recommend() call (empty
+  // prefixes), or hands in the caller's cross-request handle, and gives
+  // it to every pool worker's evaluator — safe because all those
   // evaluators probe identical row sets (same dataset, same sampling
-  // draw).  When null the evaluator creates a private cache of default
-  // size.  Concurrent identical prewarm passes on the store coalesce
-  // into one single-flight scan, charged as ExecStats::fused_coalesced.
-  std::shared_ptr<storage::BaseHistogramCache> base_cache;
+  // draw).  When the store is null the evaluator creates a private
+  // cache of default size.  Concurrent identical prewarm passes on the
+  // store coalesce into one single-flight scan, charged as
+  // ExecStats::fused_coalesced.
+  storage::BaseCacheHandle base_cache;
 
   // Rows per morsel for fused builds through this evaluator; 0 = engine
   // default.  PrewarmBaseHistograms takes the pool explicitly.
@@ -218,7 +220,7 @@ class ViewEvaluator {
   std::vector<std::optional<RawSeries>> raw_series_;
   // Base-histogram store (shared across workers when handed in via
   // Options::base_cache; private otherwise).  Never null.
-  std::shared_ptr<storage::BaseHistogramCache> base_cache_;
+  storage::BaseCacheHandle base_cache_;
   // Pinned bases per side, indexed like ViewSpace::base_pairs().
   std::vector<BasePin> target_pins_;
   std::vector<BasePin> comparison_pins_;

@@ -760,8 +760,8 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
     }
   }
 
-  // Every request on this registry entry probes identical row sets, so
-  // they share one base-histogram store.
+  // The server-wide base-histogram store, under this table version's
+  // comparison prefix and this predicate's target prefix.
   options.shared_base_cache = entry->base_cache;
 
   // Bounded, deadline-aware admission (DESIGN.md §14).  The remaining
@@ -976,8 +976,15 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
                  JsonValue::Int(static_cast<int64_t>(conns_.size())));
   }
   {
-    // Summed over every base-histogram store the registry holds.
+    // The server-wide base-histogram store, split by side.
     const Registry::Stats reg = registry_.stats();
+    auto side = [](const storage::BaseHistogramCache::SideStats& stats) {
+      JsonValue out = JsonValue::Object();
+      out.Set("builds", JsonValue::Int(stats.builds));
+      out.Set("hits", JsonValue::Int(stats.hits));
+      out.Set("bytes", JsonValue::Int(stats.bytes));
+      return out;
+    };
     JsonValue b = JsonValue::Object();
     b.Set("lookups", JsonValue::Int(reg.base_cache.lookups));
     b.Set("hits", JsonValue::Int(reg.base_cache.hits));
@@ -985,7 +992,12 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
     b.Set("builds", JsonValue::Int(reg.base_cache.builds));
     b.Set("evictions", JsonValue::Int(reg.base_cache.evictions));
     b.Set("bytes", JsonValue::Int(reg.base_cache.bytes));
-    b.Set("stores", JsonValue::Int(static_cast<int64_t>(reg.stores)));
+    b.Set("max_bytes",
+          JsonValue::Int(static_cast<int64_t>(reg.base_cache_max_bytes)));
+    b.Set("predicates",
+          JsonValue::Int(static_cast<int64_t>(reg.predicates)));
+    b.Set("target", side(reg.base_cache.target));
+    b.Set("comparison", side(reg.base_cache.comparison));
     response.Set("base_cache", std::move(b));
     response.Set("result_cache_entries",
                  JsonValue::Int(static_cast<int64_t>(reg.results)));

@@ -4,8 +4,8 @@
 // Recommend() calls execute at once — excess requests queue FIFO-ish on
 // a condition variable instead of oversubscribing the machine — and the
 // Registry (server/registry.h) that holds everything reused across
-// requests: the catalog, the recommenders, the base-histogram stores and
-// the result cache.  The op handlers here parse a request, call the
+// requests: the catalog, the recommenders, the server-wide base-histogram
+// store and the result cache.  The op handlers here parse a request, call the
 // registry and serialize the reply.  The gate is BOUNDED (max_queue
 // waiters, queue_timeout_ms each, deadline-aware): overload is answered
 // with a typed `unavailable` shed frame carrying retry_after_ms, never
@@ -203,7 +203,7 @@ class MuvedServer {
     int64_t ingest_chunks_skipped = 0;
     // Where ingest time went, summed over successful creates and appends:
     // CSV parsing (both), publishing the next catalog version and
-    // delta-patching the stores (appends).
+    // delta-patching the base histograms (appends).
     double csv_parse_ms = 0.0;
     double catalog_append_ms = 0.0;
     double delta_ms = 0.0;
@@ -304,7 +304,7 @@ class MuvedServer {
   std::chrono::steady_clock::time_point started_at_{};
   bool started_ = false;
 
-  // Cross-request state: catalog, recommenders, stores, results.
+  // Cross-request state: catalog, recommenders, bases, results.
   Registry registry_;
 
   mutable std::mutex counters_mu_;

@@ -1,7 +1,10 @@
 #include "server/registry.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <initializer_list>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "common/failpoint.h"
@@ -18,15 +21,31 @@ using common::Result;
 using common::Status;
 
 // dataset \x01 epoch \x01 canonical-predicate: data_epoch keys registry
-// entries and cached results, base_epoch keys the stores.
+// entries and cached results.
 std::string EpochKey(const std::string& dataset, uint64_t epoch,
                      const std::string& canonical) {
   return dataset + '\x01' + std::to_string(epoch) + '\x01' + canonical;
 }
 
+// dataset \x01 base_epoch \x01: the comparison prefix of a table version
+// line in the base store.  Every base of the table starts with
+// `dataset \x01`; a predicate's target prefix appends
+// `canonical \x01`.
+std::string ComparisonPrefix(const std::string& dataset,
+                             uint64_t base_epoch) {
+  return dataset + '\x01' + std::to_string(base_epoch) + '\x01';
+}
+
+// The first record count that sweeps unused predicate records.
+constexpr size_t kMinPredicateSweep = 64;
+
 }  // namespace
 
-Registry::Registry(Options options) : options_(options) {}
+Registry::Registry(Options options)
+    : options_(options),
+      bases_(std::make_shared<storage::BaseHistogramCache>(
+          storage::BaseHistogramCache::Options{options.base_cache_bytes})),
+      sweep_at_(kMinPredicateSweep) {}
 
 Status Registry::Create(const std::string& name, storage::Table table,
                         data::Workload workload) {
@@ -40,23 +59,23 @@ Status Registry::Drop(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   MUVE_RETURN_IF_ERROR(catalog_.Drop(name));
   workloads_.erase(name);
-  PurgeLocked(name, /*keep_stores=*/false);
+  PurgeLocked(name, /*keep_bases=*/false);
   return Status::OK();
 }
 
 Result<uint64_t> Registry::Invalidate(const std::string& name) {
   // The epochs bump and the derived state goes in one critical section:
   // a cold build finishing later sees a base_epoch that is no longer
-  // current and keeps its store private.  In-flight requests finish on
+  // current and builds into a private store.  In-flight requests finish on
   // their old snapshot; anything they cache lands under dead keys.
   std::lock_guard<std::mutex> lock(mu_);
   MUVE_ASSIGN_OR_RETURN(const storage::Catalog::Snapshot bumped,
                         catalog_.Invalidate(name));
-  PurgeLocked(name, /*keep_stores=*/false);
+  PurgeLocked(name, /*keep_bases=*/false);
   return bumped.data_epoch;
 }
 
-void Registry::PurgeLocked(const std::string& dataset, bool keep_stores) {
+void Registry::PurgeLocked(const std::string& dataset, bool keep_bases) {
   std::erase_if(entries_,
                 [&](const Entry& entry) { return entry.dataset == dataset; });
   const std::string prefix = dataset + '\x01';
@@ -68,9 +87,34 @@ void Registry::PurgeLocked(const std::string& dataset, bool keep_stores) {
       ++it;
     }
   }
-  if (keep_stores) return;
-  std::erase_if(stores_, [&](const auto& keyed) {
+  if (keep_bases) return;
+  std::erase_if(predicates_, [&](const auto& keyed) {
     return keyed.second.dataset == dataset;
+  });
+  bases_->ErasePrefix(prefix);
+}
+
+void Registry::DropUnusedPredicatesLocked() {
+  // A resident entry's build may still be filling its target bases.
+  std::unordered_set<std::string_view> resident;
+  for (const Entry& entry : entries_) {
+    resident.insert(entry.base_cache.target_prefix);
+  }
+  std::erase_if(predicates_, [&](const auto& keyed) {
+    const auto& [prefix, record] = keyed;
+    if (resident.count(prefix) != 0) return false;
+    const auto workload = workloads_.find(record.dataset);
+    if (workload == workloads_.end()) return true;
+    for (const std::string& dimension : workload->second.dimensions) {
+      for (const std::string& measure : workload->second.measures) {
+        if (bases_->Contains(prefix + storage::BaseHistogramKey(
+                                          /*target_side=*/true, dimension,
+                                          measure))) {
+          return false;
+        }
+      }
+    }
+    return true;
   });
 }
 
@@ -98,19 +142,24 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
   outcome.rows_appended = static_cast<int64_t>(appended.rows_appended);
   outcome.rows_copied = static_cast<int64_t>(appended.rows_copied);
 
-  // data_epoch-keyed state is stale now; the stores stay, because they
+  // data_epoch-keyed state is stale now; the bases stay, because they
   // are patched below under the preserved base_epoch.
+  const std::string comparison_prefix =
+      ComparisonPrefix(name, appended.snapshot.base_epoch);
   data::Workload workload;
-  std::vector<std::pair<std::string, Store>> targets;
+  std::vector<std::pair<std::string, std::shared_ptr<const storage::Predicate>>>
+      targets;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    PurgeLocked(name, /*keep_stores=*/true);
+    PurgeLocked(name, /*keep_bases=*/true);
     auto it = workloads_.find(name);
     // A racing drop leaves nothing to patch.
     if (it == workloads_.end()) return outcome;
     workload = it->second;
-    for (const auto& [key, store] : stores_) {
-      if (store.dataset == name) targets.emplace_back(key, store);
+    for (const auto& [prefix, record] : predicates_) {
+      if (prefix.starts_with(comparison_prefix)) {
+        targets.emplace_back(prefix, record.target);
+      }
     }
   }
   outcome.patched = true;
@@ -119,27 +168,31 @@ Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
   outcome.data_epoch = appended.snapshot.data_epoch;
 
   common::Stopwatch delta_timer;
-  std::vector<std::string> failed;
-  for (const auto& [key, store] : targets) {
-    storage::IngestDeltaRequest delta;
-    delta.table = appended.snapshot.table.get();
-    delta.rows_before = appended.rows_before;
-    delta.rows_appended = appended.rows_appended;
-    delta.dimensions = workload.dimensions;
-    delta.measures = workload.measures;
-    delta.target_predicate = store.target_predicate.get();
-    delta.cache = store.cache.get();
+  storage::IngestDeltaRequest delta;
+  delta.table = appended.snapshot.table.get();
+  delta.rows_before = appended.rows_before;
+  delta.rows_appended = appended.rows_appended;
+  delta.dimensions = workload.dimensions;
+  delta.measures = workload.measures;
+  delta.cache = bases_.get();
+  // The comparison side once, whatever the number of predicates.  A
+  // failed patch may leave patched and unpatched bases side by side, so
+  // they go wholesale (the table version's target bases with them) —
+  // the next recommend rebuilds cold and correct.
+  delta.key_prefix = comparison_prefix;
+  if (!storage::ApplyAppendDeltas(delta, &outcome.ingest).ok()) {
+    bases_->ErasePrefix(comparison_prefix);
+  }
+  // Then each predicate's target side; no comparison base lives under a
+  // target prefix, so these calls scan only rows their predicate holds.
+  for (const auto& [prefix, target] : targets) {
+    delta.key_prefix = prefix;
+    delta.target_predicate = target.get();
     if (!storage::ApplyAppendDeltas(delta, &outcome.ingest).ok()) {
-      // The store may now mix patched and unpatched entries; drop it
-      // wholesale — the next recommend rebuilds cold and correct.
-      failed.push_back(key);
+      bases_->ErasePrefix(prefix);
     }
   }
   outcome.delta_ms = delta_timer.ElapsedMillis();
-  if (!failed.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& key : failed) stores_.erase(key);
-  }
   return outcome;
 }
 
@@ -200,29 +253,31 @@ Result<Registry::Entry> Registry::Resolve(const std::string& dataset,
     if (existing.key == entry.key) return existing;  // lost the race
   }
   // An invalidate or drop since the snapshot retired this base_epoch:
-  // its stores are gone and no later request can reach a new one, so
-  // this request builds into a private store and registers nothing.
+  // its bases are gone and no later request can reach new ones, so this
+  // request builds into a private store and registers nothing.
   auto current = catalog_.Get(dataset);
   if (!current.ok() || current->base_epoch != snap.base_epoch) {
     entry.base_cache = std::make_shared<storage::BaseHistogramCache>();
     return entry;
   }
   // Keyed under base_epoch, not data_epoch: an append retires the entry
-  // but not the store, so the rebuilt entry adopts the patched store.
-  // A new store binds its target predicate once, for every append.
-  const std::string store_key = EpochKey(dataset, snap.base_epoch, canonical);
-  auto store = stores_.find(store_key);
-  if (store == stores_.end()) {
+  // but not its bases, so the rebuilt entry reads the patched ones.  A
+  // new record binds its target predicate once, for every append.
+  std::string comparison_prefix = ComparisonPrefix(dataset, snap.base_epoch);
+  std::string target_prefix = comparison_prefix + canonical + '\x01';
+  if (predicates_.count(target_prefix) == 0) {
     MUVE_ASSIGN_OR_RETURN(storage::PredicatePtr where,
                           sql::ParseWhere(effective_predicate));
     MUVE_RETURN_IF_ERROR(where->Bind(snap.table->schema()));
-    store = stores_
-                .emplace(store_key,
-                         Store{dataset, std::move(where),
-                               std::make_shared<storage::BaseHistogramCache>()})
-                .first;
+    if (predicates_.size() >= sweep_at_) {
+      DropUnusedPredicatesLocked();
+      sweep_at_ = std::max(kMinPredicateSweep, 2 * predicates_.size());
+    }
+    predicates_.emplace(target_prefix,
+                        PredicateRecord{dataset, std::move(where)});
   }
-  entry.base_cache = store->second.cache;
+  entry.base_cache = storage::BaseCacheHandle(
+      bases_, std::move(target_prefix), std::move(comparison_prefix));
   entries_.push_back(entry);
   if (entries_.size() > options_.max_recommenders) {
     entries_.erase(entries_.begin());  // oldest first
@@ -277,17 +332,10 @@ Registry::Stats Registry::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats out;
   out.entries = entries_.size();
-  out.stores = stores_.size();
+  out.predicates = predicates_.size();
   out.results = results_.size();
-  for (const auto& [key, store] : stores_) {
-    const auto s = store.cache->TotalStats();
-    out.base_cache.lookups += s.lookups;
-    out.base_cache.hits += s.hits;
-    out.base_cache.misses += s.misses;
-    out.base_cache.builds += s.builds;
-    out.base_cache.evictions += s.evictions;
-    out.base_cache.bytes += s.bytes;
-  }
+  out.base_cache = bases_->TotalStats();
+  out.base_cache_max_bytes = bases_->max_bytes();
   return out;
 }
 

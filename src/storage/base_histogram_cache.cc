@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/exec_context.h"
@@ -203,7 +204,8 @@ BaseHistogramCache::BaseHistogramCache() : BaseHistogramCache(Options()) {}
 BaseHistogramCache::BaseHistogramCache(Options options) : options_(options) {}
 
 void BaseHistogramCache::InsertLocked(
-    const std::string& key, std::shared_ptr<const BaseHistogram> histogram) {
+    const std::string& key, bool target_side,
+    std::shared_ptr<const BaseHistogram> histogram) {
   // Injected allocation refusal: behave as if caching the entry failed.
   // The caller still gets the histogram through its outcome — the store
   // simply "forgets", so a later build of this key scans again.  This is
@@ -214,9 +216,12 @@ void BaseHistogramCache::InsertLocked(
   }
   const size_t bytes = histogram->ApproxBytes();
   lru_.push_front(key);
-  entries_.emplace(key, Entry{std::move(histogram), lru_.begin(), bytes});
+  entries_.emplace(key, Entry{std::move(histogram), lru_.begin(), bytes,
+                              target_side});
   stats_.bytes += static_cast<int64_t>(bytes);
   ++stats_.builds;
+  SideLocked(target_side).bytes += static_cast<int64_t>(bytes);
+  ++SideLocked(target_side).builds;
   EvictLocked();
 }
 
@@ -232,6 +237,8 @@ void BaseHistogramCache::EvictLocked() {
 
 void BaseHistogramCache::EraseLocked(EntryMap::iterator it) {
   stats_.bytes -= static_cast<int64_t>(it->second.bytes);
+  SideLocked(it->second.target_side).bytes -=
+      static_cast<int64_t>(it->second.bytes);
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
 }
@@ -306,6 +313,7 @@ common::Status BaseHistogramCache::FusedBuild(
         static_cast<int64_t>(request.pairs.size() - missing.size());
     stats_.lookups += static_cast<int64_t>(request.pairs.size());
     stats_.hits += cached;
+    SideLocked(request.target_side).hits += cached;
     stats_.misses += static_cast<int64_t>(missing.size());
     result->already_cached += cached;
   }
@@ -348,22 +356,24 @@ common::Status BaseHistogramCache::FusedBuild(
     const size_t i = missing[j];
     const std::string& key = request.pairs[i].key;
     const auto it = entries_.find(key);
-    if (it != entries_.end()) {
-      if (it->second.histogram->source_rows == expected_rows) {
-        // First-wins: a concurrent build landed this key already; both
-        // histograms cover identical row sets, keep the cached one.
-        result->histograms[i] = it->second.histogram;
-        ++result->already_cached;
-        continue;
-      }
-      // A stale entry (different row count) raced in; replace it with
-      // the histogram just built over the current row set.
-      EraseLocked(it);
+    if (it != entries_.end() &&
+        it->second.histogram->source_rows == expected_rows) {
+      // First-wins: a concurrent build landed this key already; both
+      // histograms cover identical row sets, keep the cached one.
+      result->histograms[i] = it->second.histogram;
+      ++result->already_cached;
+      continue;
     }
     result->histograms[i] =
         std::make_shared<const BaseHistogram>(std::move(built[j]));
-    InsertLocked(key, result->histograms[i]);
     ++result->histograms_built;
+    if (it != entries_.end()) {
+      // A newer version holds the key: this build serves its caller
+      // only.  An older one is replaced.
+      if (it->second.histogram->source_rows > expected_rows) continue;
+      EraseLocked(it);
+    }
+    InsertLocked(key, request.target_side, result->histograms[i]);
   }
   return common::Status::OK();
 }
@@ -385,8 +395,10 @@ bool BaseHistogramCache::MergeDelta(const std::string& key,
   auto merged = std::make_shared<const BaseHistogram>(
       MergeBaseHistograms(*it->second.histogram, delta));
   const size_t new_bytes = merged->ApproxBytes();
-  stats_.bytes += static_cast<int64_t>(new_bytes) -
-                  static_cast<int64_t>(it->second.bytes);
+  const int64_t grown = static_cast<int64_t>(new_bytes) -
+                        static_cast<int64_t>(it->second.bytes);
+  stats_.bytes += grown;
+  SideLocked(it->second.target_side).bytes += grown;
   it->second.bytes = new_bytes;
   it->second.histogram = std::move(merged);
   lru_.splice(lru_.begin(), lru_, it->second.lru_it);
@@ -402,6 +414,22 @@ void BaseHistogramCache::Clear() {
   entries_.clear();
   lru_.clear();
   stats_.bytes = 0;
+  stats_.target.bytes = 0;
+  stats_.comparison.bytes = 0;
+}
+
+size_t BaseHistogramCache::ErasePrefix(std::string_view prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t erased = 0;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    const auto next = std::next(it);
+    if (std::string_view(it->first).starts_with(prefix)) {
+      EraseLocked(it);
+      ++erased;
+    }
+    it = next;
+  }
+  return erased;
 }
 
 BaseHistogramCache::CacheStats BaseHistogramCache::TotalStats() const {

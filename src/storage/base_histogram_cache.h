@@ -35,7 +35,11 @@
 //     direct scan (ViewSpace::Create gives such views no base pair).
 //
 // `BaseHistogramCache` is the shared, size-bounded store: one mutex, one
-// LRU list and one byte budget.  Probes do not read it: each
+// LRU list and one byte budget.  A Recommender run keeps a private one;
+// muved keeps ONE for the whole server, in which every predicate of a
+// table version shares the comparison (D_B) bases and each predicate
+// adds its own target (D_Q) bases, told apart by the key prefixes of a
+// BaseCacheHandle.  Probes do not read it: each
 // ViewEvaluator pins the histograms it uses (core/view_evaluator.h), so
 // the store sees one lookup per (pair, side, evaluator) — it is filled
 // and read through FusedBuild only.  Entries are immutable once built
@@ -46,6 +50,7 @@
 #define MUVE_STORAGE_BASE_HISTOGRAM_CACHE_H_
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -54,6 +59,7 @@
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -148,18 +154,30 @@ BaseHistogram MergeBaseHistograms(const BaseHistogram& a,
 std::string BaseHistogramKey(bool target_side, std::string_view dimension,
                              std::string_view measure);
 
+// The default byte budget of a store, and of muved's one server-wide
+// store.
+inline constexpr size_t kDefaultBaseCacheBytes = size_t{64} << 20;  // 64 MiB
+
 // Thread-safe, size-bounded store of BaseHistograms keyed by caller
 // strings (BaseHistogramKey, optionally behind a caller prefix).  One
-// store must only be shared by evaluators probing the SAME row sets (the
-// Recommender creates one per Recommend() call and hands it to every pool
-// worker; muved keeps one per registry key).
+// key must only ever name bases of ONE growing row set: the rows of a
+// table version, or the rows a fixed predicate selects from it, within
+// one base_epoch.  Such row sets are append-only, so an entry's
+// `source_rows` orders the versions it can describe.
 class BaseHistogramCache {
  public:
   struct Options {
     // Byte budget; LRU eviction keeps the store under it.  The most
     // recently inserted entry is never evicted (a histogram larger than
     // the budget still serves the run that built it).
-    size_t max_bytes = size_t{64} << 20;  // 64 MiB
+    size_t max_bytes = kDefaultBaseCacheBytes;
+  };
+
+  // One side's share of the counters below.
+  struct SideStats {
+    int64_t builds = 0;
+    int64_t hits = 0;
+    int64_t bytes = 0;
   };
 
   struct CacheStats {
@@ -175,6 +193,10 @@ class BaseHistogramCache {
     // Entries patched in place by MergeDelta (incremental ingest).
     int64_t delta_merges = 0;
     int64_t bytes = 0;  // currently retained
+    // builds / hits / bytes split by the side the requests named
+    // (FusedHistogramBuildRequest::target_side).
+    SideStats target;
+    SideStats comparison;
   };
 
   // Two overloads instead of one defaulted argument: a `= Options()`
@@ -223,6 +245,9 @@ class BaseHistogramCache {
     // different pair sets run independently (first-wins insert keeps
     // that correct).
     bool coalesce = false;
+    // Which side the pairs belong to; it only splits the store's
+    // counters (CacheStats::target / comparison).
+    bool target_side = false;
   };
 
   // Accounting for one FusedBuild call, for the caller's ExecStats:
@@ -243,14 +268,19 @@ class BaseHistogramCache {
     std::vector<std::shared_ptr<const BaseHistogram>> histograms;
   };
 
-  // Executes the fused build.  Histograms are inserted first-wins: a
-  // concurrent builder of the same key keeps the existing entry when it
-  // covers the same rows.  An entry covering a DIFFERENT row count than
-  // `request.rows` — a stale base raced in by a pre-append reader — is
-  // treated as missing and replaced.  The row sets a store sees are
-  // append-only (a post-append set is a superset of its pre-append
-  // version), so equal size implies equal set.  Errors from the scan
-  // engine are propagated; nothing is cached on error.
+  // Executes the fused build.  An entry covering a different row count
+  // than `request.rows` is another version of the row set and reads as
+  // missing.  Histograms are inserted only over an older version:
+  //   * no entry, or one covering fewer rows — insert (replace);
+  //   * one covering the same rows — first wins, keep the cached one;
+  //   * one covering MORE rows — a newer version (a post-append reader
+  //     built it, or the append patched it): the build serves only its
+  //     own caller and is not inserted, so a reader still pinned to an
+  //     older table version never displaces a newer base.
+  // A key's row sets are append-only (a post-append set is a superset
+  // of its pre-append version), so equal size implies equal set.
+  // Errors from the scan engine are propagated; nothing is cached on
+  // error.
   common::Status FusedBuild(const Table& table,
                             const FusedHistogramBuildRequest& request,
                             FusedBuildOutcome* outcome = nullptr,
@@ -276,20 +306,30 @@ class BaseHistogramCache {
   // stay valid.
   void Clear();
 
+  // Drops every entry whose key starts with `prefix`; returns how many.
+  // Outstanding shared_ptrs stay valid.
+  size_t ErasePrefix(std::string_view prefix);
+
   // `bytes` is the current retained footprint.
   CacheStats TotalStats() const;
+
+  size_t max_bytes() const { return options_.max_bytes; }
 
  private:
   struct Entry {
     std::shared_ptr<const BaseHistogram> histogram;
     std::list<std::string>::iterator lru_it;
     size_t bytes = 0;
+    bool target_side = false;
   };
   using EntryMap = std::unordered_map<std::string, Entry>;
 
   // The helpers below require mu_.
+  SideStats& SideLocked(bool target_side) {
+    return target_side ? stats_.target : stats_.comparison;
+  }
   // Inserts at LRU front with byte accounting, then evicts to budget.
-  void InsertLocked(const std::string& key,
+  void InsertLocked(const std::string& key, bool target_side,
                     std::shared_ptr<const BaseHistogram> histogram);
   // Drops the LRU tail until the store fits its budget, never evicting
   // the front entry.
@@ -311,6 +351,34 @@ class BaseHistogramCache {
   // own ExecContext.
   std::condition_variable flights_cv_;
   std::unordered_set<std::string> flights_;
+};
+
+// How an evaluator reaches its bases in a store: the store plus one key
+// prefix per side, prepended to BaseHistogramKey.  A store private to one
+// (target, comparison) row-set pair uses empty prefixes, which is what
+// the converting constructor gives.  muved's server-wide store gives
+// every predicate of a table version the same comparison prefix and a
+// target prefix of its own (server/registry.h).
+struct BaseCacheHandle {
+  BaseCacheHandle() = default;
+  BaseCacheHandle(std::shared_ptr<BaseHistogramCache> store)  // NOLINT
+      : cache(std::move(store)) {}
+  BaseCacheHandle(std::shared_ptr<BaseHistogramCache> store,
+                  std::string target, std::string comparison)
+      : cache(std::move(store)),
+        target_prefix(std::move(target)),
+        comparison_prefix(std::move(comparison)) {}
+
+  // The store key of a pair's base on one side.
+  std::string Key(bool target_side, std::string_view dimension,
+                  std::string_view measure) const {
+    return (target_side ? target_prefix : comparison_prefix) +
+           BaseHistogramKey(target_side, dimension, measure);
+  }
+
+  std::shared_ptr<BaseHistogramCache> cache;
+  std::string target_prefix;
+  std::string comparison_prefix;
 };
 
 }  // namespace muve::storage

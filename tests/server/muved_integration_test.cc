@@ -547,7 +547,7 @@ TEST_F(MuvedIntegrationTest, StatsOpReportsConsistentCacheCounters) {
   EXPECT_EQ(base->Find("hits")->int_value() +
                 base->Find("misses")->int_value(),
             base->Find("lookups")->int_value());
-  EXPECT_EQ(base->Find("stores")->int_value(), 1);
+  EXPECT_EQ(base->Find("predicates")->int_value(), 1);
 
   // The op has a strict field whitelist like every other.
   JsonValue bad = Request("stats");
@@ -556,11 +556,46 @@ TEST_F(MuvedIntegrationTest, StatsOpReportsConsistentCacheCounters) {
   ::close(fd);
 }
 
+// The build-work counters of a recommend's `stats`.  A long-lived
+// server that already holds some bases (another predicate built the
+// shared comparison side) truthfully reports less build work than a cold
+// server does for the same frame.
+constexpr const char* kBuildCounters[] = {
+    "rows_scanned", "build_rows_scanned", "base_builds",
+    "base_cache_hits", "fused_builds", "fused_coalesced"};
+
+// The sharing differential: `shared` (long-lived server) equals `cold`
+// byte for byte — views and every other stats field included — apart
+// from the build counters, each of which is at most the cold server's.
+void ExpectSameAnswer(const JsonValue& shared, const JsonValue& cold) {
+  const JsonValue* shared_stats = shared.Find("stats");
+  const JsonValue* cold_stats = cold.Find("stats");
+  ASSERT_NE(shared_stats, nullptr) << shared.Write();
+  ASSERT_NE(cold_stats, nullptr) << cold.Write();
+  JsonValue shared_rest = *shared_stats;
+  JsonValue cold_rest = *cold_stats;
+  for (const char* counter : kBuildCounters) {
+    ASSERT_NE(shared_stats->Find(counter), nullptr) << counter;
+    ASSERT_NE(cold_stats->Find(counter), nullptr) << counter;
+    EXPECT_LE(shared_stats->Find(counter)->int_value(),
+              cold_stats->Find(counter)->int_value())
+        << counter;
+    shared_rest.Set(counter, JsonValue::Int(0));
+    cold_rest.Set(counter, JsonValue::Int(0));
+  }
+  JsonValue shared_masked = shared;
+  JsonValue cold_masked = cold;
+  shared_masked.Set("stats", std::move(shared_rest));
+  cold_masked.Set("stats", std::move(cold_rest));
+  EXPECT_EQ(shared_masked.Write(), cold_masked.Write());
+}
+
 TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
   // The server-level differential: a long-lived server, which reuses its
-  // registry, base-histogram stores and result cache across requests,
-  // answers every frame with exactly the bytes a cold server gives the
-  // same frame — sharing is semantically invisible on the wire.
+  // registry, base-histogram store and result cache across requests,
+  // answers every frame with the bytes a cold server gives the same
+  // frame, apart from the build counters (ExpectSameAnswer) — sharing is
+  // semantically invisible on the wire.
   std::vector<JsonValue> requests;
   for (const char* predicate : {"", "x >= 2", "m1 > 0 AND x >= 2"}) {
     JsonValue r = CacheableToyRecommend();
@@ -570,6 +605,7 @@ TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
   }
   StartServer();
   const int fd = Dial();
+  int64_t saved_rows = 0;
   for (const JsonValue& request : requests) {
     auto shared = RoundTrip(fd, request);
     ASSERT_TRUE(shared.ok());
@@ -585,34 +621,63 @@ TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
     ::close(*cold_fd);
     cold.Stop();
     ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(shared->Write(), fresh->Write());
+    ExpectSameAnswer(*shared, *fresh);
+    saved_rows +=
+        fresh->Find("stats")->Find("build_rows_scanned")->int_value() -
+        shared->Find("stats")->Find("build_rows_scanned")->int_value();
   }
   ::close(fd);
+  // The second and third predicates read the first one's comparison
+  // side instead of building it.
+  EXPECT_GT(saved_rows, 0);
   const auto counters = server_->counters();
   EXPECT_EQ(counters.result_cache_hits, 3);
   EXPECT_EQ(counters.recommends_executed, 3);
 }
 
 TEST_F(MuvedIntegrationTest, StatsCountsEveryHeldBaseStore) {
-  // Registry entries are capped, base-histogram stores are not: each
-  // (dataset, base_epoch, predicate) store outlives its entry's eviction,
-  // and stats reports all of them.
+  // Every predicate of a table version shares one comparison side: five
+  // predicates build each comparison pair once and each target pair
+  // once per predicate, in the one server-wide store, and stats counts
+  // the predicates whose target bases the store holds.
   ServerOptions options;
   options.max_recommenders = 2;
   StartServer(options);
   const int fd = Dial();
+  int64_t first_rows = 0;
+  int64_t build_rows = 0;
   for (const char* predicate :
        {"x >= 1", "x >= 2", "x >= 3", "m1 > 0", "y >= 1"}) {
     JsonValue r = CacheableToyRecommend();
     r.Set("predicate", JsonValue::String(predicate));
-    ASSERT_TRUE(IsOk(Call(fd, r))) << predicate;
+    JsonValue response = Call(fd, r);
+    ASSERT_TRUE(IsOk(response)) << predicate;
+    const int64_t rows =
+        response.Find("stats")->Find("build_rows_scanned")->int_value();
+    if (first_rows == 0) first_rows = rows;
+    build_rows += rows;
   }
   JsonValue stats = Call(fd, Request("stats"));
   ASSERT_TRUE(IsOk(stats)) << stats.Write();
   const JsonValue* base = stats.Find("base_cache");
   ASSERT_NE(base, nullptr);
-  EXPECT_EQ(base->Find("stores")->int_value(), 5);
-  EXPECT_GT(base->Find("builds")->int_value(), 0);
+  const JsonValue* target = base->Find("target");
+  const JsonValue* comparison = base->Find("comparison");
+  ASSERT_NE(target, nullptr);
+  ASSERT_NE(comparison, nullptr);
+  EXPECT_EQ(base->Find("predicates")->int_value(), 5);
+  const int64_t pairs = comparison->Find("builds")->int_value();
+  EXPECT_GT(pairs, 0);
+  EXPECT_EQ(target->Find("builds")->int_value(), 5 * pairs);
+  EXPECT_EQ(base->Find("builds")->int_value(), 6 * pairs);
+  EXPECT_EQ(comparison->Find("hits")->int_value(), 4 * pairs);
+  EXPECT_EQ(target->Find("bytes")->int_value() +
+                comparison->Find("bytes")->int_value(),
+            base->Find("bytes")->int_value());
+  EXPECT_LE(base->Find("bytes")->int_value(),
+            base->Find("max_bytes")->int_value());
+  // Only the first predicate scanned the toy table's comparison side.
+  EXPECT_LT(build_rows, 5 * first_rows);
   ::close(fd);
 }
 
@@ -1057,6 +1122,65 @@ TEST_F(MuvedIntegrationTest, CreateRecommendAppendDropLifecycle) {
   EXPECT_FALSE(IsOk(Call(fd, drop)));  // double drop
 
   ::close(fd);
+}
+
+TEST_F(MuvedIntegrationTest, PredicateFirstSeenAfterAppendMatchesReload) {
+  // The comparison side a predicate first reads after an append is the
+  // one the append patched.  Over an integer measure the patch is exact,
+  // so the answer equals a cold reload's byte for byte, apart from the
+  // build counters — and the only rows built are the target's.
+  JsonValue create = Request("create");
+  create.Set("table", JsonValue::String("mini"));
+  create.Set("csv", JsonValue::String(SmallCsv(0, 40)));
+  JsonValue dims = JsonValue::Array();
+  dims.Append(JsonValue::String("x"));
+  create.Set("dims", dims);
+  JsonValue measures = JsonValue::Array();
+  measures.Append(JsonValue::String("m"));
+  create.Set("measures", measures);
+  create.Set("predicate", JsonValue::String("day >= 2"));
+  JsonValue recommend = Request("recommend");
+  recommend.Set("dataset", JsonValue::String("mini"));
+  recommend.Set("k", JsonValue::Int(2));
+  recommend.Set("probe_order", JsonValue::String("deviation-first"));
+  JsonValue fresh_predicate = recommend;
+  fresh_predicate.Set("predicate", JsonValue::String("day >= 3"));
+
+  StartServer();
+  const int fd = Dial();
+  ASSERT_TRUE(IsOk(Call(fd, create)));
+  ASSERT_TRUE(IsOk(Call(fd, recommend)));  // builds the comparison side
+  JsonValue append = Request("append");
+  append.Set("table", JsonValue::String("mini"));
+  append.Set("csv", JsonValue::String(SmallCsv(40, 60)));
+  JsonValue appended = Call(fd, append);
+  ASSERT_TRUE(IsOk(appended)) << appended.Write();
+  EXPECT_GT(appended.Find("delta_merges")->int_value(), 0);
+  JsonValue shared = Call(fd, fresh_predicate);
+  ASSERT_TRUE(IsOk(shared)) << shared.Write();
+  ::close(fd);
+
+  ServerOptions options;
+  options.port = 0;
+  MuvedServer cold(options);
+  ASSERT_TRUE(cold.Start().ok());
+  auto cold_fd = DialLocal(cold.port());
+  ASSERT_TRUE(cold_fd.ok());
+  JsonValue reload = create;
+  reload.Set("csv", JsonValue::String(SmallCsv(0, 60)));
+  ASSERT_TRUE(IsOk(Call(*cold_fd, reload)));
+  JsonValue reloaded = Call(*cold_fd, fresh_predicate);
+  ::close(*cold_fd);
+  cold.Stop();
+  ASSERT_TRUE(IsOk(reloaded)) << reloaded.Write();
+
+  ExpectSameAnswer(shared, reloaded);
+  // day >= 3 holds for rows 30..59: one target pass, no comparison pass.
+  EXPECT_EQ(shared.Find("stats")->Find("build_rows_scanned")->int_value(),
+            30);
+  EXPECT_EQ(
+      reloaded.Find("stats")->Find("build_rows_scanned")->int_value(),
+      30 + 60);
 }
 
 TEST_F(MuvedIntegrationTest, CreateValidatesInputs) {

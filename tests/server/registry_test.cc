@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -143,6 +144,51 @@ TEST(RegistryTest, ConcurrentChurnStaysBounded) {
   ExpectConsistent(registry.stats(), options);
 }
 
+// Predicate churn cannot grow memory: 1,000 distinct predicates through
+// a store with room for a handful of bases.  The store stays under its
+// budget, and a predicate's record goes once the LRU has evicted its
+// target bases, so the records stay bounded too.
+TEST(RegistryTest, PredicateChurnStaysUnderTheStoreBudget) {
+  Registry::Options options;
+  options.max_recommenders = 4;
+  options.base_cache_bytes = 8 << 10;
+  Registry registry(options);
+  ASSERT_TRUE(CreateSmall(&registry).ok());
+
+  int next_row = 40;
+  size_t most_predicates = 0;
+  for (int i = 0; i < 1000; ++i) {
+    // m = 3 * row + 1, so every range of width >= 3 in [1, 118] selects
+    // at least one row.
+    const int lo = 1 + i % 100;
+    const std::string predicate = "m >= " + std::to_string(lo) +
+                                  " AND m <= " +
+                                  std::to_string(lo + 3 + i / 100);
+    auto entry = registry.Resolve("t", predicate);
+    ASSERT_TRUE(entry.ok()) << predicate << ": "
+                            << entry.status().ToString();
+    core::SearchOptions search;
+    search.k = 1;
+    search.shared_base_cache = entry->base_cache;
+    ASSERT_TRUE(entry->recommender->Recommend(search).ok()) << predicate;
+    if (i % 100 == 99) {
+      ASSERT_TRUE(registry.Append("t", SmallCsv(next_row, next_row + 5)).ok());
+      next_row += 5;
+    }
+    const Registry::Stats stats = registry.stats();
+    ASSERT_LE(stats.base_cache.bytes,
+              static_cast<int64_t>(options.base_cache_bytes));
+    most_predicates = std::max(most_predicates, stats.predicates);
+  }
+  const Registry::Stats stats = registry.stats();
+  EXPECT_GT(stats.base_cache.evictions, 0);
+  // Every record left either has target bases in the store or belongs
+  // to a resident entry; sweeps run at twice what the last one left.
+  EXPECT_LT(most_predicates, 128u);
+  EXPECT_EQ(stats.base_cache.target.bytes + stats.base_cache.comparison.bytes,
+            stats.base_cache.bytes);
+}
+
 // Wire helpers for the race test.
 JsonValue Op(const char* op) {
   JsonValue r = JsonValue::Object();
@@ -159,12 +205,13 @@ JsonValue Call(int fd, const JsonValue& request) {
   return *response;
 }
 
-// base_cache.stores from the stats op, or -1 when the field is missing.
-int64_t StoresHeld(int fd) {
+// base_cache.predicates from the stats op, or -1 when the field is
+// missing.
+int64_t PredicatesHeld(int fd) {
   const JsonValue stats = Call(fd, Op("stats"));
   const JsonValue* base = stats.Find("base_cache");
-  const JsonValue* stores = base != nullptr ? base->Find("stores") : nullptr;
-  return stores != nullptr ? stores->int_value() : -1;
+  const JsonValue* held = base != nullptr ? base->Find("predicates") : nullptr;
+  return held != nullptr ? held->int_value() : -1;
 }
 
 TEST(RegistryTest, ColdBuildRacingInvalidateLeavesNoOrphanStore) {
@@ -210,16 +257,16 @@ TEST(RegistryTest, ColdBuildRacingInvalidateLeavesNoOrphanStore) {
   held.join();
   common::ClearFailpoints();
 
-  // The stalled build read a retired base_epoch: its store stayed
-  // private, so nothing is left for the append to patch.
+  // The stalled build read a retired base_epoch: it built into a private
+  // store, so nothing is left for the append to patch.
   EXPECT_EQ(append(40, 50).Find("delta_merges")->int_value(), 0);
-  EXPECT_EQ(StoresHeld(*fd), 0);
+  EXPECT_EQ(PredicatesHeld(*fd), 0);
 
-  // A recommend under the current epoch holds the one store the next
+  // A recommend under the current epoch leaves the bases the next
   // append patches.
   Call(*fd, recommend);
   EXPECT_GT(append(50, 60).Find("delta_merges")->int_value(), 0);
-  EXPECT_EQ(StoresHeld(*fd), 1);
+  EXPECT_EQ(PredicatesHeld(*fd), 1);
 
   ::close(*held_fd);
   ::close(*fd);

@@ -190,7 +190,8 @@ TEST(BaseHistogramCacheTest, BuilderErrorIsPropagatedAndNotCached) {
 }
 
 // An entry covering a different row count than the request's row set is
-// stale: FusedBuild rebuilds it as a miss and replaces it.
+// another version: FusedBuild rebuilds it as a miss.  A build over more
+// rows replaces the entry; one over fewer rows serves its caller only.
 TEST(BaseHistogramCacheTest, EntryOfAnotherRowCountIsRebuilt) {
   Table table = MakeTable(13, 200, 10, true);
   BaseHistogramCache cache;
@@ -203,6 +204,71 @@ TEST(BaseHistogramCacheTest, EntryOfAnotherRowCountIsRebuilt) {
   EXPECT_EQ(grown->histogram->source_rows, 200);
   EXPECT_TRUE(cache.Contains("k", 200));
   EXPECT_EQ(cache.TotalStats().builds, 2);
+
+  auto older = FetchOne(cache, "k", table, AllRows(150), "d", "m");
+  ASSERT_TRUE(older.ok());
+  EXPECT_TRUE(older->built);
+  EXPECT_EQ(older->histogram->source_rows, 150);
+  EXPECT_TRUE(cache.Contains("k", 200));
+  EXPECT_EQ(cache.TotalStats().builds, 2);
+}
+
+// Readers pinned to table versions v and v+1 alternate over one key (the
+// thrash of a shared comparison base while an append lands).  The newer
+// version is built once and then served; the older one is inserted at
+// most once, before the newer one exists, and never displaces it.
+// Exercised under -DMUVE_SANITIZE=thread via the tsan ctest label.
+TEST(BaseHistogramCacheTest, OlderVersionNeverDisplacesNewerBase) {
+  Table table = MakeTable(14, 600, 30, true);
+  const RowSet older = AllRows(500);
+  const RowSet newer = AllRows(600);
+  BaseHistogramCache cache;
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 20;
+  std::atomic<int> newer_builds{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const bool read_newer = (t + round) % 2 == 1;
+        auto entry = FetchOne(cache, "c|d|m", table,
+                              read_newer ? newer : older, "d", "m");
+        ASSERT_TRUE(entry.ok());
+        EXPECT_EQ(entry->histogram->source_rows, read_newer ? 600 : 500);
+        if (read_newer && entry->built) newer_builds.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(newer_builds.load(), 1);
+  EXPECT_LE(cache.TotalStats().builds, 2);
+  EXPECT_TRUE(cache.Contains("c|d|m", 600));
+}
+
+// The counters split by the side a request names, and the sides' bytes
+// add up to the store's.
+TEST(BaseHistogramCacheTest, StatsSplitBySide) {
+  Table table = MakeTable(15, 120, 12, true);
+  const RowSet rows = AllRows(120);
+  BaseHistogramCache cache;
+  for (const bool target_side : {true, false, false}) {
+    BaseHistogramCache::FusedHistogramBuildRequest request;
+    request.rows = &rows;
+    request.pairs.push_back(
+        {BaseHistogramKey(target_side, "d", "m"), "d", "m"});
+    request.target_side = target_side;
+    ASSERT_TRUE(cache.FusedBuild(table, request).ok());
+  }
+  const auto stats = cache.TotalStats();
+  EXPECT_EQ(stats.target.builds, 1);
+  EXPECT_EQ(stats.target.hits, 0);
+  EXPECT_EQ(stats.comparison.builds, 1);
+  EXPECT_EQ(stats.comparison.hits, 1);
+  EXPECT_GT(stats.target.bytes, 0);
+  EXPECT_EQ(stats.target.bytes + stats.comparison.bytes, stats.bytes);
+  EXPECT_EQ(cache.ErasePrefix("t|"), 1u);
+  EXPECT_EQ(cache.TotalStats().target.bytes, 0);
+  EXPECT_EQ(cache.TotalStats().comparison.bytes, cache.TotalStats().bytes);
 }
 
 TEST(BaseHistogramCacheTest, LruEvictionUnderByteBudget) {

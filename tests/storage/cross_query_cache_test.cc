@@ -2,11 +2,13 @@
 // layers (DESIGN.md §13) are semantically invisible.
 //
 // For fuzzed (predicate, scheme, alphas, k) configurations the SAME
-// recommendation request runs three ways —
+// recommendation request runs four ways —
 //   1. isolated:  per-request cache (the pre-sharing path);
 //   2. shared:    one cross-request BaseHistogramCache reused warm across
 //                 every request on the entry;
-//   3. shared x8: eight concurrent requests racing the same cold shared
+//   3. one store: every predicate in one store, sharing the comparison
+//                 side under one key prefix (muved's shape);
+//   4. shared x8: eight concurrent requests racing the same cold shared
 //                 store —
 // and the returned top-k must be BIT-identical across all of them (exact
 // double bit patterns, not EXPECT_NEAR).  ExecStats are deliberately NOT
@@ -147,7 +149,7 @@ TEST(CrossQueryCacheTest, FuzzSharedCachesAreSemanticallyInvisible) {
 
     // 1. Isolated: a private per-run store.
     SearchOptions isolated = base;
-    isolated.shared_base_cache = nullptr;
+    isolated.shared_base_cache = {};
     auto want = entry.recommender->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
@@ -164,6 +166,46 @@ TEST(CrossQueryCacheTest, FuzzSharedCachesAreSemanticallyInvisible) {
   }
 }
 
+// muved's shape: ONE store for every predicate of a table, where all
+// predicates read the same comparison (D_B) bases under one prefix and
+// each keeps its target (D_Q) bases under its own.  Every predicate's
+// answer stays bit-identical to an isolated run, and each comparison
+// pair is built once for all of them.
+TEST(CrossQueryCacheTest, FuzzPredicatesShareOneComparisonSide) {
+  constexpr size_t kNumPredicates =
+      sizeof(kPredicates) / sizeof(kPredicates[0]);
+  auto store = std::make_shared<storage::BaseHistogramCache>();
+  std::vector<std::unique_ptr<Recommender>> recommenders;
+  for (const char* predicate : kPredicates) {
+    auto rec = Recommender::Create(MakeFilteredToy(predicate));
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    recommenders.push_back(
+        std::make_unique<Recommender>(std::move(rec).value()));
+  }
+
+  constexpr uint64_t kCases = 24;
+  for (uint64_t i = 0; i < kCases; ++i) {
+    const uint64_t seed = FuzzSeed(i + 9000);
+    SCOPED_TRACE(FuzzTrace(i, seed));
+    const size_t which = seed % kNumPredicates;
+    const Recommender& rec = *recommenders[which];
+    const SearchOptions base = DrawOptions(seed);
+
+    auto want = rec.Recommend(base);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    SearchOptions shared = base;
+    shared.shared_base_cache = storage::BaseCacheHandle(
+        store, "p" + std::to_string(which) + '\x01', "table\x01");
+    auto got = rec.Recommend(shared);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    AssertViewsBitIdentical(*want, *got, "shared comparison side");
+  }
+  const auto stats = store->TotalStats();
+  EXPECT_EQ(stats.comparison.builds,
+            static_cast<int64_t>(recommenders[0]->space().base_pairs().size()));
+  EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
+}
+
 TEST(CrossQueryCacheTest, FuzzConcurrentRequestsOnOneColdStoreAgree) {
   constexpr uint64_t kCases = 6;
   constexpr int kThreads = 8;
@@ -177,7 +219,7 @@ TEST(CrossQueryCacheTest, FuzzConcurrentRequestsOnOneColdStoreAgree) {
     const SearchOptions base = DrawOptions(seed);
 
     SearchOptions isolated = base;
-    isolated.shared_base_cache = nullptr;
+    isolated.shared_base_cache = {};
     auto want = rec->Recommend(isolated);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
 
@@ -250,7 +292,7 @@ TEST(CrossQueryCacheTest, ProbesReadPinnedBasesNotTheStore) {
                     1e-9 * (1.0 + std::abs(want[i].utility)));
       }
 
-      const auto stats = options.shared_base_cache->TotalStats();
+      const auto stats = options.shared_base_cache.cache->TotalStats();
       EXPECT_LE(stats.lookups, 2 * pairs * (threads + 1));
       EXPECT_EQ(stats.hits + stats.misses, stats.lookups);
     }

@@ -1,4 +1,4 @@
-#include "storage/histogram.h"
+#include "histogram.h"
 
 #include <gtest/gtest.h>
 

@@ -39,7 +39,7 @@
 //   --result-cache-entries=N
 //                       LRU cap on cached top-k responses (default 256;
 //                       0 disables the result cache).  Recommenders and
-//                       base-histogram stores are always shared across
+//                       the base-histogram store are always shared across
 //                       requests (DESIGN.md §13)
 
 #include <unistd.h>
