@@ -28,6 +28,8 @@ void ExecStats::Merge(const ExecStats& other) {
   fused_builds += other.fused_builds;
   morsels_dispatched += other.morsels_dispatched;
   fused_coalesced += other.fused_coalesced;
+  memo_hits += other.memo_hits;
+  memo_fills += other.memo_fills;
   chunks_skipped += other.chunks_skipped;
   delta_merges += other.delta_merges;
   ingest_rows += other.ingest_rows;
@@ -72,6 +74,10 @@ std::string ExecStats::ToString() const {
       << " morsels=" << morsels_dispatched
       << " workers=" << num_workers;
   if (fused_coalesced > 0) out << " coalesced=" << fused_coalesced;
+  // Printed only for memoized runs so library output stays unchanged.
+  if (memo_hits > 0 || memo_fills > 0) {
+    out << " memo(h/f)=" << memo_hits << "/" << memo_fills;
+  }
   // Printed only when zone maps actually pruned, so single-chunk runs
   // (every pre-chunking golden) stay byte-stable.
   if (chunks_skipped > 0) out << " chunks_skipped=" << chunks_skipped;

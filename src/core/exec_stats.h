@@ -77,6 +77,12 @@ struct ExecStats {
   // single-flight scheduler parked this side and it woke to cache hits
   // (SearchOptions::shared_base_cache).  0 on a run that shares nothing.
   int64_t fused_coalesced = 0;
+  // Score-memo accounting (SearchOptions::score_memo): probes answered
+  // from a value an earlier probe stored — no C_t / C_c / C_d / C_a, no
+  // cost-model observation, no query counter — and probes whose value
+  // this run stored.  Both stay 0 on a run without a memo.
+  int64_t memo_hits = 0;
+  int64_t memo_fills = 0;
 
   // Chunked-storage accounting: column chunks the predicate layer never
   // scanned because their zone maps (min/max/null-count, or a string

@@ -1,60 +1,60 @@
 #include "core/exploration_session.h"
 
+#include "common/logging.h"
 #include "core/top_k_tracker.h"
-#include "core/view_evaluator.h"
 
 namespace muve::core {
 
 common::Result<ExplorationSession> ExplorationSession::Create(
     data::Dataset dataset) {
-  MUVE_ASSIGN_OR_RETURN(ViewSpace space, ViewSpace::Create(dataset));
-  return ExplorationSession(std::move(dataset), std::move(space));
+  MUVE_ASSIGN_OR_RETURN(Recommender recommender,
+                        Recommender::Create(std::move(dataset)));
+  return ExplorationSession(std::move(recommender));
 }
 
+ExplorationSession::ExplorationSession(Recommender recommender)
+    : recommender_(std::move(recommender)),
+      memo_(std::make_shared<ScoreMemo>(recommender_.space())) {}
+
 common::Status ExplorationSession::Materialize(DistanceKind distance) {
-  if (scores_.contains(distance)) return common::Status::OK();
-
-  ViewEvaluator::Options options;
+  if (materialized_.contains(distance)) return common::Status::OK();
+  // Linear-Linear fully probes every (view, b) candidate, so afterwards
+  // the memo holds every score under `distance`.
+  SearchOptions options;
+  options.horizontal = HorizontalStrategy::kLinear;
+  options.vertical = VerticalStrategy::kLinear;
+  options.k = 1;
   options.distance = distance;
-  ViewEvaluator evaluator(dataset_, space_, options);
-  // Materialization probes every (view, b) pair: the base histograms'
-  // best case (one fused pass per side, then O(d) per candidate).
-  evaluator.PrewarmBaseHistograms();
-  std::vector<CandidateScores> all;
-  const std::vector<View>& views = space_.views();
-  for (size_t i = 0; i < views.size(); ++i) {
-    // A categorical dimension's single candidate has max_bins == 1.
-    const int max_bins = space_.dimension_info(views[i].dimension).max_bins;
-    for (int bins = 1; bins <= max_bins; ++bins) {
-      CandidateScores cs;
-      cs.view_index = i;
-      cs.bins = bins;
-      cs.deviation = evaluator.EvaluateDeviation(views[i], bins);
-      cs.accuracy = evaluator.EvaluateAccuracy(views[i], bins);
-      cs.usability = evaluator.CandidateUsability(views[i], bins);
-      all.push_back(cs);
-    }
-  }
-
-  stats_.Merge(evaluator.stats());
-  scores_.emplace(distance, std::move(all));
+  options.score_memo = memo_;
+  MUVE_ASSIGN_OR_RETURN(const Recommendation rec,
+                        recommender_.Recommend(options));
+  stats_.Merge(rec.stats);
+  materialized_.insert(distance);
   return common::Status::OK();
 }
 
 common::Result<std::vector<ScoredView>> ExplorationSession::AllCandidates(
     DistanceKind distance) {
   MUVE_RETURN_IF_ERROR(Materialize(distance));
-  const std::vector<CandidateScores>& table = scores_.at(distance);
+  const ViewSpace& space = recommender_.space();
   std::vector<ScoredView> out;
-  out.reserve(table.size());
-  for (const CandidateScores& cs : table) {
-    ScoredView scored;
-    scored.view = space_.views()[cs.view_index];
-    scored.bins = cs.bins;
-    scored.deviation = cs.deviation;
-    scored.accuracy = cs.accuracy;
-    scored.usability = cs.usability;
-    out.push_back(std::move(scored));
+  for (const View& view : space.views()) {
+    const DimensionInfo& dim = space.dimensions()[view.dimension_index];
+    for (int bins = 1; bins <= dim.max_bins; ++bins) {
+      const std::optional<double> deviation =
+          memo_->Get(ScoreMemo::DeviationKind(distance), view.index, bins);
+      const std::optional<double> accuracy =
+          memo_->Get(ScoreMemo::AccuracyKind(), view.index, bins);
+      MUVE_CHECK(deviation.has_value() && accuracy.has_value())
+          << view.Label() << " [b=" << bins << "] was not materialized";
+      ScoredView scored;
+      scored.view = view;
+      scored.bins = bins;
+      scored.deviation = *deviation;
+      scored.accuracy = *accuracy;
+      scored.usability = CandidateUsability(dim, bins);
+      out.push_back(std::move(scored));
+    }
   }
   return out;
 }
@@ -65,20 +65,13 @@ common::Result<std::vector<ScoredView>> ExplorationSession::Recommend(
   if (k < 1) {
     return common::Status::InvalidArgument("k must be >= 1");
   }
-  MUVE_RETURN_IF_ERROR(Materialize(distance));
-
-  const std::vector<CandidateScores>& table = scores_.at(distance);
-  TopKTracker tracker(k, space_.views().size());
-  for (const CandidateScores& cs : table) {
-    ScoredView scored;
-    scored.view = space_.views()[cs.view_index];
-    scored.bins = cs.bins;
-    scored.deviation = cs.deviation;
-    scored.accuracy = cs.accuracy;
-    scored.usability = cs.usability;
-    scored.utility =
-        Utility(weights, cs.deviation, cs.accuracy, cs.usability);
-    tracker.Update(cs.view_index, scored);
+  MUVE_ASSIGN_OR_RETURN(std::vector<ScoredView> candidates,
+                        AllCandidates(distance));
+  TopKTracker tracker(k, space().views().size());
+  for (ScoredView& scored : candidates) {
+    scored.utility = Utility(weights, scored.deviation, scored.accuracy,
+                             scored.usability);
+    tracker.Update(static_cast<size_t>(scored.view.index), scored);
   }
   return tracker.TopK();
 }

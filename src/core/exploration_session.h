@@ -4,10 +4,11 @@
 // weights or on k — only on the data, the view, the bin count, and the
 // distance function.  An analyst who tunes weights interactively (the
 // user-defined-weights workflow of Section III-B) therefore should not
-// pay query-execution costs per adjustment.  ExplorationSession
-// materializes the full (view, bins) -> (D, A) score table once per
-// distance function (one exhaustive pass over base histograms) and
-// answers any subsequent (weights, k) recommendation by pure re-ranking.
+// pay query-execution costs per adjustment.  ExplorationSession runs one
+// Linear-Linear recommendation per distance function, which probes every
+// (view, bins) candidate into the session's score memo
+// (core/score_memo.h), and answers any subsequent (weights, k)
+// recommendation by re-ranking the memo's scores.
 //
 // Recommendations equal the exhaustive Linear-Linear scheme's for every
 // weight setting; the session trades MuVE's per-query pruning for
@@ -16,8 +17,8 @@
 #ifndef MUVE_CORE_EXPLORATION_SESSION_H_
 #define MUVE_CORE_EXPLORATION_SESSION_H_
 
-#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "common/status.h"
@@ -25,6 +26,7 @@
 #include "core/distance.h"
 #include "core/exec_stats.h"
 #include "core/recommender.h"
+#include "core/score_memo.h"
 #include "core/view.h"
 #include "data/dataset.h"
 
@@ -41,8 +43,8 @@ class ExplorationSession {
       const Weights& weights, int k,
       DistanceKind distance = DistanceKind::kEuclidean);
 
-  // Every materialized candidate's objective scores for `distance`
-  // (materializing on first use).  The returned ScoredViews carry
+  // Every candidate's objective scores for `distance` (materializing on
+  // first use), in (view, bins) order.  The returned ScoredViews carry
   // deviation/accuracy/usability; `utility` is left 0 because it is
   // weight-dependent.  Used by the Pareto-front analysis.
   common::Result<std::vector<ScoredView>> AllCandidates(
@@ -52,29 +54,18 @@ class ExplorationSession {
   const ExecStats& stats() const { return stats_; }
 
   // Number of distance functions materialized so far.
-  size_t materialized_distances() const { return scores_.size(); }
+  size_t materialized_distances() const { return materialized_.size(); }
 
-  const ViewSpace& space() const { return space_; }
+  const ViewSpace& space() const { return recommender_.space(); }
 
  private:
-  // Objective scores of one candidate; utility is weight-dependent and
-  // computed at ranking time.
-  struct CandidateScores {
-    size_t view_index = 0;
-    int bins = 1;
-    double deviation = 0.0;
-    double accuracy = 0.0;
-    double usability = 0.0;
-  };
-
-  ExplorationSession(data::Dataset dataset, ViewSpace space)
-      : dataset_(std::move(dataset)), space_(std::move(space)) {}
+  explicit ExplorationSession(Recommender recommender);
 
   common::Status Materialize(DistanceKind distance);
 
-  data::Dataset dataset_;
-  ViewSpace space_;
-  std::map<DistanceKind, std::vector<CandidateScores>> scores_;
+  Recommender recommender_;
+  std::shared_ptr<ScoreMemo> memo_;
+  std::set<DistanceKind> materialized_;
   ExecStats stats_;
 };
 

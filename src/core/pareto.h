@@ -13,9 +13,8 @@
 //   * the front is exactly the set of candidates that *could* be top-1
 //     under some monotone preference.
 //
-// The front is computed from an ExplorationSession-style score table —
-// i.e. it reuses the materialized (D, A, S) values and adds no query
-// cost.
+// The front is computed from an ExplorationSession's score memo — i.e.
+// it reuses the materialized (D, A, S) values and adds no query cost.
 
 #ifndef MUVE_CORE_PARETO_H_
 #define MUVE_CORE_PARETO_H_

@@ -396,6 +396,11 @@ common::Result<Recommendation> Recommender::Recommend(
     ctx.SetRowBudget(options.max_rows_scanned);
   }
 
+  if (options.score_memo != nullptr && !options.score_memo->Fits(space_)) {
+    return common::Status::InvalidArgument(
+        "score_memo was laid out for another view space");
+  }
+
   ViewEvaluator::Options eval_options;
   eval_options.distance = options.distance;
   eval_options.sample_fraction = options.sample_fraction;
@@ -419,6 +424,11 @@ common::Result<Recommendation> Recommender::Recommend(
     }
     eval_options.base_cache =
         std::make_shared<storage::BaseHistogramCache>(cache_options);
+  }
+  // A sampled run's scores are estimates over a run-local draw: they
+  // neither read nor fill the caller's memo.
+  if (options.sample_fraction >= 1.0) {
+    eval_options.score_memo = options.score_memo.get();
   }
 
   // More workers than views can never help; everything degrades to the

@@ -32,7 +32,9 @@ struct Recommendation {
 // One recommendation engine per dataset workload.  Construction enumerates
 // the view space and derives dimension binning ranges; each Recommend()
 // call runs with a fresh evaluator per pool worker (cold caches, zeroed
-// cost accounting) so scheme costs are comparable.
+// cost accounting) so scheme costs are comparable — unless the caller
+// hands in a base-histogram store or a score memo to share across calls
+// (SearchOptions::shared_base_cache / score_memo).
 //
 // Threading model (options.num_threads): every vertical strategy runs on
 // a shared work-stealing pool (common::ThreadPool) —

@@ -18,6 +18,7 @@
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "core/distance.h"
+#include "core/score_memo.h"
 #include "core/utility.h"
 #include "storage/base_histogram_cache.h"
 
@@ -130,6 +131,19 @@ struct SearchOptions {
   // per (pair, side, worker) and no probe takes its lock.  A null store
   // (default) = no sharing.
   storage::BaseCacheHandle shared_base_cache;
+
+  // Cross-request score reuse: a memo OWNED BY THE CALLER, laid out for
+  // this recommender's view space, that every probe reads before it
+  // runs and fills after (core/score_memo.h).  A filled slot skips
+  // C_t / C_c / C_d / C_a; the search path, and so the top-k, does not
+  // change.  muved keeps one per registry entry (dataset, data_epoch,
+  // canonical predicate).  Hard requirement: every run handed one memo
+  // probes the same table version, predicate and morsel size, so each
+  // slot holds the bits its probe would compute — which is why
+  // Recommend() ignores the memo when sample_fraction < 1.0.  A memo
+  // laid out for another view space is an InvalidArgument.  Null
+  // (default) = every probe runs.
+  std::shared_ptr<ScoreMemo> score_memo;
 
   // --- Execution control (common/exec_context.h) ---
   //

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "core/utility.h"
 #include "storage/base_histogram_cache.h"
 
 namespace muve::core {
@@ -154,6 +155,13 @@ const DimensionInfo& ViewSpace::dimension_info(const std::string& name) const {
   const auto it = dim_index_.find(name);
   MUVE_CHECK(it != dim_index_.end()) << "unknown dimension: " << name;
   return dims_[it->second];
+}
+
+double CandidateUsability(const DimensionInfo& dim, int bins) {
+  if (dim.categorical) {
+    return 1.0 / static_cast<double>(dim.distinct_values);
+  }
+  return Usability(bins);
 }
 
 int ViewSpace::max_bins_overall() const {

@@ -61,6 +61,10 @@ struct DimensionInfo {
   double range() const { return hi - lo; }
 };
 
+// A candidate's usability objective: 1/bins on a numeric dimension
+// (Eq. 3), 1/(distinct groups) on a categorical one.
+double CandidateUsability(const DimensionInfo& dim, int bins);
+
 // An (A, M) pair whose base histogram (storage/base_histogram_cache.h)
 // serves every view over it with a moment-servable function.
 struct BasePair {

@@ -192,11 +192,10 @@ const storage::BaseHistogram& ViewEvaluator::PinnedBase(const View& view,
   return *pin;
 }
 
-storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
-                                                         int bins) {
-  if (cached_target_.has_value() && cached_target_bins_ == bins &&
-      cached_target_view_ == view.index) {
-    return *cached_target_;
+const storage::BinnedResult& ViewEvaluator::ExecuteBinnedTarget(
+    const View& view, int bins) {
+  if (cached_target_view_ == view.index && cached_target_bins_ == bins) {
+    return cached_target_;
   }
   const DimensionInfo& dim = space_.dimensions()[view.dimension_index];
   common::Stopwatch timer;
@@ -221,8 +220,8 @@ storage::BinnedResult ViewEvaluator::ExecuteBinnedTarget(const View& view,
   cost_model_.Observe(CostKind::kTargetQuery, ms);
   cached_target_view_ = view.index;
   cached_target_bins_ = bins;
-  cached_target_ = result.value();
-  return std::move(result).value();
+  cached_target_ = std::move(result).value();
+  return cached_target_;
 }
 
 storage::BinnedResult ViewEvaluator::ExecuteBinnedComparison(const View& view,
@@ -297,15 +296,37 @@ double ViewEvaluator::NormalizedSeriesDistance(
   return Distance(options_.distance, dist_p_.data(), dist_q_.data(), n);
 }
 
-double ViewEvaluator::EvaluateDeviation(const View& view, int bins) {
+template <typename Probe>
+double ViewEvaluator::Memoized(int kind, const View& view, int bins,
+                               Probe&& probe) {
   MUVE_DCHECK(view.index >= 0 &&
               static_cast<size_t>(view.index) < space_.views().size() &&
               space_.views()[view.index] == view)
       << "view not from this evaluator's space";
+  ScoreMemo* memo = options_.score_memo;
+  if (memo == nullptr) return probe();
+  const int key_bins =
+      space_.dimensions()[view.dimension_index].categorical ? 1 : bins;
+  if (const std::optional<double> stored =
+          memo->Get(kind, view.index, key_bins)) {
+    ++stats_.memo_hits;
+    return *stored;
+  }
+  const double value = probe();
+  if (memo->Put(kind, view.index, key_bins, value)) ++stats_.memo_fills;
+  return value;
+}
+
+double ViewEvaluator::EvaluateDeviation(const View& view, int bins) {
+  return Memoized(ScoreMemo::DeviationKind(options_.distance), view, bins,
+                  [&] { return ProbeDeviation(view, bins); });
+}
+
+double ViewEvaluator::ProbeDeviation(const View& view, int bins) {
   if (space_.dimensions()[view.dimension_index].categorical) {
     return EvaluateCategoricalDeviation(view);
   }
-  const storage::BinnedResult target = ExecuteBinnedTarget(view, bins);
+  const storage::BinnedResult& target = ExecuteBinnedTarget(view, bins);
   const storage::BinnedResult comparison =
       ExecuteBinnedComparison(view, bins);
 
@@ -385,17 +406,18 @@ double ViewEvaluator::EvaluateCategoricalDeviation(const View& view) {
 }
 
 double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
-  MUVE_DCHECK(view.index >= 0 &&
-              static_cast<size_t>(view.index) < space_.views().size() &&
-              space_.views()[view.index] == view)
-      << "view not from this evaluator's space";
+  return Memoized(ScoreMemo::AccuracyKind(), view, bins,
+                  [&] { return ProbeAccuracy(view, bins); });
+}
+
+double ViewEvaluator::ProbeAccuracy(const View& view, int bins) {
   if (space_.dimensions()[view.dimension_index].categorical) {
     // No binning approximation: the view shows every group exactly.
     ++stats_.accuracy_evals;
     return 1.0;
   }
   const RawSeries& raw = RawTargetSeries(view);
-  const storage::BinnedResult target = ExecuteBinnedTarget(view, bins);
+  const storage::BinnedResult& target = ExecuteBinnedTarget(view, bins);
 
   common::Stopwatch timer;
   const double accuracy =
@@ -408,11 +430,8 @@ double ViewEvaluator::EvaluateAccuracy(const View& view, int bins) {
 }
 
 double ViewEvaluator::CandidateUsability(const View& view, int bins) const {
-  const DimensionInfo& info = space_.dimensions()[view.dimension_index];
-  if (info.categorical) {
-    return 1.0 / static_cast<double>(info.distinct_values);
-  }
-  return Usability(bins);
+  return core::CandidateUsability(space_.dimensions()[view.dimension_index],
+                                  bins);
 }
 
 bool ViewEvaluator::AccuracyFirst(const Weights& weights) const {

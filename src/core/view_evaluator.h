@@ -36,6 +36,13 @@
 //   * Within one candidate (view, bins), the binned target result is
 //     reused between the deviation and accuracy probes.  This is a strict
 //     optimization that cannot change any objective value.
+//   * With a score memo (Options::score_memo, core/score_memo.h), a
+//     probe whose (view, bins, distance) slot an earlier probe filled —
+//     in this run or an earlier one — returns the stored bits: no C_t /
+//     C_c / C_d / C_a, no cost-model observation, no query counter, one
+//     ExecStats::memo_hits.  A miss probes as above and fills the slot
+//     (ExecStats::memo_fills).  The value is the one the probe would
+//     compute, so no objective value changes; only costs do.
 //
 // Views passed in must come from the evaluator's ViewSpace.
 
@@ -51,6 +58,7 @@
 #include "core/cost_model.h"
 #include "core/distance.h"
 #include "core/exec_stats.h"
+#include "core/score_memo.h"
 #include "core/utility.h"
 #include "core/view.h"
 #include "data/dataset.h"
@@ -91,6 +99,11 @@ struct ViewEvaluatorOptions {
   // default.  PrewarmBaseHistograms takes the pool explicitly.
   size_t fused_morsel_size = 0;
 
+  // The score memo probes read and fill, or nullptr.  Its values must be
+  // this evaluator's own: same view space, row sets and base bits
+  // (SearchOptions::score_memo).  Must outlive the evaluator.
+  ScoreMemo* score_memo = nullptr;
+
   // Execution control (deadline / cancellation / row budget), or nullptr
   // for an unbounded run.  The evaluator never aborts a probe mid-flight
   // — in-flight work completes so results stay well-formed — but it (a)
@@ -117,15 +130,17 @@ class ViewEvaluator {
 
   // D(V_{i,b}) (Eq. 2): executes the binned target and comparison queries,
   // normalizes both into distributions, and computes the distance.
-  // Charges C_t + C_c + C_d.  For a categorical dimension `bins` is
-  // ignored: the target and comparison group-bys are aligned on the
-  // comparison view's group set (the SeeDB setting).
+  // Charges C_t + C_c + C_d, or nothing on a score-memo hit.  For a
+  // categorical dimension `bins` is ignored: the target and comparison
+  // group-bys are aligned on the comparison view's group set (the SeeDB
+  // setting).
   double EvaluateDeviation(const View& view, int bins);
 
   // A(V_{i,b}) (Eq. 4): executes the binned target query (and, once per
   // view, the raw target query) and computes the relative-SSE accuracy.
-  // Charges C_t + C_a.  Categorical views have no binning approximation
-  // and always score 1.0 (charged as a zero-cost accuracy evaluation).
+  // Charges C_t + C_a, or nothing on a score-memo hit.  Categorical
+  // views have no binning approximation and always score 1.0 (charged as
+  // a zero-cost accuracy evaluation).
   double EvaluateAccuracy(const View& view, int bins);
 
   // The candidate's usability objective: 1/bins for numeric dimensions
@@ -178,7 +193,17 @@ class ViewEvaluator {
   };
   using BasePin = std::shared_ptr<const storage::BaseHistogram>;
 
-  storage::BinnedResult ExecuteBinnedTarget(const View& view, int bins);
+  // The memo's value of `kind` at (view, bins) when it holds one, else
+  // `probe()`, stored into the memo.  Categorical views key b = 1.
+  template <typename Probe>
+  double Memoized(int kind, const View& view, int bins, Probe&& probe);
+  // The uncached probes behind EvaluateDeviation / EvaluateAccuracy.
+  double ProbeDeviation(const View& view, int bins);
+  double ProbeAccuracy(const View& view, int bins);
+  // The binned target result of (view, bins), from the one-entry cache
+  // below when the last call asked for the same candidate.
+  const storage::BinnedResult& ExecuteBinnedTarget(const View& view,
+                                                   int bins);
   storage::BinnedResult ExecuteBinnedComparison(const View& view, int bins);
   double EvaluateCategoricalDeviation(const View& view);
   const RawSeries& RawTargetSeries(const View& view);
@@ -233,10 +258,10 @@ class ViewEvaluator {
   common::simd::AlignedVector<double> dist_p_;
   common::simd::AlignedVector<double> dist_q_;
   // One-entry binned-target cache for within-candidate reuse, keyed by
-  // (view index, bins).
+  // (view index, bins); valid when cached_target_view_ >= 0.
   int cached_target_view_ = -1;
   int cached_target_bins_ = -1;
-  std::optional<storage::BinnedResult> cached_target_;
+  storage::BinnedResult cached_target_;
 };
 
 }  // namespace muve::core

@@ -199,6 +199,7 @@ JsonValue SerializeStats(const core::ExecStats& stats) {
   s.Set("base_cache_hits", JsonValue::Int(stats.base_cache_hits));
   s.Set("fused_builds", JsonValue::Int(stats.fused_builds));
   s.Set("fused_coalesced", JsonValue::Int(stats.fused_coalesced));
+  s.Set("memo_hits", JsonValue::Int(stats.memo_hits));
   s.Set("chunks_skipped", JsonValue::Int(stats.chunks_skipped));
   s.Set("candidates_considered", JsonValue::Int(stats.candidates_considered));
   s.Set("fully_probed", JsonValue::Int(stats.fully_probed));
@@ -761,8 +762,10 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
   }
 
   // The server-wide base-histogram store, under this table version's
-  // comparison prefix and this predicate's target prefix.
+  // comparison prefix and this predicate's target prefix, and the
+  // entry's score memo.
   options.shared_base_cache = entry->base_cache;
+  options.score_memo = entry->memo;
 
   // Bounded, deadline-aware admission (DESIGN.md §14).  The remaining
   // budget is what is left of deadline_ms after decode/registry work; a
@@ -844,6 +847,7 @@ JsonValue MuvedServer::HandleRecommend(const JsonValue& request,
     std::lock_guard<std::mutex> lock(counters_mu_);
     ++counters_.recommends_executed;
   }
+  registry_.NoteMemoUse(*entry, rec.ok() ? rec->stats : core::ExecStats());
   if (!rec.ok()) return ErrorResponse(rec.status());
   rec->stats.queue_ms = queue_ms;
   rec->stats.queue_depth_on_admit = queue_depth;
@@ -999,6 +1003,16 @@ JsonValue MuvedServer::HandleStats(const JsonValue& request) {
     b.Set("target", side(reg.base_cache.target));
     b.Set("comparison", side(reg.base_cache.comparison));
     response.Set("base_cache", std::move(b));
+    // The registry entries' score memos; bytes as of the last finished
+    // recommend, hits and fills over the server's life.
+    JsonValue memo = JsonValue::Object();
+    memo.Set("entries",
+             JsonValue::Int(static_cast<int64_t>(reg.score_memo.entries)));
+    memo.Set("bytes",
+             JsonValue::Int(static_cast<int64_t>(reg.score_memo.bytes)));
+    memo.Set("hits", JsonValue::Int(reg.score_memo.hits));
+    memo.Set("fills", JsonValue::Int(reg.score_memo.fills));
+    response.Set("score_memo", std::move(memo));
     response.Set("result_cache_entries",
                  JsonValue::Int(static_cast<int64_t>(reg.results)));
   }

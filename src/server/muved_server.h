@@ -4,8 +4,8 @@
 // Recommend() calls execute at once — excess requests queue FIFO-ish on
 // a condition variable instead of oversubscribing the machine — and the
 // Registry (server/registry.h) that holds everything reused across
-// requests: the catalog, the recommenders, the server-wide base-histogram
-// store and the result cache.  The op handlers here parse a request, call the
+// requests: the catalog, the recommenders and their score memos, the
+// server-wide base-histogram store and the result cache.  The op handlers here parse a request, call the
 // registry and serialize the reply.  The gate is BOUNDED (max_queue
 // waiters, queue_timeout_ms each, deadline-aware): overload is answered
 // with a typed `unavailable` shed frame carrying retry_after_ms, never

@@ -78,6 +78,7 @@ Result<uint64_t> Registry::Invalidate(const std::string& name) {
 void Registry::PurgeLocked(const std::string& dataset, bool keep_bases) {
   std::erase_if(entries_,
                 [&](const Entry& entry) { return entry.dataset == dataset; });
+  ReserveMemosLocked(nullptr);
   const std::string prefix = dataset + '\x01';
   for (auto it = results_.begin(); it != results_.end();) {
     if (it->first.compare(0, prefix.size(), prefix) == 0) {
@@ -116,6 +117,30 @@ void Registry::DropUnusedPredicatesLocked() {
     }
     return true;
   });
+}
+
+void Registry::ReserveMemosLocked(const core::ScoreMemo* keep) {
+  size_t memos = 0;
+  for (const Entry& entry : entries_) memos += entry.memo->bytes();
+  // Bases make room first; what they cannot free comes out of the
+  // oldest entries' memos.
+  const size_t bases = bases_->SetReservedBytes(memos);
+  for (Entry& entry : entries_) {  // oldest first
+    if (memos + bases <= options_.base_cache_bytes) break;
+    if (entry.memo.get() == keep) continue;
+    memos -= entry.memo->bytes();
+    entry.memo = std::make_shared<core::ScoreMemo>(entry.recommender->space());
+    memos += entry.memo->bytes();
+  }
+  memo_bytes_ = memos;
+  bases_->SetReservedBytes(memos);
+}
+
+void Registry::NoteMemoUse(const Entry& entry, const core::ExecStats& stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  memo_hits_ += stats.memo_hits;
+  memo_fills_ += stats.memo_fills;
+  ReserveMemosLocked(entry.memo.get());
 }
 
 Result<Registry::AppendOutcome> Registry::Append(const std::string& name,
@@ -278,10 +303,12 @@ Result<Registry::Entry> Registry::Resolve(const std::string& dataset,
   }
   entry.base_cache = storage::BaseCacheHandle(
       bases_, std::move(target_prefix), std::move(comparison_prefix));
+  entry.memo = std::make_shared<core::ScoreMemo>(entry.recommender->space());
   entries_.push_back(entry);
   if (entries_.size() > options_.max_recommenders) {
     entries_.erase(entries_.begin());  // oldest first
   }
+  ReserveMemosLocked(entry.memo.get());
   return entry;
 }
 
@@ -336,6 +363,10 @@ Registry::Stats Registry::stats() const {
   out.results = results_.size();
   out.base_cache = bases_->TotalStats();
   out.base_cache_max_bytes = bases_->max_bytes();
+  out.score_memo.entries = entries_.size();
+  out.score_memo.bytes = memo_bytes_;
+  out.score_memo.hits = memo_hits_;
+  out.score_memo.fills = memo_fills_;
   return out;
 }
 

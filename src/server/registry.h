@@ -17,6 +17,14 @@
 //     record count doubles, the records with no target base left (the
 //     LRU evicted them) go, so predicate churn cannot grow memory past
 //     the store's budget;
+//   * one score memo per registry entry (core/score_memo.h): the (D, A)
+//     of every candidate its requests probed, so a weight, k or scheme
+//     change re-ranks stored scores instead of re-probing.  A memo
+//     retires with its entry (append, invalidate, drop, eviction).  Its
+//     bytes are reserved in the base store's budget, so memos and bases
+//     share one byte budget: bases are evicted to make room, and what
+//     they cannot free comes out of the oldest entries' memos, which
+//     restart empty;
 //   * the result cache: an LRU of canonical recommend responses;
 //   * the append path that publishes rows and patches the bases: the
 //     comparison side once, then each recorded predicate's target side.
@@ -62,14 +70,17 @@ class Registry {
   };
 
   // One resolved (dataset, data_epoch, canonical predicate): the shared
-  // recommender and where its requests build base histograms: the
+  // recommender, where its requests build base histograms (the
   // server-wide store under this table version's comparison prefix and
-  // this predicate's target prefix.
+  // this predicate's target prefix) and the score memo they fill.  The
+  // memo is null when the entry was not registered (a build that raced
+  // an invalidate or drop).
   struct Entry {
     std::string key;  // dataset \x01 data_epoch \x01 canonical predicate
     std::string dataset;
     std::shared_ptr<const core::Recommender> recommender;
     storage::BaseCacheHandle base_cache;
+    std::shared_ptr<core::ScoreMemo> memo;
   };
 
   struct AppendOutcome {
@@ -91,11 +102,21 @@ class Registry {
     storage::IngestDeltaStats ingest;
   };
 
+  // The score memos: resident ones (one per entry), their bytes, and
+  // lifetime probe counts reported through NoteMemoUse.
+  struct MemoStats {
+    size_t entries = 0;
+    size_t bytes = 0;
+    int64_t hits = 0;
+    int64_t fills = 0;
+  };
+
   struct Stats {
     size_t entries = 0;     // resident registry entries
     size_t predicates = 0;  // predicate records held
     storage::BaseHistogramCache::CacheStats base_cache;
     size_t base_cache_max_bytes = 0;
+    MemoStats score_memo;
     size_t results = 0;  // cached responses
   };
 
@@ -128,6 +149,12 @@ class Registry {
   // Operand-permuted spellings of one WHERE clause share an entry.
   common::Result<Entry> Resolve(const std::string& dataset,
                                 const std::string& predicate);
+
+  // Reports a finished recommend on `entry`: adds its memo hits and
+  // fills to the lifetime counts and re-reserves the resident memos'
+  // bytes, which the run may have grown, in the store's budget.  Memos
+  // restarted to fit are never `entry`'s.
+  void NoteMemoUse(const Entry& entry, const core::ExecStats& stats);
 
   // The result-cache key of a recommend on `entry`: the entry's key plus
   // every resolved parameter that can shape the response body.
@@ -167,6 +194,12 @@ class Registry {
   // have no target base left in the store.  Requires mu_.
   void DropUnusedPredicatesLocked();
 
+  // Reserves the resident memos' bytes in the base store, which evicts
+  // bases to make room; while memos and bases still exceed the budget,
+  // restarts the oldest entries' memos empty (never `keep`).  Requires
+  // mu_.
+  void ReserveMemosLocked(const core::ScoreMemo* keep);
+
   const Options options_;
 
   // Tables and their MVCC snapshots; the catalog has its own lock.
@@ -184,6 +217,11 @@ class Registry {
   std::vector<Entry> entries_;  // insertion order = eviction order
   // Keyed by target prefix: dataset \x01 base_epoch \x01 canonical \x01.
   std::unordered_map<std::string, PredicateRecord> predicates_;
+  // Resident memo bytes at the last ReserveMemosLocked, and lifetime
+  // memo probe counts.
+  size_t memo_bytes_ = 0;
+  int64_t memo_hits_ = 0;
+  int64_t memo_fills_ = 0;
   // Record count at which a new record first sweeps the unused ones;
   // doubles with what a sweep leaves, so sweeps cost O(1) amortized.
   size_t sweep_at_;

@@ -226,7 +226,8 @@ void BaseHistogramCache::InsertLocked(
 }
 
 void BaseHistogramCache::EvictLocked() {
-  while (stats_.bytes > static_cast<int64_t>(options_.max_bytes) &&
+  while (stats_.bytes + static_cast<int64_t>(reserved_bytes_) >
+             static_cast<int64_t>(options_.max_bytes) &&
          entries_.size() > 1) {
     const auto victim = entries_.find(lru_.back());
     MUVE_CHECK(victim != entries_.end());
@@ -430,6 +431,13 @@ size_t BaseHistogramCache::ErasePrefix(std::string_view prefix) {
     it = next;
   }
   return erased;
+}
+
+size_t BaseHistogramCache::SetReservedBytes(size_t bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
+  reserved_bytes_ = bytes;
+  EvictLocked();
+  return static_cast<size_t>(stats_.bytes);
 }
 
 BaseHistogramCache::CacheStats BaseHistogramCache::TotalStats() const {

@@ -167,9 +167,10 @@ inline constexpr size_t kDefaultBaseCacheBytes = size_t{64} << 20;  // 64 MiB
 class BaseHistogramCache {
  public:
   struct Options {
-    // Byte budget; LRU eviction keeps the store under it.  The most
-    // recently inserted entry is never evicted (a histogram larger than
-    // the budget still serves the run that built it).
+    // Byte budget; LRU eviction keeps the store, plus any reserved
+    // bytes (SetReservedBytes), under it.  The most recently inserted
+    // entry is never evicted (a histogram larger than the budget still
+    // serves the run that built it).
     size_t max_bytes = kDefaultBaseCacheBytes;
   };
 
@@ -310,6 +311,12 @@ class BaseHistogramCache {
   // Outstanding shared_ptrs stay valid.
   size_t ErasePrefix(std::string_view prefix);
 
+  // Sets the bytes held outside the store that count against its budget
+  // (muved's score memos, server/registry.h), then evicts bases until
+  // both fit — never the most recently inserted one.  Returns the bases'
+  // retained bytes.
+  size_t SetReservedBytes(size_t bytes);
+
   // `bytes` is the current retained footprint.
   CacheStats TotalStats() const;
 
@@ -344,6 +351,8 @@ class BaseHistogramCache {
   EntryMap entries_;
   // Counters; `bytes` is the retained footprint.
   CacheStats stats_;
+  // Bytes held outside the store under its budget (SetReservedBytes).
+  size_t reserved_bytes_ = 0;
   // Single-flight registry for coalesced fused builds: the missing-pair
   // set keys with a pass in flight.  One cv for all flights — coalescing
   // events are rare and short-lived, so waiters tolerate spurious wakes

@@ -567,27 +567,68 @@ constexpr const char* kBuildCounters[] = {
 // The sharing differential: `shared` (long-lived server) equals `cold`
 // byte for byte — views and every other stats field included — apart
 // from the build counters, each of which is at most the cold server's.
-void ExpectSameAnswer(const JsonValue& shared, const JsonValue& cold) {
+// When `memoized`, the long-lived server's score memo may also have
+// answered probes: `memo_hits` is at least the cold server's, and
+// `probe_rows_scanned` (a hit scans no rows) at most.
+void ExpectSameAnswer(const JsonValue& shared, const JsonValue& cold,
+                      bool memoized = false) {
   const JsonValue* shared_stats = shared.Find("stats");
   const JsonValue* cold_stats = cold.Find("stats");
   ASSERT_NE(shared_stats, nullptr) << shared.Write();
   ASSERT_NE(cold_stats, nullptr) << cold.Write();
   JsonValue shared_rest = *shared_stats;
   JsonValue cold_rest = *cold_stats;
-  for (const char* counter : kBuildCounters) {
+  auto mask = [&](const char* counter, bool shared_at_most_cold) {
     ASSERT_NE(shared_stats->Find(counter), nullptr) << counter;
     ASSERT_NE(cold_stats->Find(counter), nullptr) << counter;
-    EXPECT_LE(shared_stats->Find(counter)->int_value(),
-              cold_stats->Find(counter)->int_value())
-        << counter;
+    const int64_t a = shared_stats->Find(counter)->int_value();
+    const int64_t b = cold_stats->Find(counter)->int_value();
+    if (shared_at_most_cold) {
+      EXPECT_LE(a, b) << counter;
+    } else {
+      EXPECT_GE(a, b) << counter;
+    }
     shared_rest.Set(counter, JsonValue::Int(0));
     cold_rest.Set(counter, JsonValue::Int(0));
+  };
+  for (const char* counter : kBuildCounters) mask(counter, true);
+  if (memoized) {
+    mask("probe_rows_scanned", true);
+    mask("memo_hits", false);
   }
   JsonValue shared_masked = shared;
   JsonValue cold_masked = cold;
   shared_masked.Set("stats", std::move(shared_rest));
   cold_masked.Set("stats", std::move(cold_rest));
   EXPECT_EQ(shared_masked.Write(), cold_masked.Write());
+}
+
+// `request`'s response from a server of its own that saw nothing else.
+JsonValue ColdAnswer(const JsonValue& request,
+                     const JsonValue* create = nullptr) {
+  ServerOptions options;
+  options.port = 0;
+  MuvedServer cold(options);
+  EXPECT_TRUE(cold.Start().ok());
+  auto fd = DialLocal(cold.port());
+  EXPECT_TRUE(fd.ok());
+  if (!fd.ok()) return JsonValue::Object();
+  if (create != nullptr) {
+    auto created = RoundTrip(*fd, *create);
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
+    if (created.ok()) EXPECT_TRUE(created->Find("ok")->bool_value());
+  }
+  auto response = RoundTrip(*fd, request);
+  ::close(*fd);
+  cold.Stop();
+  EXPECT_TRUE(response.ok());
+  return response.ok() ? *response : JsonValue::Object();
+}
+
+int64_t StatOf(const JsonValue& response, const char* field) {
+  const JsonValue* stats = response.Find("stats");
+  const JsonValue* value = stats != nullptr ? stats->Find(field) : nullptr;
+  return value != nullptr ? value->int_value() : -1;
 }
 
 TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
@@ -610,21 +651,10 @@ TEST_F(MuvedIntegrationTest, SharingOffMatchesSharingOnByteForByte) {
     auto shared = RoundTrip(fd, request);
     ASSERT_TRUE(shared.ok());
     ASSERT_TRUE(IsOk(*shared)) << shared->Write();
-
-    ServerOptions options;
-    options.port = 0;
-    MuvedServer cold(options);
-    ASSERT_TRUE(cold.Start().ok());
-    auto cold_fd = DialLocal(cold.port());
-    ASSERT_TRUE(cold_fd.ok());
-    auto fresh = RoundTrip(*cold_fd, request);
-    ::close(*cold_fd);
-    cold.Stop();
-    ASSERT_TRUE(fresh.ok());
-    ExpectSameAnswer(*shared, *fresh);
-    saved_rows +=
-        fresh->Find("stats")->Find("build_rows_scanned")->int_value() -
-        shared->Find("stats")->Find("build_rows_scanned")->int_value();
+    const JsonValue fresh = ColdAnswer(request);
+    ExpectSameAnswer(*shared, fresh);
+    saved_rows += StatOf(fresh, "build_rows_scanned") -
+                  StatOf(*shared, "build_rows_scanned");
   }
   ::close(fd);
   // The second and third predicates read the first one's comparison
@@ -1160,18 +1190,9 @@ TEST_F(MuvedIntegrationTest, PredicateFirstSeenAfterAppendMatchesReload) {
   ASSERT_TRUE(IsOk(shared)) << shared.Write();
   ::close(fd);
 
-  ServerOptions options;
-  options.port = 0;
-  MuvedServer cold(options);
-  ASSERT_TRUE(cold.Start().ok());
-  auto cold_fd = DialLocal(cold.port());
-  ASSERT_TRUE(cold_fd.ok());
   JsonValue reload = create;
   reload.Set("csv", JsonValue::String(SmallCsv(0, 60)));
-  ASSERT_TRUE(IsOk(Call(*cold_fd, reload)));
-  JsonValue reloaded = Call(*cold_fd, fresh_predicate);
-  ::close(*cold_fd);
-  cold.Stop();
+  const JsonValue reloaded = ColdAnswer(fresh_predicate, &reload);
   ASSERT_TRUE(IsOk(reloaded)) << reloaded.Write();
 
   ExpectSameAnswer(shared, reloaded);
@@ -1181,6 +1202,168 @@ TEST_F(MuvedIntegrationTest, PredicateFirstSeenAfterAppendMatchesReload) {
   EXPECT_EQ(
       reloaded.Find("stats")->Find("build_rows_scanned")->int_value(),
       30 + 60);
+}
+
+// ---------------------------------------------------------------------------
+// Score memo (DESIGN.md §13): a registry entry's (D, A) outlive requests.
+
+// One recommend frame of the weights x k x scheme sweeps below.
+JsonValue SweepRecommend(const char* dataset, const char* scheme,
+                         const double (&weights)[3], int64_t k) {
+  JsonValue r = JsonValue::Object();
+  r.Set("op", JsonValue::String("recommend"));
+  r.Set("dataset", JsonValue::String(dataset));
+  r.Set("scheme", JsonValue::String(scheme));
+  r.Set("k", JsonValue::Int(k));
+  JsonValue w = JsonValue::Array();
+  for (const double weight : weights) w.Append(JsonValue::Double(weight));
+  r.Set("weights", std::move(w));
+  // A pinned probe order keeps the search counters deterministic.
+  r.Set("probe_order", JsonValue::String("deviation-first"));
+  return r;
+}
+
+constexpr const char* kSchemes[] = {"linear-linear", "hc-linear",
+                                    "muve-linear", "muve-muve"};
+constexpr double kSweepWeights[][3] = {{0.8, 0.1, 0.1}, {0.2, 0.6, 0.2}};
+
+TEST_F(MuvedIntegrationTest, ScoreMemoAnswersEqualColdServers) {
+  // The long-lived-vs-cold differential on one NBA predicate: every
+  // frame of a weights x k x scheme sweep gets the views a cold server
+  // gives it, bit for bit, and the same search counters; from the second
+  // request on, the memo answers probes an earlier request ran.
+  StartServer();
+  const int fd = Dial();
+  int requests = 0;
+  for (const auto& weights : kSweepWeights) {
+    for (const int64_t k : {1, 5}) {
+      for (const char* scheme : kSchemes) {
+        JsonValue request = SweepRecommend("nba", scheme, weights, k);
+        request.Set("predicate", JsonValue::String("Age >= 30 AND MP > 500"));
+        const JsonValue shared = Call(fd, request);
+        ASSERT_TRUE(IsOk(shared)) << shared.Write();
+        const JsonValue cold = ColdAnswer(request);
+        ASSERT_TRUE(IsOk(cold)) << cold.Write();
+        ExpectSameAnswer(shared, cold, /*memoized=*/true);
+        EXPECT_EQ(StatOf(shared, "candidates_considered"),
+                  StatOf(cold, "candidates_considered"));
+        if (requests++ > 0) {
+          EXPECT_GT(StatOf(shared, "memo_hits"), 0) << request.Write();
+        }
+      }
+    }
+  }
+  const JsonValue stats = Call(fd, Request("stats"));
+  const JsonValue* memo = stats.Find("score_memo");
+  ASSERT_NE(memo, nullptr) << stats.Write();
+  EXPECT_EQ(memo->Find("entries")->int_value(), 1);
+  EXPECT_GT(memo->Find("bytes")->int_value(), 0);
+  EXPECT_GT(memo->Find("hits")->int_value(), 0);
+  EXPECT_GT(memo->Find("fills")->int_value(), 0);
+  const JsonValue* base = stats.Find("base_cache");
+  EXPECT_LE(base->Find("bytes")->int_value() + memo->Find("bytes")->int_value(),
+            base->Find("max_bytes")->int_value());
+  ::close(fd);
+}
+
+TEST_F(MuvedIntegrationTest, AppendRetiresTheScoreMemoAndMatchesReload) {
+  // An append retires the entry's memo with the entry: the first
+  // recommend after it probes afresh, and it and the next one (which
+  // reads the new memo) equal a cold reload's answers.
+  JsonValue create = Request("create");
+  create.Set("table", JsonValue::String("mini"));
+  create.Set("csv", JsonValue::String(SmallCsv(0, 40)));
+  JsonValue dims = JsonValue::Array();
+  dims.Append(JsonValue::String("x"));
+  create.Set("dims", dims);
+  JsonValue measures = JsonValue::Array();
+  measures.Append(JsonValue::String("m"));
+  create.Set("measures", measures);
+  create.Set("predicate", JsonValue::String("day >= 2"));
+  const JsonValue first =
+      SweepRecommend("mini", "linear-linear", kSweepWeights[0], 2);
+  const JsonValue second =
+      SweepRecommend("mini", "muve-muve", kSweepWeights[1], 1);
+  auto memo_stats = [&](int fd) {
+    const JsonValue stats = Call(fd, Request("stats"));
+    const JsonValue* memo = stats.Find("score_memo");
+    EXPECT_NE(memo, nullptr) << stats.Write();
+    return memo != nullptr ? *memo : JsonValue::Object();
+  };
+
+  StartServer();
+  const int fd = Dial();
+  ASSERT_TRUE(IsOk(Call(fd, create)));
+  ASSERT_TRUE(IsOk(Call(fd, first)));
+  EXPECT_GT(StatOf(Call(fd, second), "memo_hits"), 0);
+  JsonValue memo = memo_stats(fd);
+  EXPECT_EQ(memo.Find("entries")->int_value(), 1);
+  EXPECT_GT(memo.Find("bytes")->int_value(), 0);
+
+  JsonValue append = Request("append");
+  append.Set("table", JsonValue::String("mini"));
+  append.Set("csv", JsonValue::String(SmallCsv(40, 60)));
+  ASSERT_TRUE(IsOk(Call(fd, append)));
+  memo = memo_stats(fd);
+  EXPECT_EQ(memo.Find("entries")->int_value(), 0);
+  EXPECT_EQ(memo.Find("bytes")->int_value(), 0);
+
+  const JsonValue after_first = Call(fd, first);
+  EXPECT_EQ(StatOf(after_first, "memo_hits"), 0);
+  const JsonValue after_second = Call(fd, second);
+  EXPECT_GT(StatOf(after_second, "memo_hits"), 0);
+  ::close(fd);
+
+  JsonValue reload = create;
+  reload.Set("csv", JsonValue::String(SmallCsv(0, 60)));
+  ExpectSameAnswer(after_first, ColdAnswer(first, &reload));
+  ExpectSameAnswer(after_second, ColdAnswer(second, &reload),
+                   /*memoized=*/true);
+}
+
+TEST_F(MuvedIntegrationTest, FourSessionsOnFourSchemesFillOneMemo) {
+  // Four sessions, one scheme each, fill the toy entry's memo at once
+  // (this binary is TSan-labelled); every answer equals a cold
+  // server's views.
+  std::vector<std::vector<JsonValue>> frames(std::size(kSchemes));
+  std::vector<std::vector<std::string>> cold_views(std::size(kSchemes));
+  for (size_t s = 0; s < frames.size(); ++s) {
+    for (const auto& weights : kSweepWeights) {
+      for (const int64_t k : {1, 3}) {
+        frames[s].push_back(SweepRecommend("toy", kSchemes[s], weights, k));
+        const JsonValue cold = ColdAnswer(frames[s].back());
+        ASSERT_TRUE(IsOk(cold)) << cold.Write();
+        cold_views[s].push_back(cold.Find("views")->Write());
+      }
+    }
+  }
+  StartServer();
+  std::vector<std::vector<std::string>> views(frames.size());
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < frames.size(); ++s) {
+    sessions.emplace_back([&, s] {
+      auto fd = DialLocal(server_->port());
+      ASSERT_TRUE(fd.ok());
+      for (const JsonValue& frame : frames[s]) {
+        auto response = RoundTrip(*fd, frame);
+        ASSERT_TRUE(response.ok() && IsOk(*response));
+        views[s].push_back(response->Find("views")->Write());
+      }
+      ::close(*fd);
+    });
+  }
+  for (std::thread& session : sessions) session.join();
+  for (size_t s = 0; s < frames.size(); ++s) {
+    EXPECT_EQ(views[s], cold_views[s]) << kSchemes[s];
+  }
+  const int fd = Dial();
+  const JsonValue stats = Call(fd, Request("stats"));
+  ::close(fd);
+  const JsonValue* memo = stats.Find("score_memo");
+  ASSERT_NE(memo, nullptr) << stats.Write();
+  EXPECT_EQ(memo->Find("entries")->int_value(), 1);
+  EXPECT_GT(memo->Find("hits")->int_value(), 0);
+  EXPECT_GT(memo->Find("fills")->int_value(), 0);
 }
 
 TEST_F(MuvedIntegrationTest, CreateValidatesInputs) {

@@ -189,6 +189,63 @@ TEST(RegistryTest, PredicateChurnStaysUnderTheStoreBudget) {
             stats.base_cache.bytes);
 }
 
+// Score memos share the store's budget: 1,000 distinct predicates, each
+// recommended twice (the second run reads the first's memo), through 32
+// resident entries whose memos alone outgrow a 4 KiB budget.  After every
+// recommend, bases plus memos fit the budget: the store evicts bases and
+// the oldest entries' memos restart.
+TEST(RegistryTest, ScoreMemosAndBasesStayUnderOneBudget) {
+  Registry::Options options;
+  options.max_recommenders = 32;
+  options.base_cache_bytes = 4 << 10;
+  Registry registry(options);
+  ASSERT_TRUE(CreateSmall(&registry).ok());
+
+  int next_row = 40;
+  size_t most_memo_bytes = 0;
+  size_t most_memos = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const int lo = 1 + i % 100;
+    const std::string predicate = "m >= " + std::to_string(lo) +
+                                  " AND m <= " +
+                                  std::to_string(lo + 3 + i / 100);
+    auto entry = registry.Resolve("t", predicate);
+    ASSERT_TRUE(entry.ok()) << predicate << ": "
+                            << entry.status().ToString();
+    ASSERT_NE(entry->memo, nullptr);
+    for (const int k : {1, 2}) {
+      core::SearchOptions search;
+      search.k = k;
+      search.shared_base_cache = entry->base_cache;
+      search.score_memo = entry->memo;
+      auto rec = entry->recommender->Recommend(search);
+      ASSERT_TRUE(rec.ok()) << predicate;
+      if (k == 2) EXPECT_GT(rec->stats.memo_hits, 0) << predicate;
+      registry.NoteMemoUse(*entry, rec->stats);
+      const Registry::Stats stats = registry.stats();
+      ASSERT_LE(stats.base_cache.bytes +
+                    static_cast<int64_t>(stats.score_memo.bytes),
+                static_cast<int64_t>(options.base_cache_bytes))
+          << predicate;
+      most_memo_bytes = std::max(most_memo_bytes, stats.score_memo.bytes);
+      most_memos = std::max(most_memos, stats.score_memo.entries);
+    }
+    if (i % 100 == 99) {
+      ASSERT_TRUE(registry.Append("t", SmallCsv(next_row, next_row + 5)).ok());
+      next_row += 5;
+    }
+  }
+  // The last append retired every entry and its memo.
+  const Registry::Stats stats = registry.stats();
+  EXPECT_EQ(stats.score_memo.entries, 0u);
+  EXPECT_EQ(stats.score_memo.bytes, 0u);
+  EXPECT_EQ(most_memos, options.max_recommenders);
+  EXPECT_GT(stats.score_memo.hits, 0);
+  EXPECT_GT(stats.score_memo.fills, 0);
+  EXPECT_GT(most_memo_bytes, 0u);
+  EXPECT_GT(stats.base_cache.evictions, 0);
+}
+
 // Wire helpers for the race test.
 JsonValue Op(const char* op) {
   JsonValue r = JsonValue::Object();

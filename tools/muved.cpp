@@ -38,9 +38,9 @@
 //   --no-shutdown-op    refuse {"op":"shutdown"} (signals only)
 //   --result-cache-entries=N
 //                       LRU cap on cached top-k responses (default 256;
-//                       0 disables the result cache).  Recommenders and
-//                       the base-histogram store are always shared across
-//                       requests (DESIGN.md §13)
+//                       0 disables the result cache).  Recommenders, their
+//                       score memos and the base-histogram store are
+//                       always shared across requests (DESIGN.md §13)
 
 #include <unistd.h>
 
